@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cases import CaseStatement, Partition, build_case, constant_case
+from .cases import CaseStatement, constant_case, indicator_case
 from .folp import FOLPError, LPNumericalError
 from .logic import (
     TRUE,
@@ -186,12 +186,6 @@ class _Entry:
     weight: float = 0.0
 
 
-def _indicator(head: Formula, checker: ConsistencyChecker) -> CaseStatement:
-    return build_case(
-        [Partition(head, 1.0), Partition(normalize(Not(head)), 0.0)], True, checker
-    )
-
-
 def _seed_entries(model: FOMDPModel, chk: ConsistencyChecker, include_constant: bool) -> list:
     """Indicator pairs for the reward's positive regions, plus the offset."""
     entries: list = []
@@ -210,7 +204,7 @@ def _seed_entries(model: FOMDPModel, chk: ConsistencyChecker, include_constant: 
             certified = all(chk.check(conj((head, g))) is False for g in family)
             if certified:
                 family.append(head)
-            entries.append(_Entry(_indicator(head, chk), head, None, certified))
+            entries.append(_Entry(indicator_case(head, 1.0, chk), head, None, certified))
     return entries
 
 
@@ -295,7 +289,7 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> t
                 ledger.add(core)
                 discarded += 1
                 continue
-            entries.append(_Entry(_indicator(full, chk), full, core, True))
+            entries.append(_Entry(indicator_case(full, 1.0, chk), full, core, True))
             added += 1
         if added == 0:
             break

@@ -6,7 +6,9 @@ and the case denotes a total function; otherwise it is a bag of candidate
 values (union semantics) from which `max_case` recovers a function.  All
 operators prune partitions whose formulas are unsatisfiable within the
 configured bound and simplify the survivors, which is what keeps symbolic
-dynamic programming tractable.
+dynamic programming tractable.  An operator called without a checker makes
+a fresh untyped `ConsistencyChecker()` for that call; callers holding a
+model pass its typed checker instead.
 
 Partitions may carry two pieces of bookkeeping used by policies: an action
 tag, and an open "binding body" over action-parameter variables recording,
@@ -88,13 +90,6 @@ class CaseStatement:
         return "{" + mark + " " + body + " }"
 
 
-_DEFAULT_CHECKER = ConsistencyChecker()
-
-
-def _chk(checker: Optional[ConsistencyChecker]) -> ConsistencyChecker:
-    return checker if checker is not None else _DEFAULT_CHECKER
-
-
 def build_case(
     parts: Iterable[Partition],
     partitioned: bool = False,
@@ -107,7 +102,7 @@ def build_case(
     unsound).  The partitioned flag is the caller's assertion; dropping
     unsatisfiable partitions cannot break it.
     """
-    chk = _chk(checker)
+    chk = checker or ConsistencyChecker()
     kept = []
     for p in parts:
         f = simplify_bdd(normalize(p.formula)) if simplify else normalize(p.formula)
@@ -122,6 +117,13 @@ def build_case(
 def case_of(pairs: Sequence, partitioned: bool = True, checker=None) -> CaseStatement:
     """Case from (formula, value) pairs."""
     return build_case((Partition(f, float(v)) for f, v in pairs), partitioned, checker)
+
+
+def indicator_case(formula: Formula, value: float, checker: ConsistencyChecker) -> CaseStatement:
+    """The partitioned case {φ : value ; ¬φ : 0}."""
+    return build_case(
+        [Partition(formula, value), Partition(normalize(Not(formula)), 0.0)], True, checker
+    )
 
 
 def constant_case(value: float) -> CaseStatement:
@@ -256,7 +258,7 @@ def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> 
     region is "φ_k holds and nothing better does".  The output is marked
     partitioned when the input formulas cover every state at the bound.
     """
-    chk = _chk(checker)
+    chk = checker or ConsistencyChecker()
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
     out = []
     prefix: list = []
@@ -265,7 +267,7 @@ def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> 
         out.append(replace(p, formula=refined))
         prefix.append(Not(p.formula))
     covers = chk.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
-    return build_case(out, covers, checker)
+    return build_case(out, covers, chk)
 
 
 def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
@@ -339,7 +341,7 @@ def eval_max(
 
 def verify_partitioned(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> bool:
     """Pairwise-exclusive and exhaustive at the bound?"""
-    chk = _chk(checker)
+    chk = checker or ConsistencyChecker()
     for i, p in enumerate(c.partitions):
         for q in c.partitions[i + 1 :]:
             if chk.check(And((p.formula, q.formula))) is not False:
@@ -353,15 +355,13 @@ def verify_partitioned(c: CaseStatement, checker: Optional[ConsistencyChecker] =
 # text form
 
 
-def parse_case(
+def parse_partitions(
     text: str,
     objects: Iterable[str] = (),
     act_names: Iterable[str] = (),
     signature: Optional[Mapping[str, Sequence]] = None,
-    partitioned: bool = True,
-    checker: Optional[ConsistencyChecker] = None,
-) -> CaseStatement:
-    """Parse `{ formula : number ; ... }` into a case statement."""
+) -> list:
+    """Parse `{ formula : number ; ... }` into unpruned partitions."""
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise CaseError(f"case literal must be braced: {text!r}")
@@ -381,4 +381,16 @@ def parse_case(
             except ValueError as e:
                 raise CaseError(f"bad case value {vtext.strip()!r}") from e
             parts.append(Partition(f, v))
-    return build_case(parts, partitioned, checker)
+    return parts
+
+
+def parse_case(
+    text: str,
+    objects: Iterable[str] = (),
+    act_names: Iterable[str] = (),
+    signature: Optional[Mapping[str, Sequence]] = None,
+    partitioned: bool = True,
+    checker: Optional[ConsistencyChecker] = None,
+) -> CaseStatement:
+    """Parse `{ formula : number ; ... }` into a case statement."""
+    return build_case(parse_partitions(text, objects, act_names, signature), partitioned, checker)

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .cases import Partition, build_case, parse_case
+from .cases import build_case, indicator_case, parse_partitions
 from .logic import (
     ConsistencyBound,
+    ConsistencyChecker,
+    Formula,
     GroundState,
-    Not,
     Universe,
     make_state,
     normalize,
@@ -133,8 +134,8 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             if current_action is None:
                 raise DomainSyntaxError("choice outside an action block", no)
             cname, case_text = m.groups()
-            pcase = parse_case(case_text, (), act_names, signature() or None)
-            current_action[2].append(NatureChoice(cname, pcase))
+            parts = parse_partitions(case_text, (), act_names, signature() or None)
+            current_action[2].append((cname, parts))
             continue
         m = re.match(rf"reward\s+({_IDENT})\s+(\{{.*\}})$", line)
         if m:
@@ -142,7 +143,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             key, case_text = m.groups()
             if key in rewards:
                 raise DomainSyntaxError(f"duplicate reward for {key}", no)
-            rewards[key] = parse_case(case_text, (), act_names, signature() or None)
+            rewards[key] = parse_partitions(case_text, (), act_names, signature() or None)
             continue
         m = re.match(r"ureward\s+forall\s+(.+)$", line)
         if m:
@@ -185,12 +186,20 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         raise DomainSyntaxError("missing 'discount' declaration", 1)
     if ureward is not None and rewards:
         raise DomainSyntaxError("a domain declares either ureward or reward cases, not both", 1)
-    if ureward is not None:
-        rewards = materialize_universal(ureward)
 
+    # cases are pruned only now, when the checker knows every argument type
+    bound = bound or ConsistencyBound()
+    checker = ConsistencyChecker(bound, signature())
+    if ureward is not None:
+        rewards = materialize_universal(ureward, ureward.closed(), checker)
+    else:
+        rewards = {key: build_case(parts, True, checker) for key, parts in rewards.items()}
     templates = {}
     for aname, (aname2, params, choices) in actions.items():
-        templates[aname] = ActionTemplate(aname, params, tuple(choices))
+        outcomes = tuple(
+            NatureChoice(cname, build_case(parts, True, checker)) for cname, parts in choices
+        )
+        templates[aname] = ActionTemplate(aname, params, outcomes)
     model = FOMDPModel(
         name=name,
         types=types,
@@ -200,28 +209,23 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         rewards=rewards,
         discount=discount,
         universal_reward=ureward,
-        bound=bound or ConsistencyBound(),
+        bound=bound,
+        checker=checker,
     )
     model.validate()
     return model
 
 
-def materialize_universal(ur: UniversalReward) -> dict:
-    """Reward cases induced by a universal goal.
+def materialize_universal(ur: UniversalReward, goal: Formula, checker: ConsistencyChecker) -> dict:
+    """Reward cases paying a universal reward's values where `goal` holds.
 
-    The goal's universal closure earns the idle value under noop and the
-    acting value under every other action; states violating it earn 0.
+    The goal earns the idle value under noop and the acting value under
+    every other action; states violating it earn 0.  A domain passes the
+    goal's universal closure, goal decomposition one generic instance of it.
     """
-    closed = ur.closed()
     return {
-        NOOP: build_case(
-            [Partition(closed, ur.value_noop), Partition(normalize(Not(closed)), 0.0)],
-            partitioned=True,
-        ),
-        "any": build_case(
-            [Partition(closed, ur.value_act), Partition(normalize(Not(closed)), 0.0)],
-            partitioned=True,
-        ),
+        NOOP: indicator_case(goal, ur.value_noop, checker),
+        "any": indicator_case(goal, ur.value_act, checker),
     }
 
 

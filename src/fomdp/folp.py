@@ -10,13 +10,12 @@ whole cross product.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .cases import CaseStatement, cross_sum
+from .cases import CaseStatement
 from .logic import ConsistencyChecker, conj
 
 VIOLATION_TOL = 1e-6
@@ -372,19 +371,6 @@ class ViolatedConstraint:
     violation: float
 
 
-def flatten_schema(
-    schema: ConstraintSchema,
-    weights: Optional[Mapping[str, float]] = None,
-    checker: Optional[ConsistencyChecker] = None,
-) -> CaseStatement:
-    """Cross-sum of the schema's cases; affine values, or floats under weights."""
-    flat = cross_sum(schema.cases, checker)
-    if weights is None:
-        return flat
-    parts = tuple(replace(p, value=_as_expr(p.value).evaluate(weights)) for p in flat.partitions)
-    return CaseStatement(parts, flat.partitioned)
-
-
 def _search_cases(
     case_order: Sequence[int],
     schema: ConstraintSchema,
@@ -447,41 +433,19 @@ def search_schema(
     return ViolatedConstraint(schema.schema_id, sel, expr, best[0])
 
 
-def find_max_violation(
-    folp: FirstOrderLP,
-    weights: Mapping[str, float],
-    checker: Optional[ConsistencyChecker] = None,
-    tol: float = VIOLATION_TOL,
-    threads: int = 1,
-) -> Optional[ViolatedConstraint]:
-    """Most violated constraint across all schemata, or None."""
-    best = None
-    for vc, _ in search_schemata(folp.schemata, weights, checker, tol, threads):
-        if vc is not None and (best is None or vc.violation > best.violation + 1e-15):
-            best = vc
-    return best
-
-
-def _timed_search(schema, weights, checker, tol):
-    t0 = time.perf_counter()
-    vc = search_schema(schema, weights, checker, tol)
-    return vc, (time.perf_counter() - t0) * 1000.0
-
-
 def search_schemata(
     schemata: Sequence,
     weights: Mapping[str, float],
     checker: Optional[ConsistencyChecker] = None,
     tol: float = VIOLATION_TOL,
-    threads: int = 1,
 ) -> list:
     """Per-schema (violation, wall-ms) results, schema order preserved."""
-    if threads > 1 and len(schemata) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(
-                ex.map(lambda s: _timed_search(s, weights, checker, tol), schemata)
-            )
-    return [_timed_search(s, weights, checker, tol) for s in schemata]
+    out = []
+    for schema in schemata:
+        t0 = time.perf_counter()
+        vc = search_schema(schema, weights, checker, tol)
+        out.append((vc, (time.perf_counter() - t0) * 1000.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +517,6 @@ def solve_first_order_lp(
     checker: Optional[ConsistencyChecker] = None,
     tol: float = VIOLATION_TOL,
     max_iters: int = 1000,
-    threads: int = 1,
 ) -> FOLPResult:
     """Constraint generation: LP-solve, add maximally violated rows, repeat."""
     chk = checker or ConsistencyChecker()
@@ -579,7 +542,7 @@ def solve_first_order_lp(
             lp_objective = sol.objective
         added = 0
         stalled = False
-        found = search_schemata(folp.schemata, weights, chk, tol, threads)
+        found = search_schemata(folp.schemata, weights, chk, tol)
         for schema, (vc, wall) in zip(folp.schemata, found):
             stats.append(
                 GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall)

@@ -38,10 +38,6 @@ class UnboundVariableError(LogicError):
     pass
 
 
-class ConsistencyTimeout(LogicError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # terms
 

@@ -18,20 +18,11 @@ from .folp import (
     VIOLATION_TOL,
     ConstraintSchema,
     FirstOrderLP,
-    FOLPError,
-    FOLPResult,
-    GenerationRow,
-    LinearConstraint,
     LinExpr,
-    LPModel,
-    LPNumericalError,
     affine_case,
-    search_schemata,
-    seed_rows,
     solve_first_order_lp,
-    solve_lp,
 )
-from .logic import TRUE, ConsistencyChecker, conj, eval_in_state, format_formula, normalize
+from .logic import TRUE, ConsistencyChecker, conj, eval_in_state, normalize
 from .model import FOMDPModel, LinearValueFunction, backup_linear
 
 
@@ -94,19 +85,6 @@ class PolicyCase:
         raise SolverError("satisfied policy region has no parameter witness")
 
 
-def restrict_policy(policy: PolicyCase, action: str) -> PolicyCase:
-    """Partitions tagged with one action template, order preserved.
-
-    A full match returns the policy unchanged; otherwise exhaustiveness is
-    lost, so the partitioned flag is cleared.
-    """
-    kept = tuple(p for p in policy.case.partitions if p.tag == action)
-    if len(kept) == len(policy.case.partitions):
-        return policy
-    cells = tuple((key, e) for key, e in policy.cell_exprs if key[0] == action)
-    return PolicyCase(CaseStatement(kept, False), cells)
-
-
 def loss_bound(phi: float, gamma: float) -> float:
     """Sup-norm loss guaranteed by a fixed-point residual under discounting."""
     if not 0.0 <= gamma < 1.0:
@@ -165,8 +143,7 @@ def foalp_lp(
 
     One schema per action template over the parameterized backup cells; the
     per-parameter constraints imply the same bound as maximizing over the
-    parameters first, and the violation search returns the same maximally
-    violated row either way.
+    parameters first.
     """
     chk = checker or model.checker
     variables = tuple(_wvar(i) for i in range(len(lvf.bases)))
@@ -218,97 +195,8 @@ def _collect_exprs(partitions, exprs: dict):
         exprs[key] = p.value
 
 
-def foalp_max_schemata(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    weights: Mapping[str, float],
-    checker: Optional[ConsistencyChecker] = None,
-) -> tuple:
-    """Per-action schemata with the backup maximized over parameters first.
-
-    The cells are ranked at the given weights, carved into best-cell regions,
-    and re-attached to their affine expressions, so the search optimum
-    matches the parameterized form's at those weights.
-    """
-    chk = checker or model.checker
-    minus = _minus_bases(lvf)
-    cert = _certified_indices(lvf.bases, chk)
-    out = []
-    for name in model.action_names():
-        closed = _action_cells(model, lvf, name, chk)
-        exprs: dict = {}
-        _collect_exprs(closed.partitions, exprs)
-        numeric = CaseStatement(
-            tuple(replace(p, value=p.value.evaluate(weights)) for p in closed.partitions),
-            closed.partitioned,
-        )
-        best = max_case(numeric, chk)
-        head = CaseStatement(
-            tuple(replace(p, value=exprs[_cell_key(p)]) for p in best.partitions),
-            best.partitioned,
-        )
-        if not head.partitions:
-            continue
-        out.append(
-            ConstraintSchema(name, (head,) + minus, tuple(1 + i for i in cert))
-        )
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # weight solving
-
-
-def _generate_over_max(model, lvf, chk, tol, max_iters, threads) -> FOLPResult:
-    """Constraint generation with per-iteration maximized schemata.
-
-    The schemata depend on the trial weights, so selections are not stable
-    across iterations; rows are deduplicated by content instead.
-    """
-    skeleton = foalp_lp(model, lvf, chk)
-    rows: list = []
-    seen: set = set()
-    for _sid, _sel, expr in seed_rows(skeleton, chk):
-        row = LinearConstraint(expr.coeffs, "<=", -expr.const)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    stats: list = []
-    for it in range(1, max_iters + 1):
-        sol = solve_lp(LPModel(skeleton.variables, skeleton.objective, tuple(rows)))
-        if sol.status == "infeasible":
-            raise FOLPError("generated LP is infeasible")
-        if sol.status == "unbounded":
-            scale = 1e4 / max(1.0, max(abs(r) for r in sol.ray.values()))
-            weights = {v: scale * sol.ray.get(v, 0.0) for v in skeleton.variables}
-            lp_objective = float("-inf")
-        else:
-            weights = sol.assignment
-            lp_objective = sol.objective
-        schemata = foalp_max_schemata(model, lvf, weights, chk)
-        added = 0
-        stalled = False
-        for schema, (vc, wall) in zip(schemata, search_schemata(schemata, weights, chk, tol, threads)):
-            stats.append(
-                GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall)
-            )
-            if vc is None:
-                continue
-            row = LinearConstraint(vc.expr.coeffs, "<=", -vc.expr.const)
-            if row in seen:
-                stalled = True
-                continue
-            seen.add(row)
-            rows.append(row)
-            added += 1
-        if added == 0:
-            if sol.status == "unbounded":
-                direction = ", ".join(f"{v}={r:g}" for v, r in sorted(sol.ray.items()))
-                raise FOLPError(f"LP unbounded along {direction} and no constraint cuts the ray")
-            if stalled:
-                raise LPNumericalError("violated constraint already present; tolerance conflict")
-            return FOLPResult(sol.assignment, sol.objective, tuple(stats), tuple(rows), it)
-    raise FOLPError(f"constraint generation exceeded {max_iters} iterations")
 
 
 def foalp_solve(
@@ -317,22 +205,15 @@ def foalp_solve(
     checker: Optional[ConsistencyChecker] = None,
     tol: float = VIOLATION_TOL,
     max_iters: int = 1000,
-    threads: int = 1,
-    maximize_first: bool = False,
     stats_out: Optional[list] = None,
 ) -> tuple:
     """Basis weights bounding every action's backup from above.
 
     Minimizes sum_i w_i * (mean partition value of basis i) subject to
     0 >= backup_A - value for every action, state, and parameter choice.
-    With maximize_first the violation search runs on parameter-maximized
-    schemata; both routes certify the same optimum.
     """
     chk = checker or model.checker
-    if maximize_first:
-        res = _generate_over_max(model, lvf, chk, tol, max_iters, threads)
-    else:
-        res = solve_first_order_lp(foalp_lp(model, lvf, chk), chk, tol, max_iters, threads)
+    res = solve_first_order_lp(foalp_lp(model, lvf, chk), chk, tol, max_iters)
     if stats_out is not None:
         stats_out.extend(res.stats)
     return tuple(res.assignment[_wvar(i)] for i in range(len(lvf.bases)))
@@ -447,7 +328,6 @@ def foapi_solve(
     checker: Optional[ConsistencyChecker] = None,
     tol: float = VIOLATION_TOL,
     lp_iters: int = 1000,
-    threads: int = 1,
 ) -> SolveReport:
     """Alternate greedy extraction with minimal-residual reweighting.
 
@@ -476,7 +356,7 @@ def foapi_solve(
             rows.append(IterationRow(it, phis[-1], True, (time.perf_counter() - t0) * 1000.0))
             break
         previous = key
-        res = solve_first_order_lp(_api_lp(lvf, policy, chk), chk, tol, lp_iters, threads)
+        res = solve_first_order_lp(_api_lp(lvf, policy, chk), chk, tol, lp_iters)
         weights = tuple(res.assignment[_wvar(i)] for i in range(len(lvf.bases)))
         phi = float(res.assignment[_PHI])
         if phi < 0.0:
@@ -488,16 +368,3 @@ def foapi_solve(
         rows.append(IterationRow(it, phi, False, (time.perf_counter() - t0) * 1000.0))
     loss = loss_bound(phis[-1], model.discount) if converged else None
     return SolveReport(tuple(trajectory), tuple(phis), converged, loss, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-def value_function_lines(lvf: LinearValueFunction) -> tuple:
-    """One `weight<TAB>formula` line per basis partition."""
-    out = []
-    for w, b in zip(lvf.weights, lvf.bases):
-        for p in b.partitions:
-            out.append(f"{w:g}\t{format_formula(p.formula)}")
-    return tuple(out)

@@ -10,11 +10,11 @@ instance's unsatisfied goals.
 
 from dataclasses import dataclass, replace
 
-from .cases import CaseStatement, Partition, build_case, constant_case
+from .cases import CaseStatement, constant_case
+from .domains import materialize_universal
 from .logic import (
     ActTerm,
     Formula,
-    Not,
     Obj,
     Universe,
     eval_in_state,
@@ -23,7 +23,7 @@ from .logic import (
     satisfying_bindings,
     substitute,
 )
-from .model import NOOP, FOMDPModel, LinearValueFunction, backup_exists
+from .model import FOMDPModel, LinearValueFunction, backup_exists
 
 
 class UnidecompError(Exception):
@@ -34,12 +34,6 @@ def _generic_parts(ur):
     constants = tuple(f"{n}_star" for n, _ in ur.variables)
     sub = {n: Obj(c) for (n, _), c in zip(ur.variables, constants)}
     return constants, normalize(substitute(ur.goal, sub))
-
-
-def _reward_pair(goal, value, checker) -> CaseStatement:
-    return build_case(
-        [Partition(goal, value), Partition(normalize(Not(goal)), 0.0)], True, checker
-    )
 
 
 def make_generic_goal(model: FOMDPModel) -> FOMDPModel:
@@ -53,11 +47,7 @@ def make_generic_goal(model: FOMDPModel) -> FOMDPModel:
     if ur is None:
         raise UnidecompError(f"model {model.name} has no universal reward to decompose")
     _, goal = _generic_parts(ur)
-    rewards = {
-        NOOP: _reward_pair(goal, ur.value_noop, model.checker),
-        "any": _reward_pair(goal, ur.value_act, model.checker),
-    }
-    return replace(model, rewards=rewards)
+    return replace(model, rewards=materialize_universal(ur, goal, model.checker))
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
     if ur is None:
         raise UnidecompError(f"model {model.name} has no universal reward to decompose")
     constants, goal = _generic_parts(ur)
-    if model.rewards.get(NOOP) != _reward_pair(goal, ur.value_noop, model.checker):
+    if model.rewards != materialize_universal(ur, goal, model.checker):
         raise UnidecompError(
             f"model {model.name} does not carry the generic-goal reward; "
             "apply make_generic_goal before solving"
@@ -182,18 +172,3 @@ def select_action(qset: GenericQSet, goals, state):
         raise UnidecompError("no ground action scored")
     best = min(scores, key=lambda k: (-scores[k], k))
     return ActTerm(best[0], tuple(Obj(o) for o in best[1])), scores[best]
-
-
-def decomposition_policy(qset: GenericQSet, goals):
-    """State -> ground action; holds still (noop) once every goal is satisfied."""
-
-    def policy(state) -> ActTerm:
-        if all(goal_satisfied(qset, g, state) for g in goals):
-            return ActTerm(NOOP, ())
-        return select_action(qset, goals, state)[0]
-
-    return policy
-
-
-def format_ground_action(act: ActTerm) -> str:
-    return f"{act.name}({','.join(o.name for o in act.args)})"

@@ -1,5 +1,7 @@
 """Domain and instance file parsing."""
 
+import sys
+
 import pytest
 
 from fomdp.cases import eval_case
@@ -12,7 +14,7 @@ from fomdp.domains import (
     parse_instance,
     validate_instance,
 )
-from fomdp.logic import ConsistencyBound, eval_in_state, make_state, parse_formula
+from fomdp.logic import ConsistencyBound, ConsistencyChecker, eval_in_state, make_state, parse_formula
 from fomdp.model import ModelError, UniversalReward
 
 
@@ -79,11 +81,39 @@ def test_universal_reward_materialization():
 
 
 def test_materialize_universal_cases_are_partitions():
-    ur = UniversalReward((("x", None),), parse_formula("P(x)", signature={"P": ("Thing",)}), 10.0, 9.0)
-    cases = materialize_universal(ur)
+    sig = {"P": ("Thing",)}
+    ur = UniversalReward((("x", None),), parse_formula("P(x)", signature=sig), 10.0, 9.0)
+    cases = materialize_universal(ur, ur.closed(), ConsistencyChecker(signature=sig))
     assert set(cases) == {"noop", "any"}
     assert [p.value for p in cases["noop"].partitions] == [10.0, 0.0]
+    assert [p.value for p in cases["any"].partitions] == [9.0, 0.0]
     assert all(c.partitioned for c in cases.values())
+
+
+def test_cases_pruned_under_declared_types():
+    # b = c cannot hold between a Box and a City, so only the complement stays
+    model = parse_domain(
+        """
+        domain typed
+        types: Box, City
+        predicates:
+            R(Box, City) [static]
+        action go(b: Box, c: City)
+        choice sOn prob { R(b, c) & b = c : 0.5 ; !(R(b, c) & b = c) : 1.0 }
+        reward any { true : 0 }
+        discount 0.5
+        """
+    )
+    (choice,) = model.actions["go"].choices
+    assert choice.pcase.values() == (1.0,)
+
+
+def test_loading_leaves_no_module_level_checker():
+    load_fixture("boxworld_mini", "boxworld_mini")
+    for name, module in list(sys.modules.items()):
+        if name == "fomdp" or name.startswith("fomdp."):
+            held = [k for k, v in vars(module).items() if isinstance(v, ConsistencyChecker)]
+            assert held == [], f"{name} holds checkers {held}"
 
 
 def test_comments_and_blanks_ignored():

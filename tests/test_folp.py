@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from fomdp.cases import CaseStatement, Partition, eval_case, parse_case
+from fomdp.cases import CaseStatement, Partition, cross_sum, eval_case, parse_case
 from fomdp.folp import (
     ConstraintSchema,
     FOLPError,
@@ -20,8 +20,6 @@ from fomdp.folp import (
     LinExpr,
     LinearConstraint,
     affine_case,
-    find_max_violation,
-    flatten_schema,
     search_schema,
     solve_first_order_lp,
     solve_lp,
@@ -215,9 +213,8 @@ def test_flatten_schema_matches_component_sum():
     r = parse_case("{ P & Q : 5 ; !(P & Q) : 2 }")
     schema = ConstraintSchema("s", (c1, c2, affine_case(r, None)))
     weights = {"u": 2.0, "v": 0.5}
-    flat = flatten_schema(schema, weights=weights)
-    affine = flatten_schema(schema)
-    assert flat.partitioned and affine.partitioned
+    flat = cross_sum(schema.cases)
+    assert flat.partitioned
     uni = Universe.of({})
     for p_true, q_true in itertools.product([False, True], repeat=2):
         atoms = set()
@@ -227,8 +224,7 @@ def test_flatten_schema_matches_component_sum():
             atoms.add(("Q",))
         s = make_state(atoms, uni)
         expect = sum(_eval_affine(c, s, weights) for c in schema.cases)
-        assert eval_case(flat, s) == pytest.approx(expect, abs=1e-12)
-        assert _eval_affine(affine, s, weights) == pytest.approx(expect, abs=1e-12)
+        assert _eval_affine(flat, s, weights) == pytest.approx(expect, abs=1e-12)
 
 
 def _minterm(k, pattern):
@@ -304,16 +300,6 @@ def test_certified_search_matches_brute_force():
                 assert slow.violation == pytest.approx(got.violation, abs=1e-9)
 
 
-def test_find_max_violation_picks_best_schema():
-    s1 = ConstraintSchema("a", (CaseStatement((Partition(TRUE, LinExpr(const=1.0)),), True),))
-    s2 = ConstraintSchema("b", (CaseStatement((Partition(TRUE, LinExpr(const=2.0)),), True),))
-    vc = find_max_violation(FirstOrderLP((), (), (s1, s2)), {})
-    assert vc.schema_id == "b"
-    assert vc.violation == pytest.approx(2.0)
-    low = ConstraintSchema("c", (CaseStatement((Partition(TRUE, LinExpr(const=-1.0)),), True),))
-    assert find_max_violation(FirstOrderLP((), (), (low,)), {}) is None
-
-
 def test_schema_validation():
     single = CaseStatement((Partition(TRUE, LinExpr()),), True)
     with pytest.raises(FOLPError):
@@ -367,21 +353,11 @@ def test_generation_solves_two_action_value_bound():
     assert res.assignment["w0"] == pytest.approx(87.80487804878048, abs=1e-7)
     assert res.assignment["w1"] == pytest.approx(12.195121951219512, abs=1e-7)
     assert res.objective == pytest.approx(93.90243902439024, abs=1e-7)
-    assert find_max_violation(_flip_folp(), res.assignment) is None
+    for schema in _flip_folp().schemata:
+        assert search_schema(schema, res.assignment) is None
     # one seed per schema plus one generated cut per schema
     assert len(res.constraints) == 4
     assert res.iterations == 2
-
-
-def test_generation_threads_do_not_change_result():
-    a = solve_first_order_lp(_flip_folp())
-    b = solve_first_order_lp(_flip_folp(), threads=2)
-    assert a.assignment == b.assignment
-    assert a.constraints == b.constraints
-    strip = lambda rows: [
-        (r.iteration, r.schema_id, r.violation, r.num_constraints, r.lp_objective) for r in rows
-    ]
-    assert strip(a.stats) == strip(b.stats)
 
 
 def test_unbounded_relaxation_probed_with_ray():

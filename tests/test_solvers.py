@@ -15,21 +15,16 @@ from conftest import (
 )
 from fomdp.cases import CaseStatement, Partition, build_case, constant_case, eval_case
 from fomdp.domains import load_fixture
-from fomdp.folp import FOLPError, search_schema
+from fomdp.folp import FOLPError
 from fomdp.logic import TRUE, Not, eval_in_state, make_state, normalize
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import (
     PolicyCase,
     SolverError,
     extract_policy,
-    foalp_lp,
-    foalp_max_schemata,
     foalp_solve,
     foapi_solve,
     loss_bound,
-    restrict_policy,
-    value_function_lines,
-    weight_map,
 )
 
 TOL = 1e-9
@@ -133,31 +128,6 @@ def test_foalp_seed_only_infeasible_without_constant():
         foalp_solve(model, lvf)
 
 
-def test_maximized_form_reaches_the_same_weights():
-    for fixture in (flip, boxworld):
-        model, _ = fixture()
-        lvf = indicator_lvf(model)
-        direct = foalp_solve(model, lvf)
-        maxed = foalp_solve(model, lvf, maximize_first=True)
-        assert maxed == pytest.approx(direct, abs=1e-6)
-
-
-def test_maximized_form_finds_equal_violations():
-    for fixture in (flip, boxworld):
-        model, _ = fixture()
-        lvf = indicator_lvf(model)
-        plain = {s.schema_id: s for s in foalp_lp(model, lvf).schemata}
-        for probe in ((0.0, 0.0), (50.0, 20.0), (200.0, 50.0)):
-            wm = weight_map(probe)
-            maxed = foalp_max_schemata(model, lvf, wm)
-            for schema in maxed:
-                a = search_schema(plain[schema.schema_id], wm, model.checker)
-                b = search_schema(schema, wm, model.checker)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert b.violation == pytest.approx(a.violation, abs=TOL)
-
-
 # -- policy extraction ---------------------------------------------------------
 
 
@@ -206,21 +176,6 @@ def test_policy_prefers_first_template_and_least_binding():
     assert len(witnesses) > 1
     assert pol.decide(state) == (hit[0].tag, min(witnesses))
     assert pol.decide(state) == ("drive", ("tr1", "paris", "paris"))
-
-
-def test_restrict_policy_partition_counts():
-    model, _ = boxworld()
-    lvf = indicator_lvf(model)
-    pol = extract_policy(model, lvf.with_weights(foalp_solve(model, lvf)))
-    counts = [len(restrict_policy(pol, a).case.partitions) for a in pol.actions()]
-    assert sum(counts) == len(pol.case.partitions)
-    assert restrict_policy(pol, "no_such_template").case.partitions == ()
-
-    model2, _ = flip()
-    lvf2 = indicator_lvf(model2)
-    pol2 = extract_policy(model2, lvf2.with_weights(foalp_solve(model2, lvf2)))
-    assert pol2.actions() == ("flip",)
-    assert restrict_policy(pol2, "flip") is pol2
 
 
 def test_policy_case_requires_tags_and_bodies():
@@ -309,9 +264,3 @@ def test_loss_bound_values():
         loss_bound(1.0, 1.0)
     with pytest.raises(SolverError):
         loss_bound(-0.5, 0.9)
-
-
-def test_value_function_lines_format():
-    model, _ = flip()
-    lvf = indicator_lvf(model).with_weights((87.5, 12.5))
-    assert value_function_lines(lvf) == ("87.5\ttrue", "12.5\tP", "12.5\t!P")
