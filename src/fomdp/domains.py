@@ -133,9 +133,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         if m:
             if current_action is None:
                 raise DomainSyntaxError("choice outside an action block", no)
-            cname, case_text = m.groups()
-            parts = parse_partitions(case_text, (), act_names, signature() or None)
-            current_action[2].append((cname, parts))
+            current_action[2].append(m.groups())
             continue
         m = re.match(rf"reward\s+({_IDENT})\s+(\{{.*\}})$", line)
         if m:
@@ -143,7 +141,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             key, case_text = m.groups()
             if key in rewards:
                 raise DomainSyntaxError(f"duplicate reward for {key}", no)
-            rewards[key] = parse_partitions(case_text, (), act_names, signature() or None)
+            rewards[key] = case_text
             continue
         m = re.match(r"ureward\s+forall\s+(.+)$", line)
         if m:
@@ -154,14 +152,13 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
                     "ureward needs 'forall vars ; goal ; noop v ; act v'", no
                 )
             uvars = _split_typed_params(pieces[0], no)
-            goal = parse_formula(pieces[1], (), act_names, signature() or None)
             mn = re.fullmatch(r"noop\s+([-+0-9.eE]+)", pieces[2])
             ma = re.fullmatch(r"act\s+([-+0-9.eE]+)", pieces[3])
             if not (mn and ma):
                 raise DomainSyntaxError("ureward values must be 'noop v ; act v'", no)
             if ureward is not None:
                 raise DomainSyntaxError("duplicate ureward", no)
-            ureward = UniversalReward(uvars, normalize(goal), float(mn.group(1)), float(ma.group(1)))
+            ureward = (uvars, pieces[1], float(mn.group(1)), float(ma.group(1)))
             continue
         m = re.match(r"discount\s+([-+0-9.eE]+)$", line)
         if m:
@@ -187,18 +184,24 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     if ureward is not None and rewards:
         raise DomainSyntaxError("a domain declares either ureward or reward cases, not both", 1)
 
-    # cases are pruned only now, when the checker knows every argument type
+    # literals are parsed and pruned only now, against the complete signature
     bound = bound or ConsistencyBound()
     checker = ConsistencyChecker(bound, signature())
+    sig = signature() or None
+
+    def case(text: str):
+        return build_case(parse_partitions(text, (), act_names, sig), True, checker)
+
     if ureward is not None:
+        uvars, goal_text, noop_v, act_v = ureward
+        goal = normalize(parse_formula(goal_text, (), act_names, sig))
+        ureward = UniversalReward(uvars, goal, noop_v, act_v)
         rewards = materialize_universal(ureward, ureward.closed(), checker)
     else:
-        rewards = {key: build_case(parts, True, checker) for key, parts in rewards.items()}
+        rewards = {key: case(text) for key, text in rewards.items()}
     templates = {}
     for aname, (aname2, params, choices) in actions.items():
-        outcomes = tuple(
-            NatureChoice(cname, build_case(parts, True, checker)) for cname, parts in choices
-        )
+        outcomes = tuple(NatureChoice(cname, case(text)) for cname, text in choices)
         templates[aname] = ActionTemplate(aname, params, outcomes)
     model = FOMDPModel(
         name=name,

@@ -846,9 +846,6 @@ def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
 # ground states and closed-world evaluation
 
 
-GroundAtom = tuple  # (pred, obj1, obj2, ...)
-
-
 @dataclass(frozen=True)
 class Universe:
     """Typed object pools.  Falls back to the union pool for untyped variables."""
@@ -873,12 +870,6 @@ class Universe:
 
     def types(self) -> tuple:
         return tuple(t for t, _ in self.pools)
-
-    def type_of(self, obj: str) -> Optional[str]:
-        for t, objs in self.pools:
-            if obj in objs:
-                return t
-        return None
 
 
 @dataclass(frozen=True)
@@ -1342,19 +1333,26 @@ def _ground_sat(dag: _GroundDag, nid: int, deadline: float, counter: list, memo:
 
 
 def push_quantifiers(f: Formula) -> Formula:
-    """Move quantifiers inward and apply the one-point rule; expects NNF."""
+    """Move quantifiers inward and apply the one-point rule; expects NNF.
+
+    Subformulas where nothing moves come back as the same objects, so
+    renormalising an unchanged canonical input is free.
+    """
     if isinstance(f, (Bool, Atom, Eq)):
         return f
     if isinstance(f, Not):
-        return Not(push_quantifiers(f.sub))
-    if isinstance(f, And):
-        return conj(push_quantifiers(p) for p in f.parts)
-    if isinstance(f, Or):
-        return disj(push_quantifiers(p) for p in f.parts)
-    if isinstance(f, Exists):
-        return _push_exists(f.var, f.vtype, push_quantifiers(f.body))
-    if isinstance(f, Forall):
-        return _push_forall(f.var, f.vtype, push_quantifiers(f.body))
+        sub = push_quantifiers(f.sub)
+        return f if sub is f.sub else Not(sub)
+    if isinstance(f, (And, Or)):
+        parts = tuple(push_quantifiers(p) for p in f.parts)
+        if len(parts) > 1 and all(p is q for p, q in zip(parts, f.parts)):
+            return f
+        return conj(parts) if isinstance(f, And) else disj(parts)
+    if isinstance(f, (Exists, Forall)):
+        body = push_quantifiers(f.body)
+        push = _push_exists if isinstance(f, Exists) else _push_forall
+        g = push(f.var, f.vtype, body)
+        return f if body is f.body and g == f else g
     raise TypeError(f"unexpected node (normalize first): {f!r}")
 
 
@@ -1484,83 +1482,116 @@ class _Bdd:
         return out
 
 
-def _atom_key(f: Formula) -> tuple[Formula, bool]:
-    """Canonical polarity for an opaque subformula.
+class _AtomLimit(Exception):
+    pass
 
-    A quantified subformula and its negation-normal dual (¬∃ vs ∀¬) must map
-    to the same BDD variable, so the smaller of the two canonical forms is
-    the shared atom and the flag records whether f is its negation.
+
+class _BddSimplifier:
+    """Memo tables of one `simplify_bdd` call, dropped when the call returns.
+
+    Keyed by formula, they hold each opaque subformula's BDD atom and each
+    atom's negation dual, so an atom that repeats, or recurs at a nested
+    quantifier level, is canonicalised once.
     """
-    pos = normalize(f)
-    neg = normalize(Not(pos))
-    if sort_key(neg) < sort_key(pos):
-        return neg, True
-    return pos, False
 
+    def __init__(self, max_atoms: int):
+        self.max_atoms = max_atoms
+        self.keys: dict = {}
+        self.duals: dict = {}
 
-def _frontier_atoms(f: Formula, order: list, seen: set):
-    """Subformulas treated as opaque propositional atoms, in first-use order."""
-    if isinstance(f, Bool):
-        return
-    if isinstance(f, Not):
-        _frontier_atoms(f.sub, order, seen)
-        return
-    if isinstance(f, (And, Or)):
-        for p in f.parts:
-            _frontier_atoms(p, order, seen)
-        return
-    key, _ = _atom_key(f)
-    if key not in seen:
-        seen.add(key)
-        order.append(key)
+    def atom_key(self, f: Formula) -> tuple[Formula, bool]:
+        """Canonical polarity for an opaque subformula.
 
+        A quantified subformula and its negation-normal dual (¬∃ vs ∀¬) must
+        map to the same BDD variable, so the smaller of the two canonical
+        forms is the shared atom and the flag records whether f is its
+        negation.
+        """
+        got = self.keys.get(f)
+        if got is None:
+            pos = normalize(f)
+            neg = self.dual(pos)
+            got = (neg, True) if sort_key(neg) < sort_key(pos) else (pos, False)
+            self.keys[f] = self.keys[pos] = got
+        return got
 
-def _build_bdd(f: Formula, bdd: _Bdd, index: Mapping) -> int:
-    if isinstance(f, Bool):
-        return _Bdd.TRUE if f.value else _Bdd.FALSE
-    if isinstance(f, Not):
-        return bdd.neg(_build_bdd(f.sub, bdd, index))
-    if isinstance(f, And):
-        out = _Bdd.TRUE
-        for p in f.parts:
-            out = bdd.apply("and", out, _build_bdd(p, bdd, index))
+    def dual(self, atom: Formula) -> Formula:
+        got = self.duals.get(atom)
+        if got is None:
+            got = self.duals[atom] = normalize(Not(atom))
+        return got
+
+    def reduce(self, f: Formula) -> Optional[Formula]:
+        """Simplify quantifier bodies bottom-up, then this level; None past the atom limit."""
+        f = self.map_quantified(f)
+        bdd, order, index = _Bdd(), [], {}
+        try:
+            root = self.build(f, bdd, order, index)
+        except _AtomLimit:
+            return None
+        return self.read_back(root, bdd, order, {})
+
+    def build(self, f: Formula, bdd: _Bdd, order: list, index: dict) -> int:
+        """BDD of f; atoms get variables in first-use order as they are met."""
+        if isinstance(f, Bool):
+            return _Bdd.TRUE if f.value else _Bdd.FALSE
+        if isinstance(f, Not):
+            return bdd.neg(self.build(f.sub, bdd, order, index))
+        if isinstance(f, (And, Or)):
+            op = "and" if isinstance(f, And) else "or"
+            out = _Bdd.TRUE if op == "and" else _Bdd.FALSE
+            for p in f.parts:
+                out = bdd.apply(op, out, self.build(p, bdd, order, index))
+            return out
+        key, negated = self.atom_key(f)
+        var = index.get(key)
+        if var is None:
+            if len(order) == self.max_atoms:
+                raise _AtomLimit()
+            var = index[key] = len(order)
+            order.append(key)
+        node = bdd.mk(var, _Bdd.FALSE, _Bdd.TRUE)
+        return bdd.neg(node) if negated else node
+
+    def read_back(self, node: int, bdd: _Bdd, atoms: list, memo: dict) -> Formula:
+        if node == _Bdd.FALSE:
+            return FALSE
+        if node == _Bdd.TRUE:
+            return TRUE
+        if node in memo:
+            return memo[node]
+        atom = atoms[bdd.var[node]]
+        lo = self.read_back(bdd.lo[node], bdd, atoms, memo)
+        hi = self.read_back(bdd.hi[node], bdd, atoms, memo)
+        # negated atoms come back as canonical duals, so the final normalize
+        # does not re-derive them (lo != hi in a reduced BDD)
+        if lo == FALSE:
+            out = atom if hi == TRUE else conj([atom, hi])
+        elif hi == FALSE:
+            out = self.dual(atom) if lo == TRUE else conj([self.dual(atom), lo])
+        elif lo == TRUE:
+            out = disj([self.dual(atom), hi])
+        elif hi == TRUE:
+            out = disj([atom, lo])
+        else:
+            out = disj([conj([atom, hi]), conj([self.dual(atom), lo])])
+        memo[node] = out
         return out
-    if isinstance(f, Or):
-        out = _Bdd.FALSE
-        for p in f.parts:
-            out = bdd.apply("or", out, _build_bdd(p, bdd, index))
-        return out
-    key, negated = _atom_key(f)
-    node = bdd.mk(index[key], _Bdd.FALSE, _Bdd.TRUE)
-    return bdd.neg(node) if negated else node
 
-
-def _read_back(node: int, bdd: _Bdd, atoms: list, memo: dict) -> Formula:
-    if node == _Bdd.FALSE:
-        return FALSE
-    if node == _Bdd.TRUE:
-        return TRUE
-    if node in memo:
-        return memo[node]
-    atom = atoms[bdd.var[node]]
-    lo = _read_back(bdd.lo[node], bdd, atoms, memo)
-    hi = _read_back(bdd.hi[node], bdd, atoms, memo)
-    if hi == TRUE and lo == FALSE:
-        out = atom
-    elif hi == FALSE and lo == TRUE:
-        out = Not(atom)
-    elif lo == FALSE:
-        out = conj([atom, hi])
-    elif hi == FALSE:
-        out = conj([Not(atom), lo])
-    elif lo == TRUE:
-        out = disj([Not(atom), hi])
-    elif hi == TRUE:
-        out = disj([atom, lo])
-    else:
-        out = disj([conj([atom, hi]), conj([Not(atom), lo])])
-    memo[node] = out
-    return out
+    def map_quantified(self, f: Formula) -> Formula:
+        if isinstance(f, (Exists, Forall)):
+            inner = self.reduce(f.body)
+            body = f.body if inner is None else inner
+            if isinstance(body, Bool) or f.var not in free_vars(body):
+                return body
+            return type(f)(f.var, f.vtype, body)
+        if isinstance(f, Not):
+            return Not(self.map_quantified(f.sub))
+        if isinstance(f, And):
+            return conj(self.map_quantified(p) for p in f.parts)
+        if isinstance(f, Or):
+            return disj(self.map_quantified(p) for p in f.parts)
+        return f
 
 
 def simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
@@ -1569,42 +1600,13 @@ def simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
     Quantifiers are first pushed inward (with one-point elimination of
     equalities), then the connective superstructure over the remaining
     maximal quantified/atomic subformulas is reduced through a BDD and read
-    back.  The result is equivalent to the input over every domain; when the
+    back.  The result is equivalent to the input over every untyped domain.
+    The one-point rule ignores quantifier types, so over typed domains the
+    result can be weaker (∃x:Box. ∃y:City. x = y becomes true).  When the
     atom count exceeds `max_atoms` the input is returned unchanged.
     """
     g = normalize(push_quantifiers(normalize(f)))
-    g = _simplify_inner(g, max_atoms)
+    g = _BddSimplifier(max_atoms).reduce(g)
     if g is None:
         return f
     return normalize(g)
-
-
-def _simplify_inner(f: Formula, max_atoms: int) -> Optional[Formula]:
-    # simplify quantifier bodies bottom-up, then reduce this level
-    f = _map_quantified(f, max_atoms)
-    order: list = []
-    _frontier_atoms(f, order, set())
-    if len(order) > max_atoms:
-        return None
-    bdd = _Bdd()
-    index = {a: i for i, a in enumerate(order)}
-    root = _build_bdd(f, bdd, index)
-    return _read_back(root, bdd, order, {})
-
-
-def _map_quantified(f: Formula, max_atoms: int) -> Formula:
-    if isinstance(f, (Exists, Forall)):
-        inner = _simplify_inner(f.body, max_atoms)
-        body = f.body if inner is None else inner
-        if isinstance(body, Bool):
-            return body
-        if f.var not in free_vars(body):
-            return body
-        return type(f)(f.var, f.vtype, body)
-    if isinstance(f, Not):
-        return Not(_map_quantified(f.sub, max_atoms))
-    if isinstance(f, And):
-        return conj(_map_quantified(p, max_atoms) for p in f.parts)
-    if isinstance(f, Or):
-        return disj(_map_quantified(p, max_atoms) for p in f.parts)
-    return f

@@ -70,12 +70,6 @@ class GenericQSet:
                 if p.bind_body is None:
                     raise UnidecompError("Q partitions must carry open binding bodies")
 
-    def case_for(self, name: str) -> CaseStatement:
-        for n, q in self.qcases:
-            if n == name:
-                return q
-        raise UnidecompError(f"no Q case for action {name}")
-
 
 def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
     """One-step lookahead of the solved values, per action template."""

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fomdp.basisgen import BasisGenConfig, generate_basis
 from fomdp.cases import eval_case
 from fomdp.domains import (
     DomainSyntaxError,
@@ -14,7 +15,14 @@ from fomdp.domains import (
     parse_instance,
     validate_instance,
 )
-from fomdp.logic import ConsistencyBound, ConsistencyChecker, eval_in_state, make_state, parse_formula
+from fomdp.logic import (
+    ArityError,
+    ConsistencyBound,
+    ConsistencyChecker,
+    eval_in_state,
+    make_state,
+    parse_formula,
+)
 from fomdp.model import ModelError, UniversalReward
 
 
@@ -114,6 +122,60 @@ def test_loading_leaves_no_module_level_checker():
         if name == "fomdp" or name.startswith("fomdp."):
             held = [k for k, v in vars(module).items() if isinstance(v, ConsistencyChecker)]
             assert held == [], f"{name} holds checkers {held}"
+
+
+def test_solving_leaves_module_level_containers_unchanged():
+    # a table that outlives a call would make later solves depend on earlier ones
+    def sizes():
+        out = {}
+        for name, module in list(sys.modules.items()):
+            if name == "fomdp" or name.startswith("fomdp."):
+                for k, v in vars(module).items():
+                    if isinstance(v, (dict, list, set)):
+                        out[name, k] = len(v)
+        return out
+
+    before = sizes()
+    for solver in ("foalp", "foapi"):
+        model, _ = load_fixture("flip")
+        generate_basis(model, BasisGenConfig(iters=3, solver=solver))
+    assert sizes() == before
+
+
+PREDICATES = """
+predicates:
+    P(Thing) [static]
+    S
+"""
+LITERALS = [
+    "reward any { P(x, y) : 1 ; !P(x, y) : 0 }",
+    "action go()\nchoice sOn prob { P(x, y) : 1 ; !P(x, y) : 1 }\nreward any { true : 0 }",
+    "ureward forall y: Thing ; P(y, y) ; noop 10 ; act 9",
+]
+
+
+@pytest.mark.parametrize("literal", LITERALS, ids=["reward", "choice", "ureward"])
+@pytest.mark.parametrize("literal_first", [True, False])
+def test_case_literal_arity_checked_in_any_order(literal, literal_first):
+    blocks = [literal, PREDICATES] if literal_first else [PREDICATES, literal]
+    text = "domain x\ntypes: Thing\n" + "\n".join(blocks) + "\ndiscount 0.5\n"
+    with pytest.raises(ArityError):
+        parse_domain(text)
+
+
+def test_case_literal_may_use_a_predicate_declared_later():
+    model = parse_domain(
+        """
+        domain x
+        predicates:
+            S [static]
+        reward any { P : 1 ; !P : 0 }
+        predicates:
+            P [static]
+        discount 0.5
+        """
+    )
+    assert model.rewards["any"].values() == (1.0, 0.0)
 
 
 def test_comments_and_blanks_ignored():

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from bdd_reference import reference_simplify_bdd
 from fomdp.logic import (
     FALSE,
     TRUE,
@@ -474,3 +475,83 @@ def test_simplify_atom_overflow_returns_input():
     parts = tuple(Atom(f"P{i}") for i in range(8))
     f = Or(parts)
     assert simplify_bdd(f, max_atoms=4) == f
+
+
+def alpha_variant(f: Formula, tag: str = "r") -> Formula:
+    """f with every bound variable renamed."""
+    if isinstance(f, (Exists, Forall)):
+        var = f.var + tag
+        return type(f)(var, f.vtype, alpha_variant(substitute(f.body, {f.var: Var(var)}), tag))
+    if isinstance(f, Not):
+        return Not(alpha_variant(f.sub, tag))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(alpha_variant(p, tag) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(alpha_variant(f.lhs, tag), alpha_variant(f.rhs, tag))
+    return f
+
+
+def sharing_formula(rng: random.Random, depth: int, scope: tuple = ()) -> Formula:
+    """Random connectives over a few subformulas that recur.
+
+    Leaves repeat pool members verbatim, as alpha-variants and negated, and
+    quantifier nodes recurse with a pool of their own, so quantified atoms
+    recur within a level and across nesting levels.
+    """
+    var = f"x{len(scope)}"
+    pool = [random_formula(rng, 2, scope + (var,)) for _ in range(3)]
+    pool += [Exists(var, None, pool[0]), Forall(var, "T", Or((pool[1], pool[2])))]
+
+    def grow(d: int) -> Formula:
+        kind = rng.choice(["leaf", "and", "or", "not", "quantifier"]) if d > 0 else "leaf"
+        if kind == "leaf" or (kind == "quantifier" and depth == 0):
+            f = rng.choice(pool)
+            f = alpha_variant(f) if rng.random() < 0.3 else f
+            return Not(f) if rng.random() < 0.4 else f
+        if kind == "not":
+            return Not(grow(d - 1))
+        if kind == "quantifier":
+            cls = rng.choice([Exists, Forall])
+            return cls(var, rng.choice([None, "T"]), sharing_formula(rng, depth - 1, scope + (var,)))
+        parts = tuple(grow(d - 1) for _ in range(rng.randint(2, 4)))
+        return And(parts) if kind == "and" else Or(parts)
+
+    return grow(3)
+
+
+def wide_formula(rng: random.Random, n: int) -> Formula:
+    """About n distinct atoms in a few flat runs, some inside a quantifier.
+
+    Runs of single literals keep the read-back small; disjunctions of
+    conjunctions would read back at a size exponential in the run length.
+    """
+    atoms = [Atom(f"W{i}") for i in range(n)]
+    atoms += [Exists("x", None, Atom("Q", (Var("x"), Obj(f"o{i}")))) for i in range(n // 4)]
+    rng.shuffle(atoms)
+    atoms = [Not(a) if rng.random() < 0.3 else a for a in atoms]
+    outer, inner = (And, Or) if rng.random() < 0.5 else (Or, And)
+    body = outer(tuple(inner(tuple(atoms[i::3])) for i in range(3)))
+    return Exists("y", None, And((body, Atom("P", (Var("y"),))))) if rng.random() < 0.5 else body
+
+
+def bdd_corpus(seed: int) -> list:
+    rng = random.Random(seed)
+    out = corpus(40, 3, seed)
+    out += [sharing_formula(rng, 2) for _ in range(150)]
+    out += [wide_formula(rng, rng.randint(20, 60)) for _ in range(20)]
+    return out
+
+
+@pytest.mark.parametrize("max_atoms", [40, 3])
+def test_simplify_matches_two_pass_reference(max_atoms):
+    # each side gets its own copy, so nothing one run caches reaches the other
+    formulas, twins = bdd_corpus(11), bdd_corpus(11)
+    assert len(formulas) >= 200
+    overflowed = 0
+    for f, twin in zip(formulas, twins):
+        want = reference_simplify_bdd(twin, max_atoms)
+        assert simplify_bdd(f, max_atoms) == want, format_formula(f)
+        # past the atom limit at the top level the input object comes back
+        overflowed += want is twin and not isinstance(twin, Bool)
+    assert overflowed >= 5
+
