@@ -98,8 +98,8 @@ def build_case(
 ) -> CaseStatement:
     """Construct a case, simplifying formulas and pruning inconsistent ones.
 
-    Timed-out consistency checks keep the partition (pruning must never be
-    unsound).  The partitioned flag is the caller's assertion; dropping
+    A consistency check that exhausts its work budget keeps the partition
+    (pruning must never be unsound).  The partitioned flag is the caller's assertion; dropping
     unsatisfiable partitions cannot break it.
     """
     chk = checker or ConsistencyChecker()

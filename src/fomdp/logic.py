@@ -13,7 +13,6 @@ impossible partitions.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -991,18 +990,35 @@ def implicit_close(f: Formula, var_types: Optional[Mapping[str, Optional[str]]] 
 
 @dataclass(frozen=True)
 class ConsistencyBound:
-    """Object budget per type and wall-clock budget for one check."""
+    """Object budget per type and work budget for one check.
+
+    The work budget counts ground expansion calls plus search steps across
+    every domain size the check grounds, so a verdict never depends on load.
+    """
 
     objects_per_type: int = 3
-    timeout_ms: int = 10_000
+    work_budget: int = 5_000_000
 
     def __post_init__(self):
         if self.objects_per_type < 1:
             raise ValueError("objects_per_type must be positive")
 
 
-class _SatTimeout(Exception):
+class _BudgetExhausted(Exception):
     pass
+
+
+@dataclass
+class CheckerStats:
+    """Plain counts of a checker's work since it was made."""
+
+    checks: int = 0  # calls to `check`
+    cache_hits: int = 0  # verdicts read from the cache
+    lifted_attempts: int = 0  # lifted passes run
+    lifted: int = 0  # verdicts the lifted pass decided
+    groundings: int = 0  # domain size combinations grounded
+    work: int = 0  # expansion calls plus search steps, in budget units
+    exhausted: int = 0  # checks that ran out of budget
 
 
 class ConsistencyChecker:
@@ -1022,27 +1038,34 @@ class ConsistencyChecker:
     ):
         self.bound = bound or ConsistencyBound()
         self.signature = dict(signature or {})
+        self.stats = CheckerStats()
         self._cache: dict = {}
 
     # -- public verdicts ----------------------------------------------------
 
     def check(self, f: Formula) -> Optional[bool]:
-        """True/False when decided within budget, None on timeout."""
+        """True/False when decided within budget, None when the budget is exhausted."""
+        self.stats.checks += 1
         g = normalize(f)
         if isinstance(g, Bool):
             return g.value
         key = g
         if key in self._cache:
+            self.stats.cache_hits += 1
             return self._cache[key]
+        left = [self.bound.work_budget]  # budget units not yet spent
         try:
-            result = self._sat(g)
-        except _SatTimeout:
+            result = self._sat(g, left)
+        except _BudgetExhausted:
+            self.stats.exhausted += 1
             return None
+        finally:
+            self.stats.work += self.bound.work_budget - left[0]
         self._cache[key] = result
         return result
 
     def is_consistent(self, f: Formula) -> bool:
-        """Satisfiable at the bound; indeterminate counts as consistent."""
+        """Satisfiable at the bound; a check that exhausts its budget counts as consistent."""
         verdict = self.check(f)
         return True if verdict is None else verdict
 
@@ -1061,15 +1084,16 @@ class ConsistencyChecker:
 
     # -- grounding ----------------------------------------------------------
 
-    def _sat(self, f: Formula) -> bool:
+    def _sat(self, f: Formula, left: list) -> bool:
         """Model with at most `objects_per_type` objects per type?
 
         Tries every per-type domain size up to the bound (smallest first, so
         satisfiable formulas exit on tiny groundings); the verdict is monotone
         in the bound because every size combination gets a turn.  Named
-        objects always claim pool slots and force a minimum size.
+        objects always claim pool slots and force a minimum size.  When the
+        smallest grounding has no model and more than two combinations
+        remain, the lifted pass may settle the verdict without them.
         """
-        deadline = time.monotonic() + self.bound.timeout_ms / 1000.0
         types = infer_types(f, self.signature)
         closed = implicit_close(f, types)
         consts: dict = {}
@@ -1085,7 +1109,15 @@ class ConsistencyChecker:
         for t in loop_types:
             lo = max(1, len(consts.get(t, [])))
             ranges.append(range(lo, max(n, lo) + 1))
-        for sizes in itertools.product(*ranges):
+        combos = list(itertools.product(*ranges))
+        for step, sizes in enumerate(combos):
+            # one or two remaining groundings cost less than a lifted pass
+            if step == 1 and len(combos) > 3:
+                self.stats.lifted_attempts += 1
+                verdict = self._lifted(f, types)
+                if verdict is not None:
+                    self.stats.lifted += 1
+                    return verdict
             pools: dict = {}
             for t, k in zip(loop_types, sizes):
                 pool = list(consts.get(t, []))
@@ -1099,15 +1131,26 @@ class ConsistencyChecker:
                 for p in pools.values():
                     untyped |= set(p)
                 pools[None] = tuple(sorted(untyped))
+            self.stats.groundings += 1
             dag = _GroundDag()
-            root = _ground_expand(closed, pools, {}, dag, deadline)
+            root = _ground_expand(closed, pools, {}, dag, left)
             if root == _G_TRUE:
                 return True
             if root == _G_FALSE:
                 continue
-            if _ground_sat(dag, root, deadline, [0], {}):
+            if _ground_sat(dag, root, left, {}):
                 return True
         return False
+
+    def _lifted(self, f: Formula, types: Mapping[str, Optional[str]]) -> Optional[bool]:
+        """Verdict from the BDD over f's opaque atoms, or None when it is not constant.
+
+        f stays open: its free variables are atoms' arguments, and a BDD
+        constant is the verdict for every value they take.  The one-point
+        rule uses the same `types` that close and pool f for grounding.
+        """
+        g = normalize(push_quantifiers(f, types))
+        return _BddSimplifier(max_atoms=40).decide(g)
 
 
 def _binder_types(f: Formula) -> dict:
@@ -1224,9 +1267,15 @@ class _GroundDag:
         return out
 
 
-def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, deadline: float) -> int:
-    if time.monotonic() > deadline:
-        raise _SatTimeout()
+def _spend(left: list):
+    """Take one unit from a check's work budget."""
+    if not left[0]:
+        raise _BudgetExhausted()
+    left[0] -= 1
+
+
+def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, left: list) -> int:
+    _spend(left)
     if isinstance(f, Bool):
         return _G_TRUE if f.value else _G_FALSE
     if isinstance(f, Atom):
@@ -1248,19 +1297,19 @@ def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, d
             raise LogicError(f"action term {t.name} in a state formula")
         return _G_TRUE if name_of(f.left) == name_of(f.right) else _G_FALSE
     if isinstance(f, Not):
-        return dag.neg(_ground_expand(f.sub, pools, binding, dag, deadline))
+        return dag.neg(_ground_expand(f.sub, pools, binding, dag, left))
     if isinstance(f, (And, Or)):
         kind = "and" if isinstance(f, And) else "or"
         absorber = _G_FALSE if kind == "and" else _G_TRUE
         ids = []
         for p in f.parts:
-            g = _ground_expand(p, pools, binding, dag, deadline)
+            g = _ground_expand(p, pools, binding, dag, left)
             if g == absorber:
                 return absorber
             ids.append(g)
         return dag.junction(kind, ids)
     if isinstance(f, Implies):
-        return _ground_expand(Or((Not(f.lhs), f.rhs)), pools, binding, dag, deadline)
+        return _ground_expand(Or((Not(f.lhs), f.rhs)), pools, binding, dag, left)
     if isinstance(f, (Exists, Forall)):
         pool = pools.get(f.vtype)
         if pool is None:
@@ -1269,7 +1318,7 @@ def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, d
         absorber = _G_TRUE if isinstance(f, Exists) else _G_FALSE
         ids = []
         for o in pool:
-            g = _ground_expand(f.body, pools, {**binding, f.var: o}, dag, deadline)
+            g = _ground_expand(f.body, pools, {**binding, f.var: o}, dag, left)
             if g == absorber:
                 return absorber
             ids.append(g)
@@ -1277,7 +1326,7 @@ def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, d
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _ground_sat(dag: _GroundDag, nid: int, deadline: float, counter: list, memo: dict) -> bool:
+def _ground_sat(dag: _GroundDag, nid: int, left: list, memo: dict) -> bool:
     """DPLL-style search: propagate unit literals, branch on a live atom.
 
     Unit propagation and branching both preserve satisfiability, so every
@@ -1287,9 +1336,7 @@ def _ground_sat(dag: _GroundDag, nid: int, deadline: float, counter: list, memo:
     chain: list = []
     result = None
     while True:
-        counter[0] += 1
-        if counter[0] % 128 == 0 and time.monotonic() > deadline:
-            raise _SatTimeout()
+        _spend(left)
         if nid == _G_TRUE:
             result = True
             break
@@ -1319,7 +1366,7 @@ def _ground_sat(dag: _GroundDag, nid: int, deadline: float, counter: list, memo:
                 nid = dag.condition(nid, lit[0], lit[1])
                 continue
         aid = dag.watch[nid]
-        if _ground_sat(dag, dag.condition(nid, aid, True), deadline, counter, memo):
+        if _ground_sat(dag, dag.condition(nid, aid, True), left, memo):
             result = True
             break
         nid = dag.condition(nid, aid, False)
@@ -1332,77 +1379,87 @@ def _ground_sat(dag: _GroundDag, nid: int, deadline: float, counter: list, memo:
 # quantifier placement and one-point simplification
 
 
-def push_quantifiers(f: Formula) -> Formula:
+def push_quantifiers(f: Formula, types: Optional[Mapping[str, Optional[str]]] = None) -> Formula:
     """Move quantifiers inward and apply the one-point rule; expects NNF.
 
-    Subformulas where nothing moves come back as the same objects, so
-    renormalising an unchanged canonical input is free.
+    Without `types` the one-point rule ignores quantifier types, which is
+    sound over untyped domains only.  With `types` (the free variables' and
+    objects' types, as `infer_types` gives them) binder types are tracked on
+    the way down, and `∃x:T. x = t ∧ φ` (or its ∀ dual) is rewritten only
+    when T is None or t has type T: a term of type None lives in the
+    untyped pool only.  Subformulas where nothing moves come back as the
+    same objects, so renormalising an unchanged canonical input is free.
     """
     if isinstance(f, (Bool, Atom, Eq)):
         return f
     if isinstance(f, Not):
-        sub = push_quantifiers(f.sub)
+        sub = push_quantifiers(f.sub, types)
         return f if sub is f.sub else Not(sub)
     if isinstance(f, (And, Or)):
-        parts = tuple(push_quantifiers(p) for p in f.parts)
+        parts = tuple(push_quantifiers(p, types) for p in f.parts)
         if len(parts) > 1 and all(p is q for p, q in zip(parts, f.parts)):
             return f
         return conj(parts) if isinstance(f, And) else disj(parts)
     if isinstance(f, (Exists, Forall)):
-        body = push_quantifiers(f.body)
+        inner = None if types is None else {**types, f.var: f.vtype}
+        body = push_quantifiers(f.body, inner)
         push = _push_exists if isinstance(f, Exists) else _push_forall
-        g = push(f.var, f.vtype, body)
+        g = push(f.var, f.vtype, body, types)
         return f if body is f.body and g == f else g
     raise TypeError(f"unexpected node (normalize first): {f!r}")
 
 
-def _one_point_target(part: Formula, var: str) -> Optional[Term]:
+def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Optional[Mapping]) -> Optional[Term]:
     if not isinstance(part, Eq):
         return None
     l, r = part.left, part.right
     if isinstance(l, Var) and l.name == var and var not in _term_vars(r):
-        return r
-    if isinstance(r, Var) and r.name == var and var not in _term_vars(l):
-        return l
-    return None
+        t = r
+    elif isinstance(r, Var) and r.name == var and var not in _term_vars(l):
+        t = l
+    else:
+        return None
+    if types is None or vtype is None:
+        return t
+    return t if isinstance(t, (Var, Obj)) and types.get(t.name) == vtype else None
 
 
-def _push_exists(var: str, vtype: Optional[str], body: Formula) -> Formula:
+def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping] = None) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, Or):
-        return disj(_push_exists(var, vtype, p) for p in body.parts)
-    if isinstance(body, Eq) and _one_point_target(body, var) is not None:
+        return disj(_push_exists(var, vtype, p, types) for p in body.parts)
+    if isinstance(body, Eq) and _one_point_target(body, var, vtype, types) is not None:
         return TRUE  # pools are never empty, so a witness always exists
     if isinstance(body, And):
         dep, indep = [], []
         for p in body.parts:
             (dep if var in free_vars(p) else indep).append(p)
         for i, p in enumerate(dep):
-            t = _one_point_target(p, var)
+            t = _one_point_target(p, var, vtype, types)
             if t is not None:
                 rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                return push_quantifiers(conj(indep + rest))
+                return push_quantifiers(conj(indep + rest), types)
         if indep:
             return conj(indep + [Exists(var, vtype, conj(dep))])
     return Exists(var, vtype, body)
 
 
-def _push_forall(var: str, vtype: Optional[str], body: Formula) -> Formula:
+def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping] = None) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, And):
-        return conj(_push_forall(var, vtype, p) for p in body.parts)
+        return conj(_push_forall(var, vtype, p, types) for p in body.parts)
     if isinstance(body, Or):
         dep, indep = [], []
         for p in body.parts:
             (dep if var in free_vars(p) else indep).append(p)
         for i, p in enumerate(dep):
             if isinstance(p, Not):
-                t = _one_point_target(p.sub, var)
+                t = _one_point_target(p.sub, var, vtype, types)
                 if t is not None:
                     rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                    return push_quantifiers(disj(indep + rest))
+                    return push_quantifiers(disj(indep + rest), types)
         if indep:
             return disj(indep + [Forall(var, vtype, disj(dep))])
     return Forall(var, vtype, body)
@@ -1531,6 +1588,15 @@ class _BddSimplifier:
             return None
         return self.read_back(root, bdd, order, {})
 
+    def decide(self, f: Formula) -> Optional[bool]:
+        """Like `reduce`, but read only the root: True/False if it is a constant, else None."""
+        f = self.map_quantified(f)
+        try:
+            root = self.build(f, _Bdd(), [], {})
+        except _AtomLimit:
+            return None
+        return None if root > _Bdd.TRUE else root == _Bdd.TRUE
+
     def build(self, f: Formula, bdd: _Bdd, order: list, index: dict) -> int:
         """BDD of f; atoms get variables in first-use order as they are met."""
         if isinstance(f, Bool):
@@ -1601,9 +1667,10 @@ def simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
     equalities), then the connective superstructure over the remaining
     maximal quantified/atomic subformulas is reduced through a BDD and read
     back.  The result is equivalent to the input over every untyped domain.
-    The one-point rule ignores quantifier types, so over typed domains the
-    result can be weaker (∃x:Box. ∃y:City. x = y becomes true).  When the
-    atom count exceeds `max_atoms` the input is returned unchanged.
+    This path calls `push_quantifiers` without types, so over typed domains
+    the result can be weaker (∃x:Box. ∃y:City. x = y becomes true); the
+    consistency checker's lifted pass is the typed path.  When the atom
+    count exceeds `max_atoms` the input is returned unchanged.
     """
     g = normalize(push_quantifiers(normalize(f)))
     g = _BddSimplifier(max_atoms).reduce(g)

@@ -19,6 +19,7 @@ from fomdp.folp import FOLPError
 from fomdp.logic import TRUE, And, Atom, Implies, Not, conj, normalize
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import foalp_solve
+from fomdp.unidecomp import make_generic_goal
 
 TOL = 1e-6
 
@@ -203,6 +204,16 @@ def test_covering_pairs_with_constant_are_unbounded():
     # improves the size-weighted objective forever
     with pytest.raises(FOLPError, match=r"unbounded along w0=1, w1=-1, w2=-1, w3=-1"):
         foalp_solve(model, tile)
+
+
+def test_checker_stats_repeat_across_cold_solves():
+    stats = []
+    for _ in range(2):
+        model = make_generic_goal(load_fixture("boxworld_mini")[0])
+        generate_basis(model, BasisGenConfig(iters=2))
+        stats.append(model.checker.stats)
+    assert stats[0] == stats[1]
+    assert stats[0].lifted > 0 and stats[0].groundings > 0 and stats[0].exhausted == 0
 
 
 def test_solver_failure_carries_partial_result():

@@ -60,7 +60,7 @@ def test_blocksworld_domain_structure():
 
 
 def test_bound_override_threads_through():
-    bound = ConsistencyBound(objects_per_type=2, timeout_ms=5000)
+    bound = ConsistencyBound(objects_per_type=2, work_budget=500_000)
     model, _ = load_fixture("flip", bound=bound)
     assert model.bound == bound and model.checker.bound == bound
 

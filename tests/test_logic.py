@@ -409,12 +409,129 @@ def test_validity_and_equivalence():
     assert chk.equivalent(f, parse_formula("Q")) is False
 
 
-def test_timeout_reported_indeterminate():
-    chk = ConsistencyChecker(ConsistencyBound(3, timeout_ms=0))
+def test_exhausted_budget_reported_indeterminate():
     f = parse_formula("exists x, y, z. Q(x, y) & Q(y, z) & !Q(x, z)")
+    assert ConsistencyChecker(ConsistencyBound(3)).check(f) is True
+    chk = ConsistencyChecker(ConsistencyBound(3, work_budget=20))
     assert chk.check(f) is None
+    assert chk.stats.exhausted == 1 and chk.stats.work == 20
     assert chk.is_consistent(f) is True  # indeterminate counts as consistent
     assert chk.is_valid(f) is False
+
+
+# ---------------------------------------------------------------------------
+# typed consistency: the lifted pass against grounding alone
+
+
+TYPED_SIG = {"P": ("Box",), "R": ("City",), "In": ("Box", "City"), "K": ("Truck",)}
+TYPES = ("Box", "City", "Truck")
+# free variables and objects per type; u and o1 only ever appear in
+# equalities, so their inferred type is None
+TYPED_FREE = {"Box": (Var("b"), Obj("b1")), "City": (Var("c"), Obj("c1")), "Truck": (Var("k"), Obj("k1"))}
+UNTYPED_FREE = (Var("u"), Obj("o1"))
+
+
+class GroundingOnlyChecker(ConsistencyChecker):
+    """The checker with its lifted pass switched off: every verdict is grounded."""
+
+    def _lifted(self, f, types):
+        return None
+
+
+def typed_term(rng: random.Random, vtype: str, scope: tuple):
+    bound = [Var(n) for n, t in scope if t in (vtype, None)]
+    if bound and rng.random() < 0.7:
+        return rng.choice(bound)
+    return rng.choice(TYPED_FREE[vtype])
+
+
+def any_term(rng: random.Random, scope: tuple):
+    pool = [Var(n) for n, _ in scope] + [t for ts in TYPED_FREE.values() for t in ts] + list(UNTYPED_FREE)
+    return rng.choice(pool)
+
+
+def typed_formula(rng: random.Random, depth: int, scope: tuple = ()) -> Formula:
+    """Random formula over TYPED_SIG: typed atoms, equalities between any terms."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.35:
+            return Eq(any_term(rng, scope), any_term(rng, scope))
+        pred = rng.choice(sorted(TYPED_SIG))
+        return Atom(pred, tuple(typed_term(rng, t, scope) for t in TYPED_SIG[pred]))
+    kind = rng.choice(["not", "and", "or", "exists", "forall"])
+    if kind == "not":
+        return Not(typed_formula(rng, depth - 1, scope))
+    if kind in ("and", "or"):
+        parts = tuple(typed_formula(rng, depth - 1, scope) for _ in range(rng.randint(2, 3)))
+        return And(parts) if kind == "and" else Or(parts)
+    var, vtype = f"x{len(scope)}", rng.choice(TYPES + (None,))
+    cls = Exists if kind == "exists" else Forall
+    return cls(var, vtype, typed_formula(rng, depth - 1, scope + ((var, vtype),)))
+
+
+def one_point_probe(rng: random.Random) -> Formula:
+    """∃p:T. p = t ∧ φ or ∀p:T. p != t ∨ φ, with φ[t/p] or its negation beside it.
+
+    t is drawn from every term, so it may have T, another type or none.
+    """
+    vtype = rng.choice(TYPES + (None,))
+    phi = typed_formula(rng, 2, (("p", vtype),))
+    t = any_term(rng, ())
+    if rng.random() < 0.5:
+        probe = Exists("p", vtype, And((Eq(Var("p"), t), phi)))
+    else:
+        probe = Forall("p", vtype, Or((Not(Eq(Var("p"), t)), phi)))
+    beside = substitute(phi, {"p": t})
+    return And((probe, Not(beside) if rng.random() < 0.6 else beside))
+
+
+def needs_two(rng: random.Random) -> Formula:
+    """A conjunct with no model of one object per type, so the lifted pass gets a turn."""
+    vtype = rng.choice(TYPES)
+    return Exists("q", vtype, Not(Eq(Var("q"), typed_term(rng, vtype, ()))))
+
+
+def typed_corpus(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        f = one_point_probe(rng) if i % 2 else typed_formula(rng, 3)
+        if rng.random() < 0.7:
+            f = And((f, needs_two(rng)))
+        out.append(f)
+    return out
+
+
+def test_lifted_verdicts_match_grounding():
+    formulas = typed_corpus(5, 360)
+    lifted = ConsistencyChecker(signature=TYPED_SIG)
+    grounded = GroundingOnlyChecker(signature=TYPED_SIG)
+    verdicts = []
+    for f in formulas:
+        verdicts.append(grounded.check(f))
+        assert lifted.check(f) == verdicts[-1], format_formula(f)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    # the lifted pass decided many checks and left others to grounding
+    assert lifted.stats.lifted >= 30
+    assert lifted.stats.lifted_attempts - lifted.stats.lifted >= 30
+    assert grounded.stats.lifted == 0 and lifted.stats.exhausted == grounded.stats.exhausted == 0
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        # an untyped one-point rule reads this as true
+        ("exists x: Box. exists y: City. x = y", False),
+        # an untyped one-point rule reads this as false; it needs two cities
+        ("R(y) & (exists c: City. c != y) & (forall x: Box. x != y | P(x)) & (forall x: Box. x != y | !P(x))", True),
+    ],
+)
+def test_lifted_one_point_rule_respects_types(text, verdict):
+    sig = {"P": ("Box",), "R": ("City",)}
+    f = parse_formula(text)
+    assert GroundingOnlyChecker(signature=sig).check(f) is verdict
+    chk = ConsistencyChecker(signature=sig)
+    assert chk.check(f) is verdict
+    assert chk.stats.lifted_attempts == 1
 
 
 # ---------------------------------------------------------------------------
