@@ -409,7 +409,9 @@ def test_validity_and_equivalence():
     assert chk.equivalent(f, parse_formula("Q")) is False
 
 
-def test_exhausted_budget_reported_indeterminate():
+def test_timeout_reported_indeterminate():
+    # the work budget took the place of the wall-clock timeout; a check that
+    # runs out of it still gets the indeterminate verdict
     f = parse_formula("exists x, y, z. Q(x, y) & Q(y, z) & !Q(x, z)")
     assert ConsistencyChecker(ConsistencyBound(3)).check(f) is True
     chk = ConsistencyChecker(ConsistencyBound(3, work_budget=20))
