@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -936,6 +937,173 @@ def satisfying_bindings(
         if eval_in_state(f, state, b):
             out.append(dict(zip(names, combo)) if not binding else b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# compiled queries: conjunctive plans evaluated against an indexed state
+
+
+class StateIndex:
+    """A ground state prepared for compiled queries; build one per state.
+
+    Pools and columns fill on first use.  `column(pred, pos)` maps the other
+    arguments of every `pred` atom to the objects at argument `pos`.
+    """
+
+    def __init__(self, state: GroundState):
+        self.atoms, self.universe = state.atoms, state.universe
+        self._pools: dict = {}
+        self._columns: dict = {}
+
+    def pool(self, vtype: Optional[str]) -> tuple:
+        if vtype not in self._pools:
+            self._pools[vtype] = self.universe.pool(vtype)
+        return self._pools[vtype]
+
+    def column(self, pred: str, pos: int) -> dict:
+        if (pred, pos) not in self._columns:
+            col = self._columns[(pred, pos)] = {}
+            for a in self.atoms:
+                if a[0] == pred:
+                    col.setdefault(a[1 : pos + 1] + a[pos + 2 :], set()).add(a[pos + 1])
+        return self._columns[(pred, pos)]
+
+
+def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -> Callable:
+    """Plan `(index, args) -> list of tuples` of the `variables` satisfying f.
+
+    `params` names objects of f that each call binds to its `args`, so one
+    plan answers for every renaming `replace_objects(f, zip(params, args))`.
+    Top-level conjuncts without a variable are tested first, once.  Each
+    variable then takes its candidates from the state's atoms, through a
+    top-level atom whose other arguments are bound, and every other
+    conjunct filters at the first variable that binds all of its own.  The
+    tuples equal `satisfying_bindings` on the renamed f, in its order.  A
+    free variable outside `variables` raises UnboundVariableError here.
+    """
+    variables, params = tuple(variables), tuple(params)
+    names = [n for n, _ in variables]
+    if len(set(names)) != len(names):
+        raise LogicError(f"query variables {names} repeat a name")
+    k = len(names)
+    top = {n: i for i, n in enumerate(names)}
+    fixed = {p: k + i for i, p in enumerate(params)}  # slot of each parameter or constant
+    init: list = [None] * (k + len(params))  # the environment a call starts from
+
+    def slot(t: Term, scope: Mapping[str, int]) -> int:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise UnboundVariableError(f"variable {t.name} is not bound")
+            return scope[t.name]
+        if isinstance(t, ActTerm):
+            raise LogicError(f"action term {t.name} in a state formula")
+        if t.name not in fixed:
+            fixed[t.name] = len(init)
+            init.append(t.name)
+        return fixed[t.name]
+
+    def node(g: Formula, scope: Mapping[str, int]) -> Callable:
+        if isinstance(g, Bool):
+            return lambda env, ix, value=g.value: value
+        if isinstance(g, Atom):
+            init.append(g.pred)  # its own slot: a parameter may share the predicate's name
+            key = _gather([len(init) - 1] + [slot(a, scope) for a in g.args])
+            return lambda env, ix: key(env) in ix.atoms
+        if isinstance(g, Eq):
+            i, j = slot(g.left, scope), slot(g.right, scope)
+            return lambda env, ix: env[i] == env[j]
+        if isinstance(g, Not):
+            sub = node(g.sub, scope)
+            return lambda env, ix: not sub(env, ix)
+        if isinstance(g, Implies):
+            return node(Or((Not(g.lhs), g.rhs)), scope)
+        if isinstance(g, (And, Or)):
+            parts, stop = [node(p, scope) for p in g.parts], isinstance(g, Or)
+
+            def junction(env, ix):
+                for p in parts:
+                    if p(env, ix) is stop:
+                        return stop
+                return not stop
+
+            return junction
+        if isinstance(g, (Exists, Forall)):
+            s, vtype, stop = len(init), g.vtype, isinstance(g, Exists)
+            init.append(None)
+            body = node(g.body, {**scope, g.var: s})
+
+            def quantifier(env, ix):
+                for o in ix.pool(vtype):
+                    env[s] = o
+                    if body(env, ix) is stop:
+                        return stop
+                return not stop
+
+            return quantifier
+        raise TypeError(f"not a formula: {g!r}")
+
+    def binder(c: Formula, i: int) -> Optional[Callable]:
+        """Values of variable i that make atom c true once earlier variables are bound."""
+        v = Var(names[i])
+        if isinstance(c, Atom) and c.args.count(v) == 1:
+            pos = c.args.index(v)
+            rest = c.args[:pos] + c.args[pos + 1 :]
+            if all(isinstance(t, Obj) or top.get(t.name, k) < i for t in rest):
+                pred, key = c.pred, _gather([slot(t, top) for t in rest])
+                return lambda env, ix: ix.column(pred, pos).get(key(env), ())
+        return None
+
+    def conjuncts(g: Formula) -> list:
+        return [c for p in g.parts for c in conjuncts(p)] if isinstance(g, And) else [g]
+
+    hoisted, levels = [], [[None, []] for _ in names]  # per variable: binder, filters
+    for c in conjuncts(f):
+        last = max((top[v] for v in free_vars(c) if v in top), default=None)
+        if last is None:
+            hoisted.append(node(c, top))
+        elif levels[last][0] is None and (found := binder(c, last)) is not None:
+            levels[last][0] = found
+        else:
+            levels[last][1].append(node(c, top))
+    types = [t for _, t in variables]
+
+    def extend(i: int, env: list, ix: StateIndex, out: list):
+        if i == k:
+            out.append(tuple(env[:k]))
+            return
+        (bind, checks), candidates = levels[i], ix.pool(types[i])
+        if bind is not None:
+            allowed = bind(env, ix)
+            candidates = [o for o in candidates if o in allowed]
+        for o in candidates:
+            env[i] = o
+            for c in checks:
+                if not c(env, ix):
+                    break
+            else:
+                extend(i + 1, env, ix, out)
+
+    def run(ix: StateIndex, args: tuple = ()) -> list:
+        if len(args) != len(params):
+            raise LogicError(f"query takes {len(params)} parameters, got {len(args)}")
+        env = list(init)
+        env[k : k + len(args)] = args
+        for t in types:
+            ix.pool(t)  # an undeclared type raises even when nothing matches
+        out: list = []
+        if all(c(env, ix) for c in hoisted):
+            extend(0, env, ix, out)
+        return out
+
+    return run
+
+
+def _gather(slots: Sequence[int]) -> Callable:
+    """env -> tuple of the values in `slots`."""
+    if len(slots) == 1:
+        (i,) = slots
+        return lambda env: (env[i],)
+    return itemgetter(*slots) if slots else lambda env: ()
 
 
 # ---------------------------------------------------------------------------

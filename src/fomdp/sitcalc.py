@@ -12,7 +12,6 @@ source of truth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,9 +33,9 @@ from .logic import (
     Or,
     Var,
     conj,
-    eval_in_state,
     make_state,
     normalize,
+    satisfying_bindings,
     simplify_bdd,
     substitute,
 )
@@ -216,8 +215,6 @@ def apply_action(
         types = signature.get(fname) if signature else None
         if types is None:
             types = [None] * len(ssa.params)
-        pools = [uni.pool(t) for t in types]
-        for combo in itertools.product(*pools):
-            if eval_in_state(body, state, dict(zip(ssa.params, combo))):
-                atoms.add((fname, *combo))
+        for b in satisfying_bindings(body, state, tuple(zip(ssa.params, types))):
+            atoms.add((fname, *(b[p] for p in ssa.params)))
     return make_state(atoms, uni)

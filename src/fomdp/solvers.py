@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Mapping, Optional, Sequence
 
 from .cases import CaseStatement, Partition, cross_sum, exists_case, max_case
@@ -22,7 +21,7 @@ from .folp import (
     affine_case,
     solve_first_order_lp,
 )
-from .logic import TRUE, ConsistencyChecker, conj, eval_in_state, normalize
+from .logic import TRUE, ConsistencyChecker, conj, eval_in_state, normalize, satisfying_bindings
 from .model import FOMDPModel, LinearValueFunction, backup_linear
 
 
@@ -77,12 +76,10 @@ class PolicyCase:
         if len(hits) != 1:
             raise SolverError(f"{len(hits)} policy regions hold at the state (expected 1)")
         p = hits[0]
-        names = tuple(n for n, _ in p.bind_vars)
-        pools = [state.universe.pool(t) for _, t in p.bind_vars]
-        for combo in product(*pools):
-            if eval_in_state(p.bind_body, state, dict(zip(names, combo))):
-                return p.tag, combo
-        raise SolverError("satisfied policy region has no parameter witness")
+        witnesses = satisfying_bindings(p.bind_body, state, p.bind_vars)
+        if not witnesses:
+            raise SolverError("satisfied policy region has no parameter witness")
+        return p.tag, tuple(witnesses[0][n] for n, _ in p.bind_vars)
 
 
 def loss_bound(phi: float, gamma: float) -> float:

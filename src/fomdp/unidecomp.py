@@ -3,12 +3,16 @@
 A universal reward pays out only when every ground goal holds, which makes
 the exact value function grow with the goal count.  The decomposition
 solves one model whose reward names a single generic goal on fresh
-constants, backs the solved values up into per-template Q cases, and at
-runtime scores ground actions by the average of those Q values across the
-instance's unsatisfied goals.
+constants (`b_star`, `c_star`) and backs the solved values up into
+per-template Q cases.  Each Q partition's witness body, and the goal
+itself, is compiled once into a query in which the generic constants are
+parameters.  At runtime a ground goal is just the arguments of those
+queries: ground actions are scored by the average of their Q values across
+the instance's unsatisfied goals, with no formula rewritten per decision.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .cases import CaseStatement, constant_case
 from .domains import materialize_universal
@@ -16,11 +20,11 @@ from .logic import (
     ActTerm,
     Formula,
     Obj,
+    StateIndex,
     Universe,
-    eval_in_state,
+    compile_query,
     normalize,
     replace_objects,
-    satisfying_bindings,
     substitute,
 )
 from .model import FOMDPModel, LinearValueFunction, backup_exists
@@ -55,7 +59,10 @@ class GenericQSet:
     """Per-template Q cases for one generic goal.
 
     Partitions keep their open pre-quantification bodies so ground
-    parameter bindings can be enumerated against a concrete state.
+    parameter bindings can be enumerated against a concrete state.  Those
+    bodies and the goal are compiled into queries whose parameters are the
+    `constants`; a ground goal binds them without renaming any formula.
+    Make one with `build_generic_q` or `substitute_goal`.
     """
 
     variables: tuple  # typed (name, type) pairs of the goal variables
@@ -63,12 +70,10 @@ class GenericQSet:
     goal: Formula  # goal body on those constants
     qcases: tuple  # (template name, case statement), sorted by name
     discount: float
-
-    def __post_init__(self):
-        for _, q in self.qcases:
-            for p in q.partitions:
-                if p.bind_body is None:
-                    raise UnidecompError("Q partitions must carry open binding bodies")
+    # compiled from the fields above: the goal query, and per template the
+    # (value, witness query) pairs in descending value order
+    goal_query: Callable = field(compare=False, repr=False)
+    plans: tuple = field(compare=False, repr=False)
 
 
 def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
@@ -87,7 +92,20 @@ def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
         (name, backup_exists(model, flat, model.action(name)))
         for name in model.action_names()
     )
-    return GenericQSet(ur.variables, constants, goal, qcases, model.discount)
+    return _compiled(ur.variables, constants, goal, qcases, model.discount)
+
+
+def _compiled(variables, constants, goal, qcases, discount) -> GenericQSet:
+    """The Q set with its goal and witness bodies compiled over `constants`."""
+    plans = []
+    for name, q in qcases:
+        if any(p.bind_body is None for p in q.partitions):
+            raise UnidecompError("Q partitions must carry open binding bodies")
+        ranked = sorted(q.partitions, key=lambda p: -p.value)
+        parts = [(p.value, compile_query(p.bind_body, p.bind_vars, constants)) for p in ranked]
+        plans.append((name, tuple(parts)))
+    goal_query = compile_query(goal, (), constants)
+    return GenericQSet(variables, constants, goal, qcases, discount, goal_query, tuple(plans))
 
 
 def _binding_map(qset: GenericQSet, binding, universe=None) -> dict:
@@ -116,9 +134,13 @@ def _rename_case(c: CaseStatement, mapping) -> CaseStatement:
 
 
 def substitute_goal(qset: GenericQSet, binding, universe: Universe = None) -> GenericQSet:
-    """Rename the generic constants to a concrete goal's objects; values unchanged."""
+    """Rename the generic constants to a concrete goal's objects; values unchanged.
+
+    Decisions do not need this: they pass a goal's objects to the compiled
+    queries as parameters.  It remains the explicit renaming of the Q cases.
+    """
     mapping = _binding_map(qset, binding, universe)
-    return GenericQSet(
+    return _compiled(
         qset.variables,
         tuple(binding),
         replace_objects(qset.goal, mapping),
@@ -128,7 +150,9 @@ def substitute_goal(qset: GenericQSet, binding, universe: Universe = None) -> Ge
 
 
 def goal_satisfied(qset: GenericQSet, binding, state) -> bool:
-    return eval_in_state(replace_objects(qset.goal, _binding_map(qset, binding)), state)
+    """The goal holds for `binding`; raises UnidecompError for objects outside its types."""
+    _binding_map(qset, binding, state.universe)
+    return bool(qset.goal_query(StateIndex(state), tuple(binding)))
 
 
 def score_actions(qset: GenericQSet, goals, state) -> dict:
@@ -139,23 +163,22 @@ def score_actions(qset: GenericQSet, goals, state) -> dict:
     binding takes the best Q partition it satisfies; summing all satisfied
     partitions would double-count overlapping existential regions.
     """
-    unsat = [g for g in goals if not goal_satisfied(qset, g, state)]
+    unsat = [tuple(g) for g in goals if not goal_satisfied(qset, g, state)]
     if not unsat:
         raise UnidecompError("every goal is already satisfied")
     n = len(unsat)
+    index = StateIndex(state)
     scores: dict = {}
     for g in unsat:
-        inst = substitute_goal(qset, g)
-        for name, q in inst.qcases:
+        for name, parts in qset.plans:
             claimed = set()
-            for p in sorted(q.partitions, key=lambda p: -p.value):
-                for b in satisfying_bindings(p.bind_body, state, p.bind_vars):
-                    combo = tuple(b[v] for v, _ in p.bind_vars)
+            for value, query in parts:
+                for combo in query(index, g):
                     if combo in claimed:
                         continue
                     claimed.add(combo)
                     key = (name, combo)
-                    scores[key] = scores.get(key, 0.0) + p.value / n
+                    scores[key] = scores.get(key, 0.0) + value / n
     return scores
 
 

@@ -30,11 +30,15 @@ from fomdp.logic import (
     Formula,
     FormulaSyntaxError,
     Implies,
+    LogicError,
     Not,
     Obj,
     Or,
+    StateIndex,
+    UnboundVariableError,
     Universe,
     Var,
+    compile_query,
     eval_in_state,
     format_formula,
     free_vars,
@@ -44,6 +48,7 @@ from fomdp.logic import (
     objects_in,
     parse_formula,
     push_quantifiers,
+    replace_objects,
     satisfying_bindings,
     simplify_bdd,
     substitute,
@@ -534,6 +539,75 @@ def test_lifted_one_point_rule_respects_types(text, verdict):
     chk = ConsistencyChecker(signature=sig)
     assert chk.check(f) is verdict
     assert chk.stats.lifted_attempts == 1
+
+
+# ---------------------------------------------------------------------------
+# compiled queries against the product-over-pools evaluator
+
+QUERY_VARS = (("b", "Box"), ("c", "City"), ("k", "Truck"), ("u", None))
+QUERY_PARAMS = ("b1", "c1")  # named objects each call rebinds, like a goal's constants
+QUERY_POOLS = {"Box": ("b1", "b2", "b3"), "City": ("c1", "c2"), "Truck": ("k1", "k2")}
+
+
+def conjunctive_formula(rng: random.Random) -> Formula:
+    """A top-level conjunction of atoms, equalities and small nested formulas."""
+    parts = []
+    for _ in range(rng.randint(2, 4)):
+        r = rng.random()
+        if r < 0.4:
+            pred = rng.choice(sorted(TYPED_SIG))
+            parts.append(Atom(pred, tuple(typed_term(rng, t, ()) for t in TYPED_SIG[pred])))
+        elif r < 0.6:
+            parts.append(Eq(any_term(rng, ()), any_term(rng, ())))
+        else:
+            parts.append(typed_formula(rng, 2))
+    return And(tuple(parts))
+
+
+def test_query_matches_satisfying_bindings():
+    rng = random.Random(9)
+    universe = Universe.of(QUERY_POOLS)
+    ground = [
+        (pred, *args)
+        for pred, types in sorted(TYPED_SIG.items())
+        for args in itertools.product(*(QUERY_POOLS[t] for t in types))
+    ]
+    formulas = typed_corpus(5, 150) + [conjunctive_formula(rng) for _ in range(150)]
+    found = 0
+    for f in formulas:
+        variables = [v for v in QUERY_VARS if v[0] in free_vars(f)]
+        rng.shuffle(variables)
+        query = compile_query(f, variables, QUERY_PARAMS)
+        closed = implicit_close(f, dict(QUERY_VARS))
+        truth = compile_query(closed, (), QUERY_PARAMS)
+        for _ in range(4):
+            state = make_state([a for a in ground if rng.random() < 0.4], universe)
+            args = (rng.choice(QUERY_POOLS["Box"]), rng.choice(QUERY_POOLS["City"]))
+            renamed = dict(zip(QUERY_PARAMS, args))
+            index = StateIndex(state)
+            want = satisfying_bindings(replace_objects(f, renamed), state, variables)
+            tuples = [tuple(b[n] for n, _ in variables) for b in want]
+            assert query(index, args) == tuples, format_formula(f)
+            verdict = eval_in_state(replace_objects(closed, renamed), state)
+            assert bool(truth(index, args)) is verdict, format_formula(closed)
+            found += bool(want)
+        if variables:
+            with pytest.raises(UnboundVariableError):
+                compile_query(f, variables[:-1], QUERY_PARAMS)
+    assert found >= 300 and 4 * len(formulas) - found >= 300
+
+
+def test_query_errors_and_name_clashes():
+    state = StateIndex(make_state([("P", "b1")], Universe.of(QUERY_POOLS)))
+    # a parameter named like a predicate rebinds only the object
+    clash = compile_query(parse_formula("P(b) & b != P", objects=["P"]), [("b", "Box")], ("P",))
+    assert clash(state, ("b2",)) == [("b1",)]
+    with pytest.raises(UnboundVariableError):
+        compile_query(parse_formula("P(b) & R(c)"), [("b", "Box")])
+    with pytest.raises(LogicError):
+        compile_query(parse_formula("P(b)"), [("b", "Box")], ("c1",))(state, ())
+    with pytest.raises(LogicError):
+        compile_query(parse_formula("exists s: Ship. P(s)"))(state)
 
 
 # ---------------------------------------------------------------------------
