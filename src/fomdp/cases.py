@@ -25,22 +25,23 @@ from .logic import (
     ActTerm,
     And,
     ConsistencyChecker,
-    Exists,
     FALSE,
     Formula,
     GroundState,
     Not,
+    Obj,
     Or,
     TRUE,
     eval_in_state,
     exists_chain,
     format_formula,
-    free_vars,
+    implicit_close,
     infer_types,
     normalize,
     parse_formula,
     simplify_bdd,
     sort_key,
+    substitute,
 )
 from .sitcalc import SuccessorStateAxiom, regress
 
@@ -282,6 +283,12 @@ def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
     return CaseStatement(c1.partitions + c2.partitions, False)
 
 
+def _holds(f: Formula, state: GroundState, binding, signature) -> bool:
+    """f in state under binding, its other free variables read existentially."""
+    g = substitute(f, {v: Obj(o) for v, o in (binding or {}).items()})
+    return eval_in_state(implicit_close(g, infer_types(f, signature or {})), state)
+
+
 def eval_case(
     c: CaseStatement,
     state: GroundState,
@@ -296,18 +303,7 @@ def eval_case(
     """
     if not c.partitioned:
         raise CaseError("eval_case requires a partitioned case")
-    hits = []
-    for i, p in enumerate(c.partitions):
-        f = p.formula
-        unbound = {v for v in free_vars(f) if not (binding and v in binding)}
-        if unbound:
-            types = infer_types(f, signature or {})
-            g = f
-            for v in sorted(unbound):
-                g = Exists(v, types.get(v), g)
-            f = g
-        if eval_in_state(f, state, binding):
-            hits.append(i)
+    hits = [i for i, p in enumerate(c.partitions) if _holds(p.formula, state, binding, signature)]
     if len(hits) != 1:
         shown = ", ".join(format_formula(c.partitions[i].formula) for i in hits) or "none"
         raise PartitionViolation(
@@ -325,15 +321,8 @@ def eval_max(
     """Maximum value over satisfied partitions (union semantics)."""
     best = None
     for p in c.partitions:
-        f = p.formula
-        unbound = {v for v in free_vars(f) if not (binding and v in binding)}
-        if unbound:
-            types = infer_types(f, signature or {})
-            for v in sorted(unbound):
-                f = Exists(v, types.get(v), f)
-        if eval_in_state(f, state, binding):
-            if best is None or p.value > best:
-                best = p.value
+        if _holds(p.formula, state, binding, signature) and (best is None or p.value > best):
+            best = p.value
     if best is None:
         raise PartitionViolation("no partition satisfied", ())
     return best

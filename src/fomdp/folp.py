@@ -475,29 +475,27 @@ def _expr_row(expr: LinExpr) -> LinearConstraint:
     return LinearConstraint(expr.coeffs, "<=", -expr.const)
 
 
-def _seed_selection(schema: ConstraintSchema, checker: ConsistencyChecker):
-    """First consistent selection, preferring each certified case's negative."""
-    order = list(range(len(schema.cases)))
-    sel: dict = {}
-
-    def dfs(k: int, formulas: tuple, expr: LinExpr):
-        if k == len(order):
-            return tuple(sel[i] for i in order), expr
-        idx = order[k]
-        parts = schema.cases[idx].partitions
-        prefer = range(len(parts) - 1, -1, -1) if idx in schema.certified else range(len(parts))
-        for pi in prefer:
-            fs = formulas + (parts[pi].formula,)
-            if not checker.is_consistent(conj(fs)):
-                continue
-            sel[idx] = pi
-            got = dfs(k + 1, fs, expr + _as_expr(parts[pi].value))
-            if got is not None:
-                return got
-            del sel[idx]
-        return None
-
-    return dfs(0, (), LinExpr())
+def _seed_selection(
+    schema: ConstraintSchema,
+    checker: ConsistencyChecker,
+    sel: tuple = (),
+    formulas: tuple = (),
+    expr: LinExpr = LinExpr(),
+):
+    """First consistent selection extending `sel`, preferring each certified case's negative."""
+    k = len(sel)
+    if k == len(schema.cases):
+        return sel, expr
+    parts = schema.cases[k].partitions
+    prefer = range(len(parts) - 1, -1, -1) if k in schema.certified else range(len(parts))
+    for pi in prefer:
+        fs = formulas + (parts[pi].formula,)
+        if not checker.is_consistent(conj(fs)):
+            continue
+        got = _seed_selection(schema, checker, sel + (pi,), fs, expr + _as_expr(parts[pi].value))
+        if got is not None:
+            return got
+    return None
 
 
 def seed_rows(folp: FirstOrderLP, checker: Optional[ConsistencyChecker] = None) -> tuple:

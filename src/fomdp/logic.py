@@ -7,7 +7,10 @@ The module provides a parser and printer for a small text syntax, a
 canonical normal form used as the identity of a formula everywhere else in
 the package, closed-world evaluation against ground states, and a
 bounded-domain satisfiability check that the case algebra uses to prune
-impossible partitions.
+impossible partitions.  Ground states have one evaluator, the index-join
+plans of `compile_query`; `eval_in_state` and `satisfying_bindings` compile
+one per call, so an unbound variable or an action term raises when the
+formula compiles, whatever the state.
 """
 
 from __future__ import annotations
@@ -288,26 +291,26 @@ def all_var_names(f: Formula) -> set:
     return free_vars(f)
 
 
+def _term_objs(t: Term) -> set:
+    if isinstance(t, Obj):
+        return {t.name}
+    if isinstance(t, ActTerm):
+        out = set()
+        for a in t.args:
+            out |= _term_objs(a)
+        return out
+    return set()
+
+
 def objects_in(f: Formula) -> set:
     """Names of objects mentioned in f."""
-
-    def term_objs(t: Term) -> set:
-        if isinstance(t, Obj):
-            return {t.name}
-        if isinstance(t, ActTerm):
-            out = set()
-            for a in t.args:
-                out |= term_objs(a)
-            return out
-        return set()
-
     if isinstance(f, Atom):
         out = set()
         for a in f.args:
-            out |= term_objs(a)
+            out |= _term_objs(a)
         return out
     if isinstance(f, Eq):
-        return term_objs(f.left) | term_objs(f.right)
+        return _term_objs(f.left) | _term_objs(f.right)
     if isinstance(f, Not):
         return objects_in(f.sub)
     if isinstance(f, (And, Or)):
@@ -371,22 +374,22 @@ def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _rename_term(t: Term, mapping: Mapping[str, str]) -> Term:
+    if isinstance(t, Obj):
+        return Obj(mapping.get(t.name, t.name))
+    if isinstance(t, ActTerm):
+        return ActTerm(t.name, tuple(_rename_term(a, mapping) for a in t.args))
+    return t
+
+
 def replace_objects(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename objects throughout f (used for goal instantiation)."""
-
-    def rt(t: Term) -> Term:
-        if isinstance(t, Obj):
-            return Obj(mapping.get(t.name, t.name))
-        if isinstance(t, ActTerm):
-            return ActTerm(t.name, tuple(rt(a) for a in t.args))
-        return t
-
     if isinstance(f, Bool):
         return f
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(rt(a) for a in f.args))
+        return Atom(f.pred, tuple(_rename_term(a, mapping) for a in f.args))
     if isinstance(f, Eq):
-        return Eq(rt(f.left), rt(f.right))
+        return Eq(_rename_term(f.left, mapping), _rename_term(f.right, mapping))
     if isinstance(f, Not):
         return Not(replace_objects(f.sub, mapping))
     if isinstance(f, And):
@@ -419,20 +422,6 @@ def collect_predicates(f: Formula, acc: Optional[dict] = None) -> dict:
     elif isinstance(f, (Exists, Forall)):
         collect_predicates(f.body, acc)
     return acc
-
-
-def has_action_terms(f: Formula) -> bool:
-    if isinstance(f, Eq):
-        return isinstance(f.left, ActTerm) or isinstance(f.right, ActTerm)
-    if isinstance(f, Not):
-        return has_action_terms(f.sub)
-    if isinstance(f, (And, Or)):
-        return any(has_action_terms(p) for p in f.parts)
-    if isinstance(f, Implies):
-        return has_action_terms(f.lhs) or has_action_terms(f.rhs)
-    if isinstance(f, (Exists, Forall)):
-        return has_action_terms(f.body)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -879,64 +868,28 @@ class GroundState:
     atoms: frozenset
     universe: Universe
 
-    def holds(self, pred: str, args: tuple) -> bool:
-        return (pred, *args) in self.atoms
-
 
 def make_state(atoms: Iterable[tuple], universe: Universe) -> GroundState:
     return GroundState(frozenset(tuple(a) for a in atoms), universe)
 
 
-def _resolve(t: Term, binding: Mapping[str, str]) -> str:
-    if isinstance(t, Obj):
-        return t.name
-    if isinstance(t, Var):
-        if t.name not in binding:
-            raise UnboundVariableError(f"variable {t.name} is not bound")
-        return binding[t.name]
-    raise LogicError(f"action term {t.name} in a state formula")
-
-
 def eval_in_state(f: Formula, state: GroundState, binding: Optional[Mapping[str, str]] = None) -> bool:
-    """Closed-world truth of f in a ground state under a variable binding."""
-    b = binding or {}
-    if isinstance(f, Bool):
-        return f.value
-    if isinstance(f, Atom):
-        return (f.pred, *[_resolve(a, b) for a in f.args]) in state.atoms
-    if isinstance(f, Eq):
-        return _resolve(f.left, b) == _resolve(f.right, b)
-    if isinstance(f, Not):
-        return not eval_in_state(f.sub, state, b)
-    if isinstance(f, And):
-        return all(eval_in_state(p, state, b) for p in f.parts)
-    if isinstance(f, Or):
-        return any(eval_in_state(p, state, b) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not eval_in_state(f.lhs, state, b)) or eval_in_state(f.rhs, state, b)
-    if isinstance(f, Exists):
-        return any(eval_in_state(f.body, state, {**b, f.var: o}) for o in state.universe.pool(f.vtype))
-    if isinstance(f, Forall):
-        return all(eval_in_state(f.body, state, {**b, f.var: o}) for o in state.universe.pool(f.vtype))
-    raise TypeError(f"not a formula: {f!r}")
+    """Closed-world truth of f in a ground state under a variable binding.
+
+    The bound variables become objects and f runs as a `compile_query` plan
+    on a fresh `StateIndex`.  A free variable outside the binding, or an
+    action term, raises when f compiles, whatever the state.
+    """
+    g = substitute(f, {v: Obj(o) for v, o in (binding or {}).items()})
+    return bool(compile_query(g)(StateIndex(state)))
 
 
 def satisfying_bindings(
-    f: Formula,
-    state: GroundState,
-    variables: Sequence[tuple[str, Optional[str]]],
-    binding: Optional[Mapping[str, str]] = None,
+    f: Formula, state: GroundState, variables: Sequence[tuple[str, Optional[str]]]
 ) -> list[dict]:
     """All bindings of `variables` satisfying f, in lexicographic object order."""
-    base = dict(binding or {})
-    pools = [state.universe.pool(vtype) for _, vtype in variables]
     names = [name for name, _ in variables]
-    out = []
-    for combo in itertools.product(*pools):
-        b = {**base, **dict(zip(names, combo))}
-        if eval_in_state(f, state, b):
-            out.append(dict(zip(names, combo)) if not binding else b)
-    return out
+    return [dict(zip(names, combo)) for combo in compile_query(f, variables)(StateIndex(state))]
 
 
 # ---------------------------------------------------------------------------
@@ -972,14 +925,18 @@ class StateIndex:
 def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -> Callable:
     """Plan `(index, args) -> list of tuples` of the `variables` satisfying f.
 
-    `params` names objects of f that each call binds to its `args`, so one
-    plan answers for every renaming `replace_objects(f, zip(params, args))`.
-    Top-level conjuncts without a variable are tested first, once.  Each
-    variable then takes its candidates from the state's atoms, through a
-    top-level atom whose other arguments are bound, and every other
-    conjunct filters at the first variable that binds all of its own.  The
-    tuples equal `satisfying_bindings` on the renamed f, in its order.  A
-    free variable outside `variables` raises UnboundVariableError here.
+    The package's one evaluator of formulas in ground states: `eval_in_state`
+    and `satisfying_bindings` compile a plan per call.  `params` names
+    objects of f that each call binds to its `args`, so one plan answers for
+    every renaming `replace_objects(f, zip(params, args))`.  Top-level
+    conjuncts without a variable are tested first, once.  Each variable then
+    takes its candidates from the state's atoms, through a top-level atom
+    whose other arguments are bound, and every other conjunct filters at the
+    first variable that binds all of its own.  Tuples come in lexicographic
+    order of the variables' pools.  A free variable outside `variables`
+    raises UnboundVariableError, and an action term LogicError, here rather
+    than when a call reaches them.  The plan's closures hold no function
+    that refers to itself, so compiling leaves no reference cycles.
     """
     variables, params = tuple(variables), tuple(params)
     names = [n for n, _ in variables]
@@ -989,113 +946,119 @@ def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -
     top = {n: i for i, n in enumerate(names)}
     fixed = {p: k + i for i, p in enumerate(params)}  # slot of each parameter or constant
     init: list = [None] * (k + len(params))  # the environment a call starts from
-
-    def slot(t: Term, scope: Mapping[str, int]) -> int:
-        if isinstance(t, Var):
-            if t.name not in scope:
-                raise UnboundVariableError(f"variable {t.name} is not bound")
-            return scope[t.name]
-        if isinstance(t, ActTerm):
-            raise LogicError(f"action term {t.name} in a state formula")
-        if t.name not in fixed:
-            fixed[t.name] = len(init)
-            init.append(t.name)
-        return fixed[t.name]
-
-    def node(g: Formula, scope: Mapping[str, int]) -> Callable:
-        if isinstance(g, Bool):
-            return lambda env, ix, value=g.value: value
-        if isinstance(g, Atom):
-            init.append(g.pred)  # its own slot: a parameter may share the predicate's name
-            key = _gather([len(init) - 1] + [slot(a, scope) for a in g.args])
-            return lambda env, ix: key(env) in ix.atoms
-        if isinstance(g, Eq):
-            i, j = slot(g.left, scope), slot(g.right, scope)
-            return lambda env, ix: env[i] == env[j]
-        if isinstance(g, Not):
-            sub = node(g.sub, scope)
-            return lambda env, ix: not sub(env, ix)
-        if isinstance(g, Implies):
-            return node(Or((Not(g.lhs), g.rhs)), scope)
-        if isinstance(g, (And, Or)):
-            parts, stop = [node(p, scope) for p in g.parts], isinstance(g, Or)
-
-            def junction(env, ix):
-                for p in parts:
-                    if p(env, ix) is stop:
-                        return stop
-                return not stop
-
-            return junction
-        if isinstance(g, (Exists, Forall)):
-            s, vtype, stop = len(init), g.vtype, isinstance(g, Exists)
-            init.append(None)
-            body = node(g.body, {**scope, g.var: s})
-
-            def quantifier(env, ix):
-                for o in ix.pool(vtype):
-                    env[s] = o
-                    if body(env, ix) is stop:
-                        return stop
-                return not stop
-
-            return quantifier
-        raise TypeError(f"not a formula: {g!r}")
-
-    def binder(c: Formula, i: int) -> Optional[Callable]:
-        """Values of variable i that make atom c true once earlier variables are bound."""
-        v = Var(names[i])
-        if isinstance(c, Atom) and c.args.count(v) == 1:
-            pos = c.args.index(v)
-            rest = c.args[:pos] + c.args[pos + 1 :]
-            if all(isinstance(t, Obj) or top.get(t.name, k) < i for t in rest):
-                pred, key = c.pred, _gather([slot(t, top) for t in rest])
-                return lambda env, ix: ix.column(pred, pos).get(key(env), ())
-        return None
-
-    def conjuncts(g: Formula) -> list:
-        return [c for p in g.parts for c in conjuncts(p)] if isinstance(g, And) else [g]
-
-    hoisted, levels = [], [[None, []] for _ in names]  # per variable: binder, filters
-    for c in conjuncts(f):
+    hoisted, levels = [], [[None, [], t] for _, t in variables]  # per variable: binder, filters, type
+    for c in _conjuncts(f):
         last = max((top[v] for v in free_vars(c) if v in top), default=None)
         if last is None:
-            hoisted.append(node(c, top))
-        elif levels[last][0] is None and (found := binder(c, last)) is not None:
-            levels[last][0] = found
+            hoisted.append(_node(c, top, fixed, init))
+        elif levels[last][0] is None and (bind := _binder(c, Var(names[last]), last, top, fixed, init)):
+            levels[last][0] = bind
         else:
-            levels[last][1].append(node(c, top))
-    types = [t for _, t in variables]
-
-    def extend(i: int, env: list, ix: StateIndex, out: list):
-        if i == k:
-            out.append(tuple(env[:k]))
-            return
-        (bind, checks), candidates = levels[i], ix.pool(types[i])
-        if bind is not None:
-            allowed = bind(env, ix)
-            candidates = [o for o in candidates if o in allowed]
-        for o in candidates:
-            env[i] = o
-            for c in checks:
-                if not c(env, ix):
-                    break
-            else:
-                extend(i + 1, env, ix, out)
+            levels[last][1].append(_node(c, top, fixed, init))
 
     def run(ix: StateIndex, args: tuple = ()) -> list:
         if len(args) != len(params):
             raise LogicError(f"query takes {len(params)} parameters, got {len(args)}")
         env = list(init)
         env[k : k + len(args)] = args
-        for t in types:
-            ix.pool(t)  # an undeclared type raises even when nothing matches
+        for _, vtype in variables:
+            ix.pool(vtype)  # an undeclared type raises even when nothing matches
         out: list = []
         if all(c(env, ix) for c in hoisted):
-            extend(0, env, ix, out)
+            _extend(0, env, ix, out, levels)
         return out
 
     return run
+
+
+def _conjuncts(g: Formula) -> list:
+    return [c for p in g.parts for c in _conjuncts(p)] if isinstance(g, And) else [g]
+
+
+def _slot(t: Term, scope: Mapping[str, int], fixed: dict, init: list) -> int:
+    """Environment slot of t; each named object gets one slot, filled in `init`."""
+    if isinstance(t, Var):
+        if t.name not in scope:
+            raise UnboundVariableError(f"variable {t.name} is not bound")
+        return scope[t.name]
+    if isinstance(t, ActTerm):
+        raise LogicError(f"action term {t.name} in a state formula")
+    if t.name not in fixed:
+        fixed[t.name] = len(init)
+        init.append(t.name)
+    return fixed[t.name]
+
+
+def _node(g: Formula, scope: Mapping[str, int], fixed: dict, init: list) -> Callable:
+    """`(env, index) -> bool` for g, with its variables at their `scope` slots."""
+    if isinstance(g, Bool):
+        return lambda env, ix, value=g.value: value
+    if isinstance(g, Atom):
+        init.append(g.pred)  # its own slot: a parameter may share the predicate's name
+        key = _gather([len(init) - 1] + [_slot(a, scope, fixed, init) for a in g.args])
+        return lambda env, ix: key(env) in ix.atoms
+    if isinstance(g, Eq):
+        i, j = _slot(g.left, scope, fixed, init), _slot(g.right, scope, fixed, init)
+        return lambda env, ix: env[i] == env[j]
+    if isinstance(g, Not):
+        sub = _node(g.sub, scope, fixed, init)
+        return lambda env, ix: not sub(env, ix)
+    if isinstance(g, Implies):
+        return _node(Or((Not(g.lhs), g.rhs)), scope, fixed, init)
+    if isinstance(g, (And, Or)):
+        parts, stop = [_node(p, scope, fixed, init) for p in g.parts], isinstance(g, Or)
+
+        def junction(env, ix):
+            for p in parts:
+                if p(env, ix) is stop:
+                    return stop
+            return not stop
+
+        return junction
+    if isinstance(g, (Exists, Forall)):
+        s, vtype, stop = len(init), g.vtype, isinstance(g, Exists)
+        init.append(None)
+        body = _node(g.body, {**scope, g.var: s}, fixed, init)
+
+        def quantifier(env, ix):
+            for o in ix.pool(vtype):
+                env[s] = o
+                if body(env, ix) is stop:
+                    return stop
+            return not stop
+
+        return quantifier
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _binder(c: Formula, v: Var, i: int, top: Mapping[str, int], fixed: dict, init: list) -> Optional[Callable]:
+    """Values of v, variable i, that make atom c true once earlier variables are bound."""
+    if isinstance(c, Atom) and c.args.count(v) == 1:
+        pos = c.args.index(v)
+        rest = c.args[:pos] + c.args[pos + 1 :]
+        if all(isinstance(t, Obj) or top.get(t.name, i) < i for t in rest):
+            pred, key = c.pred, _gather([_slot(t, top, fixed, init) for t in rest])
+            return lambda env, ix: ix.column(pred, pos).get(key(env), ())
+    return None
+
+
+def _extend(i: int, env: list, ix: StateIndex, out: list, levels: list):
+    """Append every binding of the variables from i on that passes the plan."""
+    if i == len(levels):
+        out.append(tuple(env[:i]))
+        return
+    bind, checks, vtype = levels[i]
+    candidates = ix.pool(vtype)
+    if bind is not None:
+        allowed = bind(env, ix)
+        candidates = [o for o in candidates if o in allowed]
+    for o in candidates:
+        env[i] = o
+        for c in checks:
+            if not c(env, ix):
+                break
+        else:
+            _extend(i + 1, env, ix, out, levels)
 
 
 def _gather(slots: Sequence[int]) -> Callable:

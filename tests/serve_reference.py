@@ -2,15 +2,17 @@
 
 For every goal it renames the generic constants in the goal and in every Q
 partition (`substitute_goal`), then enumerates each renamed witness body
-over the full product of the object pools (`satisfying_bindings`).
-`unidecomp.score_actions` must return exactly what `score_actions` returns,
-and `unidecomp.select_action` what `best_action` picks from those scores.
-`renamed` may carry `substitute_goal` results from one call to the next;
-renaming depends on the goal alone, not on the state.
+over the full product of the object pools with the interpreter in
+`state_reference`.  `unidecomp.score_actions` must return exactly what
+`score_actions` returns, and `unidecomp.select_action` what `best_action`
+picks from those scores.  `renamed` may carry `substitute_goal` results
+from one call to the next; renaming depends on the goal alone, not on the
+state.
 """
 
-from fomdp.logic import ActTerm, Obj, eval_in_state, replace_objects, satisfying_bindings
+from fomdp.logic import ActTerm, Obj, replace_objects
 from fomdp.unidecomp import UnidecompError, substitute_goal
+from state_reference import eval_in_state, satisfying_bindings
 
 
 def goal_satisfied(qset, binding, state) -> bool:

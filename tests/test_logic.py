@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import state_reference as reference
 from bdd_reference import reference_simplify_bdd
 from fomdp.logic import (
     FALSE,
@@ -316,6 +317,18 @@ def test_eval_unbound_variable():
         eval_in_state(Atom("P", (Var("x"),)), state)
 
 
+def test_bad_formulas_raise_whatever_the_state():
+    """An unbound variable or an action term raises even behind a true disjunct."""
+    uni = Universe.of({None: ["a"]})
+    for state in (make_state([], uni), make_state([("P",)], uni)):
+        with pytest.raises(UnboundVariableError):
+            eval_in_state(parse_formula("P | Q(x)"), state)
+        with pytest.raises(UnboundVariableError):
+            satisfying_bindings(parse_formula("P | Q(x, y)"), state, [("x", None)])
+        with pytest.raises(LogicError, match="action term"):
+            eval_in_state(parse_formula("P | flipS = flipS", act_names=["flipS"]), state)
+
+
 def test_bindings_match_brute_force():
     pool = ["a", "b", "c"]
     uni = Universe.of({None: pool})
@@ -547,6 +560,15 @@ def test_lifted_one_point_rule_respects_types(text, verdict):
 QUERY_VARS = (("b", "Box"), ("c", "City"), ("k", "Truck"), ("u", None))
 QUERY_PARAMS = ("b1", "c1")  # named objects each call rebinds, like a goal's constants
 QUERY_POOLS = {"Box": ("b1", "b2", "b3"), "City": ("c1", "c2"), "Truck": ("k1", "k2")}
+QUERY_GROUND = [
+    (pred, *args)
+    for pred, types in sorted(TYPED_SIG.items())
+    for args in itertools.product(*(QUERY_POOLS[t] for t in types))
+]
+
+
+def query_state(rng: random.Random):
+    return make_state([a for a in QUERY_GROUND if rng.random() < 0.4], Universe.of(QUERY_POOLS))
 
 
 def conjunctive_formula(rng: random.Random) -> Formula:
@@ -566,12 +588,6 @@ def conjunctive_formula(rng: random.Random) -> Formula:
 
 def test_query_matches_satisfying_bindings():
     rng = random.Random(9)
-    universe = Universe.of(QUERY_POOLS)
-    ground = [
-        (pred, *args)
-        for pred, types in sorted(TYPED_SIG.items())
-        for args in itertools.product(*(QUERY_POOLS[t] for t in types))
-    ]
     formulas = typed_corpus(5, 150) + [conjunctive_formula(rng) for _ in range(150)]
     found = 0
     for f in formulas:
@@ -581,20 +597,39 @@ def test_query_matches_satisfying_bindings():
         closed = implicit_close(f, dict(QUERY_VARS))
         truth = compile_query(closed, (), QUERY_PARAMS)
         for _ in range(4):
-            state = make_state([a for a in ground if rng.random() < 0.4], universe)
+            state = query_state(rng)
             args = (rng.choice(QUERY_POOLS["Box"]), rng.choice(QUERY_POOLS["City"]))
             renamed = dict(zip(QUERY_PARAMS, args))
             index = StateIndex(state)
-            want = satisfying_bindings(replace_objects(f, renamed), state, variables)
+            want = reference.satisfying_bindings(replace_objects(f, renamed), state, variables)
             tuples = [tuple(b[n] for n, _ in variables) for b in want]
             assert query(index, args) == tuples, format_formula(f)
-            verdict = eval_in_state(replace_objects(closed, renamed), state)
+            verdict = reference.eval_in_state(replace_objects(closed, renamed), state)
             assert bool(truth(index, args)) is verdict, format_formula(closed)
             found += bool(want)
         if variables:
             with pytest.raises(UnboundVariableError):
                 compile_query(f, variables[:-1], QUERY_PARAMS)
     assert found >= 300 and 4 * len(formulas) - found >= 300
+
+
+def test_evaluators_match_reference():
+    """eval_in_state under full bindings and satisfying_bindings, against the interpreter."""
+    rng = random.Random(13)
+    formulas = typed_corpus(17, 200)
+    held = 0
+    for f in formulas:
+        variables = [v for v in QUERY_VARS if v[0] in free_vars(f)]
+        rng.shuffle(variables)
+        for _ in range(3):
+            state = query_state(rng)
+            binding = {n: rng.choice(state.universe.pool(t)) for n, t in variables}
+            verdict = reference.eval_in_state(f, state, binding)
+            assert eval_in_state(f, state, binding) is verdict, format_formula(f)
+            want = reference.satisfying_bindings(f, state, variables)
+            assert satisfying_bindings(f, state, variables) == want, format_formula(f)
+            held += verdict
+    assert held >= 150 and 3 * len(formulas) - held >= 150
 
 
 def test_query_errors_and_name_clashes():
