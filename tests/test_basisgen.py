@@ -1,7 +1,12 @@
 """Basis growth: reachability candidates, certification, weight-based retirement."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,7 @@ from fomdp.basisgen import (
 from fomdp.cases import Partition, build_case, constant_case, eval_case
 from fomdp.domains import load_fixture, parse_domain, parse_instance
 from fomdp.folp import FOLPError
-from fomdp.logic import TRUE, And, Atom, Implies, Not, conj, normalize
+from fomdp.logic import TRUE, And, Atom, CheckerStats, ConsistencyChecker, Implies, Not, conj, normalize
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import foalp_solve
 from fomdp.unidecomp import make_generic_goal
@@ -206,14 +211,29 @@ def test_covering_pairs_with_constant_are_unbounded():
         foalp_solve(model, tile)
 
 
+def cold_boxworld_foalp_stats() -> CheckerStats:
+    """Checker counts of a cold boxworld FOALP solve, with a fresh checker as the benchmark has."""
+    model = make_generic_goal(load_fixture("boxworld_mini")[0])
+    model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+    generate_basis(model, BasisGenConfig(iters=2))
+    return model.checker.stats
+
+
 def test_checker_stats_repeat_across_cold_solves():
-    stats = []
-    for _ in range(2):
-        model = make_generic_goal(load_fixture("boxworld_mini")[0])
-        generate_basis(model, BasisGenConfig(iters=2))
-        stats.append(model.checker.stats)
+    stats = [cold_boxworld_foalp_stats() for _ in range(2)]
     assert stats[0] == stats[1]
-    assert stats[0].lifted > 0 and stats[0].groundings > 0 and stats[0].exhausted == 0
+    s = stats[0]
+    assert (s.checks, s.cache_hits, s.lifted_attempts, s.lifted) == (643, 506, 56, 46)
+    assert 0 < s.groundings < 243 and s.skipped > 0 and s.exhausted == 0
+    # grounding every size combination of every type cost 240,276 units here
+    assert s.work < 100_000
+    # the counts do not depend on the hash seed either
+    code = "import dataclasses, json, test_basisgen as t; print(json.dumps(dataclasses.asdict(t.cold_boxworld_foalp_stats())))"
+    tests = Path(__file__).resolve().parent
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert CheckerStats(**json.loads(out.stdout.splitlines()[-1])) == s, seed
 
 
 def test_solver_failure_carries_partial_result():

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 import state_reference as reference
 from bdd_reference import reference_simplify_bdd
+from checker_reference import ReferenceChecker
 from fomdp.logic import (
     FALSE,
     TRUE,
@@ -39,6 +41,7 @@ from fomdp.logic import (
     UnboundVariableError,
     Universe,
     Var,
+    _scan_types,
     compile_query,
     eval_in_state,
     format_formula,
@@ -555,6 +558,117 @@ def test_lifted_one_point_rule_respects_types(text, verdict):
 
 
 # ---------------------------------------------------------------------------
+# monotone types: grounding their largest size against every combination
+
+
+def scanned_types(text: str) -> tuple:
+    f = parse_formula(text, objects=["b1", "c1"])
+    binders, nonmono = set(), set()
+    _scan_types(implicit_close(normalize(f)), {}, binders, nonmono)
+    return binders, nonmono
+
+
+@pytest.mark.parametrize(
+    "text, binders, nonmono",
+    [
+        ("forall x: Box. forall y: Box. x = y", {"Box"}, {"Box"}),
+        ("forall x: Box. x != b1 | P(x)", {"Box"}, set()),  # a negative equality
+        ("forall x: Box. x = b1 | P(x)", {"Box"}, {"Box"}),
+        ("exists x: Box. x = b1 & P(x)", {"Box"}, set()),
+        ("forall x: Box. exists y: City. x = y", {"Box", "City"}, {"Box"}),
+        ("exists x: Box. forall y: City. P(x) & (y = c1 | R(y))", {"Box", "City"}, {"City"}),
+        ("!(exists x: Box. forall y: Box. x = y)", {"Box"}, set()),  # ∀x ∃y. x != y in NNF
+        ("!(exists x: Box. x != b1 & P(x))", {"Box"}, {"Box"}),  # ∀x. x = b1 | !P(x)
+        ("P(y) & (forall x. x = y)", {None}, {None}),  # y is free, so closed existentially
+        ("P(y) & (exists x. x = y)", {None}, set()),
+        ("P(b1) & R(c1)", set(), set()),
+    ],
+)
+def test_scan_types_finds_binders_and_non_monotone_types(text, binders, nonmono):
+    assert scanned_types(text) == (binders, nonmono)
+
+
+def test_scan_types_respects_shadowing():
+    # the inner ∃x hides the outer ∀x, so the equality does not bind a ∀ variable
+    f = Forall("x", "Box", Exists("x", "City", Eq(Var("x"), Obj("c1"))))
+    binders, nonmono = set(), set()
+    _scan_types(f, {}, binders, nonmono)
+    assert (binders, nonmono) == ({"Box", "City"}, set())
+
+
+# hand-written probes whose verdicts hinge on a non-monotone type's small sizes
+NON_MONOTONE_PROBES = [
+    # one box, two cities
+    ("(forall x: Box. forall y: Box. x = y) & (exists c: City. exists d: City. c != d)", True),
+    ("(forall x: Box. forall y: Box. x = y) & (exists c: City. exists d: City. c != d)"
+     " & (exists a: Box. exists b: Box. a != b)", False),
+    # one box, three cities, two trucks
+    ("(forall x: Box. forall y: Box. x = y) & (exists c: City. exists d: City. exists e: City."
+     " c != d & d != e & c != e) & (exists k: Truck. exists j: Truck. k != j)", True),
+    # b1 is the only box, and there are two cities
+    ("P(b1) & R(c1) & (forall x: Box. x = b1 | !P(x)) & (exists c: City. c != c1)", True),
+    ("(forall x: Box. x = b1 | P(x)) & (exists x: Box. !P(x) & x != b1)", False),
+    # an untyped ∀ variable: exactly two boxes and one city in all
+    ("(forall x. x = y | x = z | x = w) & y != w & P(y) & P(w) & R(z)", True),
+    ("(forall x. x = y | x = z) & P(y) & (exists b: Box. b != y)", True),
+    ("(forall x. x = y) & P(y) & (exists c: City. R(c))", False),
+    # the named boxes already reach the bound of three
+    ("P(b1) & P(b2) & P(b3) & (forall x: Box. x = b1 | x = b2 | x = b3) & (exists c: City. c != c1)", True),
+    ("P(b1) & P(b2) & P(b3) & P(b4) & (forall x: Truck. forall y: Truck. x = y)"
+     " & (exists c: City. exists d: City. c != d)", True),
+    ("(forall x: Box. x = b1 | x = b2 | x = b3 | x = b4) & P(b4) & !P(b1) & (forall x: Truck. K(x))"
+     " & (exists k: Truck. !K(k))", False),
+]
+
+
+def non_monotone_probes() -> list:
+    return [parse_formula(text, objects=["b1", "b2", "b3", "b4", "c1"]) for text, _ in NON_MONOTONE_PROBES]
+
+
+class GroundingOnlyReference(ReferenceChecker):
+    def _lifted(self, f, types):
+        return None
+
+
+def test_monotone_grounding_matches_every_combination():
+    formulas = typed_corpus(23, 240) + non_monotone_probes()
+    pinned = dict(zip(formulas[240:], (v for _, v in NON_MONOTONE_PROBES)))
+    for bound in (2, 3, 4):
+        pairs = [
+            (ConsistencyChecker(ConsistencyBound(bound), TYPED_SIG), ReferenceChecker(ConsistencyBound(bound), TYPED_SIG)),
+            (GroundingOnlyChecker(ConsistencyBound(bound), TYPED_SIG), GroundingOnlyReference(ConsistencyBound(bound), TYPED_SIG)),
+        ]
+        for new, ref in pairs:
+            for f in formulas:
+                want = ref.check(f)
+                assert new.check(f) == want, (bound, format_formula(f))
+                if bound == 3 and f in pinned:
+                    assert want is pinned[f], format_formula(f)
+            assert new.stats.exhausted == ref.stats.exhausted == 0
+            assert new.stats.skipped >= 100 and new.stats.groundings < ref.stats.groundings
+            assert (new.stats.lifted_attempts, new.stats.lifted) == (ref.stats.lifted_attempts, ref.stats.lifted)
+
+
+@pytest.mark.parametrize(
+    "text, groundings, skipped",
+    [
+        # every type monotone: smallest, one object more of each, largest
+        ("(exists b: Box. exists c: City. exists k: Truck. P(b) & R(c) & K(k)) & (forall b: Box. !P(b))", 3, 24),
+        # Box is not: its sizes 1-3 with City and Truck at their largest, after the two probes
+        ("(forall x: Box. forall y: Box. x = y) & (exists c: City. R(c)) & (forall c: City. !R(c))"
+         " & (exists k: Truck. K(k))", 5, 22),
+        # the named boxes fix Box at three, so the smallest grounding is not repeated
+        ("P(b1) & P(b2) & P(b3) & (forall x: Truck. forall y: Truck. x = y) & (exists k: Truck. K(k))"
+         " & (forall k: Truck. !K(k))", 3, 0),
+    ],
+)
+def test_checker_grounds_each_size_combination_once(text, groundings, skipped):
+    chk = GroundingOnlyChecker(signature=TYPED_SIG)
+    assert chk.check(parse_formula(text, objects=["b1", "b2", "b3"])) is False
+    assert (chk.stats.groundings, chk.stats.skipped) == (groundings, skipped)
+
+
+# ---------------------------------------------------------------------------
 # compiled queries against the product-over-pools evaluator
 
 QUERY_VARS = (("b", "Box"), ("c", "City"), ("k", "Truck"), ("u", None))
@@ -703,6 +817,21 @@ def test_simplify_atom_overflow_returns_input():
     parts = tuple(Atom(f"P{i}") for i in range(8))
     f = Or(parts)
     assert simplify_bdd(f, max_atoms=4) == f
+
+
+def test_simplify_read_back_overflow_returns_input():
+    # the BDD of an Or of k two-atom Ands is linear in k, but read back as a
+    # tree it has 2^(k+1) - 2 nodes; k = 18 once took 46 s to simplify
+    f = Or(tuple(And((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(18)))
+    t0 = time.perf_counter()
+    assert simplify_bdd(f) is f
+    assert time.perf_counter() - t0 < 2.0
+    # a quantifier body past the limit is kept, and the level above it is still read back
+    body = Or(tuple(And((Atom(f"A{i}", (Var("x"),)), Atom(f"B{i}", (Var("x"),)))) for i in range(18)))
+    g = Or((Forall("x", None, body), Atom("R"), Atom("Q")))
+    assert simplify_bdd(g) == normalize(g)
+    small = Or(tuple(And((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(4)))
+    assert simplify_bdd(small) is not small
 
 
 def alpha_variant(f: Formula, tag: str = "r") -> Formula:
