@@ -5,10 +5,11 @@ When `partitioned` is set the formulas are mutually exclusive and exhaustive
 and the case denotes a total function; otherwise it is a bag of candidate
 values (union semantics) from which `max_case` recovers a function.  All
 operators prune partitions whose formulas are unsatisfiable within the
-configured bound and simplify the survivors, which is what keeps symbolic
-dynamic programming tractable.  An operator called without a checker makes
-a fresh untyped `ConsistencyChecker()` for that call; callers holding a
-model pass its typed checker instead.
+configured bound (`max_case` drops those its shared BDD proves empty before
+asking the checker) and simplify the survivors, which is what keeps symbolic
+dynamic programming tractable.  An operator called without a checker makes a
+fresh untyped `ConsistencyChecker()` for that call; callers holding a model
+pass its typed checker instead.
 
 Partitions may carry two pieces of bookkeeping used by policies: an action
 tag, and an open "binding body" over action-parameter variables recording,
@@ -32,6 +33,7 @@ from .logic import (
     Obj,
     Or,
     TRUE,
+    disjoint_regions,
     eval_in_state,
     exists_chain,
     format_formula,
@@ -254,21 +256,19 @@ def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> 
     """Pointwise maximum of a union-semantics case.
 
     Partitions are ordered by value descending (ties by tag, then canonical
-    formula order; untagged partitions sort as before) and each formula is
-    conjoined with the negations of all earlier formulas, so the k-th output
-    region is "φ_k holds and nothing better does".  The output is marked
-    partitioned when the input formulas cover every state at the bound.
+    formula order; untagged partitions sort as before).  Region k, "φ_k holds
+    and nothing better does", is φ_k ∧ ¬(φ_1 ∨ … ∨ φ_{k-1}) in one BDD shared
+    by the call, with the earlier formulas as a running cover
+    (`logic.disjoint_regions`).  A region the BDD proves empty is dropped
+    without the checker, the rest as in `build_case`; past the BDD's atom or
+    read-back limit a region is the normalised conjunction.  The output is
+    marked partitioned when the formulas cover every state at the bound.
     """
     chk = checker or ConsistencyChecker()
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
-    out = []
-    prefix: list = []
-    for p in ordered:
-        refined = And(tuple([p.formula] + prefix)) if prefix else p.formula
-        out.append(replace(p, formula=refined))
-        prefix.append(Not(p.formula))
     covers = chk.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
-    return build_case(out, covers, chk)
+    regions = zip(ordered, disjoint_regions([p.formula for p in ordered]))
+    return build_case((replace(p, formula=f) for p, f in regions), covers, chk, simplify=False)
 
 
 def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:

@@ -1299,7 +1299,7 @@ class ConsistencyChecker:
         rule uses the same `types` that close and pool f for grounding.
         """
         g = normalize(push_quantifiers(f, types))
-        return _BddSimplifier(max_atoms=40).decide(g)
+        return _BddSimplifier(BDD_MAX_ATOMS).decide(g)
 
 
 def _scan_types(f: Formula, universal: Mapping[str, Optional[str]], binders: set, nonmono: set):
@@ -1624,6 +1624,8 @@ def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[
 # ---------------------------------------------------------------------------
 # BDD reduction of the propositional superstructure
 
+BDD_MAX_ATOMS = 40  # opaque atoms in one BDD; past it the input is left as it is
+
 
 class _Bdd:
     """Reduced ordered BDD with hash-consing; variables are small ints."""
@@ -1652,20 +1654,13 @@ class _Bdd:
         return node
 
     def apply(self, op: str, u: int, v: int) -> int:
-        if op == "and":
-            if u == 0 or v == 0:
-                return 0
-            if u == 1:
-                return v
-            if v == 1:
-                return u
-        else:
-            if u == 1 or v == 1:
-                return 1
-            if u == 0:
-                return v
-            if v == 0:
-                return u
+        zero = 0 if op == "and" else 1  # absorbs; 1 - zero is the identity
+        if u == zero or v == zero:
+            return zero
+        if u == 1 - zero:
+            return v
+        if v == 1 - zero:
+            return u
         if u > v:
             u, v = v, u
         key = (op, u, v)
@@ -1700,11 +1695,11 @@ class _AtomLimit(Exception):
 
 
 class _BddSimplifier:
-    """Memo tables of one `simplify_bdd` call, dropped when the call returns.
+    """Memo tables of one `simplify_bdd` or `disjoint_regions` call, dropped when it returns.
 
     Keyed by formula, they hold each opaque subformula's BDD atom and each
-    atom's negation dual, so an atom that repeats, or recurs at a nested
-    quantifier level, is canonicalised once.
+    atom's negation dual, so an atom that repeats, recurs at a nested
+    quantifier level, or recurs in a later region, is canonicalised once.
     """
 
     tree_limit = 10_000  # read-back tree nodes; tier-1 tests reach 4,224, cold solves 117
@@ -1736,20 +1731,22 @@ class _BddSimplifier:
             got = self.duals[atom] = normalize(Not(atom))
         return got
 
+    def prepare(self, f: Formula) -> Formula:
+        """f canonical, with quantifiers pushed inward and every quantifier body reduced."""
+        return self.map_quantified(normalize(push_quantifiers(normalize(f))))
+
     def reduce(self, f: Formula) -> Optional[Formula]:
-        """Simplify quantifier bodies bottom-up, then this level; None past the atom limit."""
-        f = self.map_quantified(f)
-        bdd, order, index = _Bdd(), [], {}
+        """f, whose quantifier bodies are reduced, read back from its BDD; None past the limits."""
+        bdd, order = _Bdd(), []
         try:
-            return self.read_back(self.build(f, bdd, order, index), bdd, order, {})[0]
+            return self.read_back(self.build(f, bdd, order, {}), bdd, order, {})[0]
         except _AtomLimit:
             return None
 
     def decide(self, f: Formula) -> Optional[bool]:
-        """Like `reduce`, but read only the root: True/False if it is a constant, else None."""
-        f = self.map_quantified(f)
+        """Read only the root of f's BDD: True/False if it is a constant, else None."""
         try:
-            root = self.build(f, _Bdd(), [], {})
+            root = self.build(self.map_quantified(f), _Bdd(), [], {})
         except _AtomLimit:
             return None
         return None if root > _Bdd.TRUE else root == _Bdd.TRUE
@@ -1805,7 +1802,7 @@ class _BddSimplifier:
 
     def map_quantified(self, f: Formula) -> Formula:
         if isinstance(f, (Exists, Forall)):
-            inner = self.reduce(f.body)
+            inner = self.reduce(self.map_quantified(f.body))
             body = f.body if inner is None else inner
             if isinstance(body, Bool) or f.var not in free_vars(body):
                 return body
@@ -1819,7 +1816,7 @@ class _BddSimplifier:
         return f
 
 
-def simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
+def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS) -> Formula:
     """Boolean simplification that treats quantified subformulas as atoms.
 
     Quantifiers are first pushed inward (with one-point elimination of
@@ -1832,8 +1829,28 @@ def simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
     count exceeds `max_atoms`, or the read-back unfolds into more than
     `_BddSimplifier.tree_limit` nodes, the input is returned unchanged.
     """
-    g = normalize(push_quantifiers(normalize(f)))
-    g = _BddSimplifier(max_atoms).reduce(g)
-    if g is None:
-        return f
-    return normalize(g)
+    s = _BddSimplifier(max_atoms)
+    g = s.reduce(s.prepare(f))
+    return f if g is None else normalize(g)
+
+
+def disjoint_regions(formulas: Sequence[Formula]) -> list:
+    """Each φ_i ∧ ¬φ_1 ∧ … ∧ ¬φ_{i-1}, unnormalised, over one BDD and a running cover.
+
+    Each φ_i is prepared as in `simplify_bdd` and compiled once; an empty region
+    is FALSE.  Past `BDD_MAX_ATOMS` or `_BddSimplifier.tree_limit` a region is
+    the conjunction itself, which is what `simplify_bdd` returns for it.
+    """
+    s, bdd, order, index, memo = _BddSimplifier(BDD_MAX_ATOMS), _Bdd(), [], {}, {}
+    covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out
+    for i, f in enumerate(formulas):
+        try:
+            if covered is None:
+                raise _AtomLimit()
+            cover, covered = covered, None
+            node = s.build(s.prepare(f), bdd, order, index)
+            covered = bdd.apply("or", cover, node)
+            out.append(s.read_back(bdd.apply("and", node, bdd.neg(cover)), bdd, order, memo)[0])
+        except _AtomLimit:
+            out.append(And((f,) + tuple(Not(g) for g in formulas[:i])) if i else f)
+    return out

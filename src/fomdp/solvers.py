@@ -259,6 +259,8 @@ class IterationRow:
     phi: float
     converged: bool
     wall_ms: float
+    regions_in: int  # policy partitions into `max_case`
+    regions_out: int  # and out of it
 
 
 @dataclass(frozen=True)
@@ -348,9 +350,10 @@ def foapi_solve(
         if not policy.case.partitions:
             raise SolverError("extracted policy is empty")
         key = _policy_key(policy)
+        regions = (sum(len(c.partitions) for c in cells), len(policy.case.partitions))
         if key == previous:
             converged = True
-            rows.append(IterationRow(it, phis[-1], True, (time.perf_counter() - t0) * 1000.0))
+            rows.append(IterationRow(it, phis[-1], True, (time.perf_counter() - t0) * 1000.0, *regions))
             break
         previous = key
         res = solve_first_order_lp(_api_lp(lvf, policy, chk), chk, tol, lp_iters)
@@ -362,6 +365,6 @@ def foapi_solve(
             phi = 0.0
         trajectory.append(weights)
         phis.append(phi)
-        rows.append(IterationRow(it, phi, False, (time.perf_counter() - t0) * 1000.0))
+        rows.append(IterationRow(it, phi, False, (time.perf_counter() - t0) * 1000.0, *regions))
     loss = loss_bound(phis[-1], model.discount) if converged else None
     return SolveReport(tuple(trajectory), tuple(phis), converged, loss, tuple(rows))

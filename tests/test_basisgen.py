@@ -1,5 +1,6 @@
 """Basis growth: reachability candidates, certification, weight-based retirement."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import all_fluent_states, ground_value_iteration
+from fomdp import basisgen, solvers
 from fomdp.basisgen import (
     BasisGenConfig,
     BasisGenError,
@@ -21,10 +23,22 @@ from fomdp.basisgen import (
 from fomdp.cases import Partition, build_case, constant_case, eval_case
 from fomdp.domains import load_fixture, parse_domain, parse_instance
 from fomdp.folp import FOLPError
-from fomdp.logic import TRUE, And, Atom, CheckerStats, ConsistencyChecker, Implies, Not, conj, normalize
+from fomdp.logic import (
+    TRUE,
+    And,
+    Atom,
+    CheckerStats,
+    ConsistencyChecker,
+    Implies,
+    Not,
+    conj,
+    format_formula,
+    normalize,
+)
 from fomdp.model import LinearValueFunction
-from fomdp.solvers import foalp_solve
+from fomdp.solvers import PolicyCase, _policy_key, foalp_solve
 from fomdp.unidecomp import make_generic_goal
+from max_case_reference import assert_same_regions, reference_max_case
 
 TOL = 1e-6
 
@@ -234,6 +248,80 @@ def test_checker_stats_repeat_across_cold_solves():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert CheckerStats(**json.loads(out.stdout.splitlines()[-1])) == s, seed
+
+
+def cold_foapi_solve(fixture: str) -> tuple:
+    """A cold FOAPI basis generation with a fresh checker, as the benchmark runs it.
+
+    Returns the model, every `foapi_solve` report, and the input and output
+    of every `max_case` call that extracted a policy.
+    """
+    model = make_generic_goal(load_fixture(fixture)[0])
+    model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+    reports, extractions = [], []
+    real_max, real_solve = solvers.max_case, basisgen.foapi_solve
+
+    def max_case(c, checker):
+        extractions.append((c, real_max(c, checker)))
+        return extractions[-1][1]
+
+    def foapi_solve(*args):
+        reports.append(real_solve(*args))
+        return reports[-1]
+
+    solvers.max_case, basisgen.foapi_solve = max_case, foapi_solve
+    try:
+        generate_basis(model, BasisGenConfig(iters=2, solver="foapi"))
+    finally:
+        solvers.max_case, basisgen.foapi_solve = real_max, real_solve
+    return model, reports, extractions
+
+
+def cold_blocksworld_foapi_trace() -> dict:
+    """Checker counts, policy regions in and out of `max_case` per iteration, and policy keys."""
+    model, reports, extractions = cold_foapi_solve("blocksworld_mini")
+    return {
+        "checks": [model.checker.stats.checks, model.checker.stats.cache_hits],
+        "regions": [[r.regions_in, r.regions_out] for report in reports for r in report.stats],
+        "policies": [
+            [[format_formula(f), tag, value] for f, tag, value in _policy_key(PolicyCase(out))]
+            for _, out in extractions
+        ],
+    }
+
+
+def test_cold_foapi_solve_repeats_across_hash_seeds():
+    trace = cold_blocksworld_foapi_trace()
+    assert trace["checks"] == [836, 729]
+    # two reweightings: the first policy repeats at iteration 4, the second at 3
+    assert trace["regions"] == [[9, 2], [9, 3], [9, 3], [9, 3], [15, 5], [15, 5], [15, 5]]
+    assert [[[tag, value] for _, tag, value in key] for key in trace["policies"]] == [
+        [["noop", 10.0], ["move", 0.0]],
+        [["noop", 100.0], ["move", 81.0], ["move", 0.0]],
+        [["noop", 59.945054945], ["move", 48.956043956], ["move", 40.054945055]],
+        [["noop", 59.945054945], ["move", 48.956043956], ["move", 40.054945055]],
+        [["noop", 59.945054945], ["move", 48.956043956]] + [["move", 40.054945055]] * 3,
+        [["noop", 63.950549451], ["move", 52.961538462], ["move", 44.06043956], ["moveToTable", 44.06043956], ["move", 36.049450549]],
+        [["noop", 63.950549451], ["move", 52.961538462], ["move", 44.06043956], ["moveToTable", 44.06043956], ["move", 36.049450549]],
+    ]
+    # the printed region formulas too: the shared BDD orders its atoms by first
+    # use over the sorted partitions, never by hash
+    digest = hashlib.sha256(json.dumps(trace["policies"]).encode()).hexdigest()
+    assert digest == "9f81d45189b1ba1ad346b78b7fcdf6b85f0bdde913c9adfda72ea7164ba7906b"
+    code = "import json, test_basisgen as t; print(json.dumps(t.cold_blocksworld_foapi_trace()))"
+    tests = Path(__file__).resolve().parent
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == trace, seed
+
+
+@pytest.mark.parametrize("fixture", ["blocksworld_mini", "boxworld_mini"])
+def test_foapi_policy_extraction_matches_per_region_reference(fixture):
+    model, _, extractions = cold_foapi_solve(fixture)
+    assert len(extractions) == 7
+    for c, got in extractions:
+        assert_same_regions(got, reference_max_case(c, model.checker), model.checker)
 
 
 def test_solver_failure_carries_partial_result():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
+from typing import Optional
 
 import pytest
 
@@ -35,20 +37,28 @@ from fomdp.cases import (
     verify_partitioned,
 )
 from fomdp.logic import (
+    BDD_MAX_ATOMS,
     ActTerm,
     And,
     Atom,
+    ConsistencyChecker,
+    Eq,
+    Exists,
+    Forall,
     Not,
     Obj,
     Or,
     TRUE,
     Universe,
     Var,
+    infer_types,
     make_state,
     normalize,
     parse_formula,
 )
 from fomdp.sitcalc import SuccessorStateAxiom
+from max_case_reference import assert_same_regions, reference_max_case
+from test_logic import TYPED_SIG, typed_corpus
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
 
@@ -257,6 +267,73 @@ def test_max_case_tie_break_deterministic():
     m = max_case(c)
     # equal values: canonical formula order puts P first
     assert m.formulas() == (P, normalize(And((Q, Not(P)))))
+
+
+def one_point_sound(f, scope: tuple = (), free: Optional[dict] = None) -> bool:
+    """Is every term that an equality compares with a typed bound variable of that type?
+
+    Free variables and objects take the types the checker infers for them.
+    Only then is the untyped one-point rule of `simplify_bdd` sound over
+    typed domains; elsewhere the per-region path and the shared BDD may
+    misread a region in different ways.
+    """
+    free = infer_types(f, TYPED_SIG) if free is None else free
+    if isinstance(f, Eq):
+        env = dict(scope)
+        def vtype(t):
+            return env[t.name] if isinstance(t, Var) and t.name in env else free.get(t.name)
+        sides = ((f.left, f.right), (f.right, f.left))
+        return all(vtype(b) == env[a.name] for a, b in sides if isinstance(a, Var) and env.get(a.name))
+    if isinstance(f, (Exists, Forall)):
+        return one_point_sound(f.body, scope + ((f.var, f.vtype),), free)
+    if isinstance(f, Not):
+        return one_point_sound(f.sub, scope, free)
+    if isinstance(f, (And, Or)):
+        return all(one_point_sound(p, scope, free) for p in f.parts)
+    return True
+
+
+def test_max_case_matches_per_region_reference():
+    rng = random.Random(41)
+    untyped = ConsistencyChecker()
+    for _ in range(25):
+        parts = [p for _ in range(rng.randint(2, 3)) for p in random_partitioned(rng).partitions]
+        # overlapping regions, and duplicated ones under new values and tags (some tied)
+        for p in rng.sample(parts, 2):
+            parts.append(replace(p, value=float(rng.randint(-5, 20)), tag=rng.choice([None, "a", "b"])))
+        c = CaseStatement(tuple(parts), False)
+        assert_same_regions(max_case(c, untyped), reference_max_case(c, untyped), untyped)
+    typed = ConsistencyChecker(signature=TYPED_SIG)
+    corpus = [f for f in typed_corpus(29, 400) if one_point_sound(f)]
+    assert len(corpus) >= 100
+    for i in range(0, len(corpus), 4):
+        parts = [Partition(f, float(rng.randint(0, 3)), rng.choice([None, "a", "b"])) for f in corpus[i : i + 4]]
+        # an alpha variant (normalize renames bound variables) and a duplicate
+        parts.append(replace(parts[0], formula=normalize(parts[0].formula), value=parts[0].value + 1))
+        parts.append(replace(parts[1], tag="c"))
+        c = CaseStatement(tuple(parts), False)
+        assert_same_regions(max_case(c, typed), reference_max_case(c, typed), typed)
+
+
+def test_max_case_past_the_bdd_limits_matches_reference_exactly():
+    chk = ConsistencyChecker()
+    # two new atoms per partition: from the first past BDD_MAX_ATOMS on, every
+    # region is the normalised conjunction, also the last one, whose atoms
+    # the BDD already has
+    k = BDD_MAX_ATOMS // 2
+    phis = [Or((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(k + 4)] + [Not(Atom("A0"))]
+    c = CaseStatement(tuple(Partition(f, float(100 - i)) for i, f in enumerate(phis)), False)
+    got, want = max_case(c, chk), reference_max_case(c, chk)
+    assert_same_regions(got, want, chk)
+    assert len(got) == k + 5 and got.partitions[k:] == want.partitions[k:]
+    assert got.partitions[k].formula == normalize(And((phis[k],) + tuple(Not(f) for f in phis[:k])))
+    # an Or of 13 conjunctions reads back into more than tree_limit nodes,
+    # and so does its negation in every later region
+    wide = Or(tuple(And((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(13)))
+    c = CaseStatement((Partition(wide, 5.0), Partition(P, 3.0), Partition(Not(P), 1.0)), False)
+    got, want = max_case(c, chk), reference_max_case(c, chk)
+    assert got == want and len(got) == 3 and got.partitioned
+    assert got.partitions[0].formula == normalize(wide)
 
 
 def test_union_case_bookkeeping():
