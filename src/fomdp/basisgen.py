@@ -121,11 +121,11 @@ def candidate_regressions(
                 action = model.action(name)
                 x = action.param_vars()
                 reach = disj(
-                    regress(p.formula, ActTerm(ch.name, x), model.ssas, model.fluent_names())
+                    regress(p.formula, ActTerm(ch.name, x), model.ssas, model.fluent_names(), checker=chk)
                     for ch in action.choices
                 )
                 raw = conj((Not(p.formula), exists_chain(action.params, reach)))
-                cand = normalize(simplify_bdd(normalize(raw)))
+                cand = normalize(simplify_bdd(normalize(raw), checker=chk))
                 if ledger is not None and cand in ledger:
                     continue
                 if chk.check(cand) is not True:
@@ -280,7 +280,7 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> t
         for core in candidate_regressions(model, current(), ledger, chk):
             family = [e.head for e in entries if e.certified]
             full = normalize(
-                simplify_bdd(normalize(conj([core] + [Not(h) for h in family])))
+                simplify_bdd(normalize(conj([core] + [Not(h) for h in family])), checker=chk)
             )
             disjoint = chk.check(full) is True and all(
                 chk.check(conj((full, h))) is False for h in family

@@ -108,7 +108,7 @@ def build_case(
     chk = checker or ConsistencyChecker()
     kept = []
     for p in parts:
-        f = simplify_bdd(normalize(p.formula)) if simplify else normalize(p.formula)
+        f = simplify_bdd(normalize(p.formula), checker=chk) if simplify else normalize(p.formula)
         if f == FALSE:
             continue
         if f != TRUE and not chk.is_consistent(f):
@@ -182,11 +182,12 @@ def scale_case(c: CaseStatement, k: float) -> CaseStatement:
     return CaseStatement(tuple(replace(p, value=p.value * k) for p in c.partitions), c.partitioned)
 
 
-def merge_equal_values(c: CaseStatement) -> CaseStatement:
+def merge_equal_values(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
     """Disjoin adjacent-in-sort partitions sharing value, tag, and bindings.
 
     Sound for both partitioned and union semantics; used to control growth
-    in long ⊕ chains.
+    in long ⊕ chains.  The merged formulas are simplified through
+    `checker`'s atom tables when it is given.
     """
     groups: dict = {}
     order = []
@@ -202,7 +203,7 @@ def merge_equal_values(c: CaseStatement) -> CaseStatement:
         if len(ps) == 1:
             out.append(ps[0])
         else:
-            merged = simplify_bdd(normalize(Or(tuple(p.formula for p in ps))))
+            merged = simplify_bdd(normalize(Or(tuple(p.formula for p in ps))), checker=checker)
             out.append(replace(ps[0], formula=merged))
     return CaseStatement(tuple(out), c.partitioned)
 
@@ -223,8 +224,8 @@ def exists_case(
     variables = tuple((v, t) for v, t in variables)
     out = []
     for p in c.partitions:
-        open_body = simplify_bdd(normalize(p.formula))
-        closed = simplify_bdd(normalize(exists_chain(variables, p.formula)))
+        open_body = simplify_bdd(normalize(p.formula), checker=checker)
+        closed = simplify_bdd(normalize(exists_chain(variables, p.formula)), checker=checker)
         if keep_bindings:
             out.append(Partition(closed, p.value, p.tag, variables, open_body))
         else:
@@ -246,7 +247,7 @@ def regress_case(
     formula is pruned, so e.g. an unreachable branch disappears.
     """
     out = [
-        Partition(regress(p.formula, act, ssas, fluents), p.value, p.tag)
+        Partition(regress(p.formula, act, ssas, fluents, checker=checker), p.value, p.tag)
         for p in c.partitions
     ]
     return build_case(out, c.partitioned, checker, simplify=False)
@@ -267,7 +268,7 @@ def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> 
     chk = checker or ConsistencyChecker()
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
     covers = chk.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
-    regions = zip(ordered, disjoint_regions([p.formula for p in ordered]))
+    regions = zip(ordered, disjoint_regions([p.formula for p in ordered], chk))
     return build_case((replace(p, formula=f) for p, f in regions), covers, chk, simplify=False)
 
 

@@ -757,7 +757,7 @@ def _nnf(f: Formula, neg: bool) -> Formula:
 
 def _canon_term(t: Term, env: Mapping[str, str]) -> Term:
     if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
+        return Var(env[t.name]) if t.name in env else t
     if isinstance(t, ActTerm):
         return ActTerm(t.name, tuple(_canon_term(a, env) for a in t.args))
     return t
@@ -768,12 +768,15 @@ def _complement(f: Formula) -> Formula:
 
 
 def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
+    # a node that canonicalises to itself comes back as the same object, so a
+    # canonical form shares its input's unchanged subtrees instead of copying them
     if not env and depth == 0 and f.__dict__.get("_normed", False):
         return f
     if isinstance(f, Bool):
         return f
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_canon_term(a, env) for a in f.args))
+        args = tuple(_canon_term(a, env) for a in f.args)
+        return f if args == f.args else Atom(f.pred, args)
     if isinstance(f, Eq):
         left = _canon_term(f.left, env)
         right = _canon_term(f.right, env)
@@ -783,14 +786,14 @@ def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
             return FALSE  # distinct names denote distinct objects
         if term_key(right) < term_key(left):
             left, right = right, left
-        return Eq(left, right)
+        return f if (left, right) == (f.left, f.right) else Eq(left, right)
     if isinstance(f, Not):
         sub = _canon(f.sub, env, depth)
         if isinstance(sub, Bool):
             return Bool(not sub.value)
         if isinstance(sub, Not):
             return sub.sub
-        return Not(sub)
+        return f if sub is f.sub else Not(sub)
     if isinstance(f, (And, Or)):
         is_and = isinstance(f, And)
         identity, absorber = (TRUE, FALSE) if is_and else (FALSE, TRUE)
@@ -828,7 +831,7 @@ def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
         body = _canon(f.body, {**env, f.var: fresh}, depth + 1)
         if isinstance(body, Bool):
             return body
-        return type(f)(fresh, f.vtype, body)
+        return f if fresh == f.var and body is f.body else type(f)(fresh, f.vtype, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -1126,8 +1129,10 @@ class ConsistencyBound:
 
     A formula is consistent at the bound when some model has at most
     `objects_per_type` objects of each type (more if its named objects need
-    them).  The work budget counts ground expansion calls plus search steps
-    across every size the check grounds, so a verdict never depends on load.
+    them).  The work budget counts ground expansions actually performed (a
+    subformula met again under the same values of its free variables is a
+    free memo hit) plus search steps, across every size the check grounds,
+    so a verdict never depends on load.
     """
 
     objects_per_type: int = 3
@@ -1152,8 +1157,9 @@ class CheckerStats:
     lifted: int = 0  # verdicts the lifted pass decided
     groundings: int = 0  # domain size combinations grounded
     skipped: int = 0  # size combinations left ungrounded because their types are monotone
-    work: int = 0  # expansion calls plus search steps, in budget units
+    work: int = 0  # budget units: ground expansions performed (a memo hit is free) plus search steps
     exhausted: int = 0  # checks that ran out of budget
+    atoms: int = 0  # BDD atoms canonicalised: misses of the atom table, by any BDD pass through this checker
 
 
 class ConsistencyChecker:
@@ -1176,6 +1182,8 @@ class ConsistencyChecker:
         self.signature = dict(signature or {})
         self.stats = CheckerStats()
         self._cache: dict = {}
+        self._atom_keys: dict = {}  # the BDD passes' tables; see `_BddSimplifier`
+        self._duals: dict = {}
 
     # -- public verdicts ----------------------------------------------------
 
@@ -1233,6 +1241,8 @@ class ConsistencyChecker:
         type at its largest; cheaper probes with the monotone types one object
         larger at a time go first.  The verdict is the one that every
         combination gives; `stats.skipped` counts the combinations left out.
+        The closed formula compiles once into a grounding plan that every
+        combination runs (`_ground_plan`).
         """
         types = infer_types(f, self.signature)
         closed = implicit_close(f, types)
@@ -1257,6 +1267,7 @@ class ConsistencyChecker:
         plan += itertools.product(*[r[-1:] if m else r for r, m in zip(ranges, mono)])
         plan = list(dict.fromkeys(plan))
         full = math.prod(map(len, ranges))
+        ground = _ground_plan(closed)
         for step, sizes in enumerate(plan):
             if step == 1:
                 # one or two remaining groundings cost less than a lifted pass
@@ -1282,7 +1293,7 @@ class ConsistencyChecker:
                 pools[None] = tuple(sorted(untyped))
             self.stats.groundings += 1
             dag = _GroundDag()
-            root = _ground_expand(closed, pools, {}, dag, left)
+            root = ground(pools, dag, left)
             if root == _G_TRUE:
                 return True
             if root == _G_FALSE:
@@ -1299,7 +1310,7 @@ class ConsistencyChecker:
         rule uses the same `types` that close and pool f for grounding.
         """
         g = normalize(push_quantifiers(f, types))
-        return _BddSimplifier(BDD_MAX_ATOMS).decide(g)
+        return _BddSimplifier(BDD_MAX_ATOMS, self).decide(g)
 
 
 def _scan_types(f: Formula, universal: Mapping[str, Optional[str]], binders: set, nonmono: set):
@@ -1430,55 +1441,94 @@ def _spend(left: list):
     left[0] -= 1
 
 
-def _ground_expand(f: Formula, pools: Mapping, binding: dict, dag: _GroundDag, left: list) -> int:
-    _spend(left)
+def _ground_plan(f: Formula) -> Callable:
+    """Closed f compiled into `(pools, dag, left) -> root node`, one call per grounding.
+
+    The `compile_query` idiom over the ground DAG: each subformula becomes a
+    closure over environment slots for its variables and named objects, and
+    structurally equal subformulas share one id.  A subformula compiles when
+    a grounding first reaches it, so a branch that is never reached costs
+    nothing.  Within one grounding each (id, values of the subformula's free
+    variables) is expanded once and spends one budget unit; a repeat reads
+    the grounding's memo for free.  The tree walk this replaced made no node
+    on a repeat either, so the DAG is the same, node for node.
+    """
+    init: list = []  # the environment a grounding starts from; compiling appends slots
+    root = _ground_node(f, {}, ({}, {}, init))
+    return lambda pools, dag, left: root(list(init), (pools, dag, left, {}))
+
+
+def _ground_node(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Callable:
+    """`(env, run) -> DAG node` for f; ctx is the plan's (fixed, ids, init), run (pools, dag, left, memo)."""
+    compiled: list = []  # id, key of the free variables' values, expansion: filled when first reached
+
+    def memoised(env, run):
+        if not compiled:
+            fixed, ids, init = ctx
+            slots = [_slot(Var(v), scope, fixed, init) for v in sorted(free_vars(f))]
+            compiled.extend((ids.setdefault(f, len(ids)), _gather(slots), _ground_expansion(f, scope, ctx)))
+            env.extend(init[len(env) :])
+        uid, key, expand = compiled
+        k = (uid, key(env))
+        got = run[3].get(k)
+        if got is None:
+            _spend(run[2])
+            got = run[3][k] = expand(env, run)
+        return got
+
+    return memoised
+
+
+def _ground_expansion(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Callable:
+    """`(env, run) -> DAG node` that expands f once, its subformulas through their own memoised nodes."""
+    fixed, _, init = ctx
     if isinstance(f, Bool):
-        return _G_TRUE if f.value else _G_FALSE
+        nid = _G_TRUE if f.value else _G_FALSE
+        return lambda env, run: nid
     if isinstance(f, Atom):
-        names = []
-        for a in f.args:
-            if isinstance(a, Var):
-                names.append(binding[a.name])
-            elif isinstance(a, Obj):
-                names.append(a.name)
-            else:
-                raise LogicError(f"action term {a.name} in a state formula")
-        return dag.atom((f.pred, *names))
+        init.append(f.pred)  # its own slot, as in `_node`
+        payload = _gather([len(init) - 1] + [_slot(a, scope, fixed, init) for a in f.args])
+        return lambda env, run: run[1].atom(payload(env))
     if isinstance(f, Eq):
-        def name_of(t):
-            if isinstance(t, Var):
-                return binding[t.name]
-            if isinstance(t, Obj):
-                return t.name
-            raise LogicError(f"action term {t.name} in a state formula")
-        return _G_TRUE if name_of(f.left) == name_of(f.right) else _G_FALSE
+        i, j = _slot(f.left, scope, fixed, init), _slot(f.right, scope, fixed, init)
+        return lambda env, run: _G_TRUE if env[i] == env[j] else _G_FALSE
     if isinstance(f, Not):
-        return dag.neg(_ground_expand(f.sub, pools, binding, dag, left))
-    if isinstance(f, (And, Or)):
-        kind = "and" if isinstance(f, And) else "or"
-        absorber = _G_FALSE if kind == "and" else _G_TRUE
-        ids = []
-        for p in f.parts:
-            g = _ground_expand(p, pools, binding, dag, left)
-            if g == absorber:
-                return absorber
-            ids.append(g)
-        return dag.junction(kind, ids)
+        sub = _ground_node(f.sub, scope, ctx)
+        return lambda env, run: run[1].neg(sub(env, run))
     if isinstance(f, Implies):
-        return _ground_expand(Or((Not(f.lhs), f.rhs)), pools, binding, dag, left)
+        return _ground_expansion(Or((Not(f.lhs), f.rhs)), scope, ctx)
+    if isinstance(f, (And, Or)):
+        parts = [_ground_node(p, scope, ctx) for p in f.parts]
+        kind, absorber = ("and", _G_FALSE) if isinstance(f, And) else ("or", _G_TRUE)
+
+        def junction(env, run):
+            out = []
+            for p in parts:
+                g = p(env, run)
+                if g == absorber:
+                    return absorber
+                out.append(g)
+            return run[1].junction(kind, out)
+
+        return junction
     if isinstance(f, (Exists, Forall)):
-        pool = pools.get(f.vtype)
-        if pool is None:
-            pool = pools[None]
-        kind = "or" if isinstance(f, Exists) else "and"
-        absorber = _G_TRUE if isinstance(f, Exists) else _G_FALSE
-        ids = []
-        for o in pool:
-            g = _ground_expand(f.body, pools, {**binding, f.var: o}, dag, left)
-            if g == absorber:
-                return absorber
-            ids.append(g)
-        return dag.junction(kind, ids)
+        s, vtype = len(init), f.vtype
+        init.append(None)
+        body = _ground_node(f.body, {**scope, f.var: s}, ctx)
+        kind, absorber = ("or", _G_TRUE) if isinstance(f, Exists) else ("and", _G_FALSE)
+
+        def quantifier(env, run):
+            pool = run[0].get(vtype)
+            out = []
+            for o in run[0][None] if pool is None else pool:
+                env[s] = o
+                g = body(env, run)
+                if g == absorber:
+                    return absorber
+                out.append(g)
+            return run[1].junction(kind, out)
+
+        return quantifier
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -1695,19 +1745,21 @@ class _AtomLimit(Exception):
 
 
 class _BddSimplifier:
-    """Memo tables of one `simplify_bdd` or `disjoint_regions` call, dropped when it returns.
+    """The BDD passes over a checker's canonical-atom and dual tables, which live as long as it.
 
-    Keyed by formula, they hold each opaque subformula's BDD atom and each
-    atom's negation dual, so an atom that repeats, recurs at a nested
-    quantifier level, or recurs in a later region, is canonicalised once.
+    Keyed by formula, the tables hold each opaque subformula's BDD atom and
+    each atom's negation dual, so an atom that repeats, recurs at a nested
+    quantifier level, or recurs in a later region or a later call through
+    the same checker, is canonicalised once.  Without a checker the tables
+    are a fresh checker's, dropped when the call returns.
     """
 
     tree_limit = 10_000  # read-back tree nodes; tier-1 tests reach 4,224, cold solves 117
 
-    def __init__(self, max_atoms: int):
+    def __init__(self, max_atoms: int, checker: Optional[ConsistencyChecker] = None):
+        owner = checker or ConsistencyChecker()
         self.max_atoms = max_atoms
-        self.keys: dict = {}
-        self.duals: dict = {}
+        self.keys, self.duals, self.stats = owner._atom_keys, owner._duals, owner.stats
 
     def atom_key(self, f: Formula) -> tuple[Formula, bool]:
         """Canonical polarity for an opaque subformula.
@@ -1719,6 +1771,7 @@ class _BddSimplifier:
         """
         got = self.keys.get(f)
         if got is None:
+            self.stats.atoms += 1
             pos = normalize(f)
             neg = self.dual(pos)
             got = (neg, True) if sort_key(neg) < sort_key(pos) else (pos, False)
@@ -1816,7 +1869,7 @@ class _BddSimplifier:
         return f
 
 
-def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS) -> Formula:
+def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS, checker: Optional[ConsistencyChecker] = None) -> Formula:
     """Boolean simplification that treats quantified subformulas as atoms.
 
     Quantifiers are first pushed inward (with one-point elimination of
@@ -1828,20 +1881,24 @@ def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS) -> Formula:
     consistency checker's lifted pass is the typed path.  When the atom
     count exceeds `max_atoms`, or the read-back unfolds into more than
     `_BddSimplifier.tree_limit` nodes, the input is returned unchanged.
+    Atoms are canonicalised through `checker`'s tables when it is given, so
+    a call repeats none of the work of earlier calls through that checker;
+    the result is the same either way.
     """
-    s = _BddSimplifier(max_atoms)
+    s = _BddSimplifier(max_atoms, checker)
     g = s.reduce(s.prepare(f))
     return f if g is None else normalize(g)
 
 
-def disjoint_regions(formulas: Sequence[Formula]) -> list:
+def disjoint_regions(formulas: Sequence[Formula], checker: Optional[ConsistencyChecker] = None) -> list:
     """Each φ_i ∧ ¬φ_1 ∧ … ∧ ¬φ_{i-1}, unnormalised, over one BDD and a running cover.
 
     Each φ_i is prepared as in `simplify_bdd` and compiled once; an empty region
     is FALSE.  Past `BDD_MAX_ATOMS` or `_BddSimplifier.tree_limit` a region is
-    the conjunction itself, which is what `simplify_bdd` returns for it.
+    the conjunction itself, which is what `simplify_bdd` returns for it.  As
+    there, `checker`'s atom tables are used when it is given.
     """
-    s, bdd, order, index, memo = _BddSimplifier(BDD_MAX_ATOMS), _Bdd(), [], {}, {}
+    s, bdd, order, index, memo = _BddSimplifier(BDD_MAX_ATOMS, checker), _Bdd(), [], {}, {}
     covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out
     for i, f in enumerate(formulas):
         try:

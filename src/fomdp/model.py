@@ -222,7 +222,7 @@ class LinearValueFunction:
     def flatten(self, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
         """⊕_i w_i · bCase_i as one partitioned case."""
         scaled = [scale_case(b, w) for w, b in zip(self.weights, self.bases)]
-        return merge_equal_values(cross_sum(scaled, checker))
+        return merge_equal_values(cross_sum(scaled, checker), checker)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ class BackedUpLinear:
         if len(w) != len(self.fodtrs):
             raise ModelError("weight count mismatch in backed-up flatten")
         parts = [self.reward] + [scale_case(f, wi) for wi, f in zip(w, self.fodtrs)]
-        return merge_equal_values(cross_sum(parts, checker))
+        return merge_equal_values(cross_sum(parts, checker), checker)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def fodtr(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseSt
         reg = regress_case(v, act, model.ssas, model.fluent_names(), model.checker)
         terms.append(combine("multiply", ch.pcase, reg, model.checker))
     out = cross_sum(terms, model.checker)
-    return merge_equal_values(scale_case(out, model.discount))
+    return merge_equal_values(scale_case(out, model.discount), model.checker)
 
 
 def backup_param(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseStatement:

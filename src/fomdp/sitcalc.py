@@ -20,6 +20,7 @@ from .logic import (
     And,
     Atom,
     Bool,
+    ConsistencyChecker,
     Eq,
     Exists,
     FALSE,
@@ -153,18 +154,20 @@ def regress(
     ssas: Mapping[str, SuccessorStateAxiom],
     fluents: Optional[Iterable[str]] = None,
     simplify: bool = True,
+    checker: Optional[ConsistencyChecker] = None,
 ) -> Formula:
     """Pre-action formula equivalent to f holding after doing act.
 
     Fluent atoms are replaced by their axiom bodies (statics pass through),
     action equalities are resolved against act, and the result is normalized
-    and simplified.  `fluents`, when given, lists every predicate that must
-    have an axiom; atoms of unlisted predicates are treated as static.
+    and simplified (`simplify_bdd`, through `checker`'s atom tables when it
+    is given).  `fluents`, when given, lists every predicate that must have
+    an axiom; atoms of unlisted predicates are treated as static.
     """
     declared = frozenset(fluents) if fluents is not None else None
     g = _regress_raw(f, act, ssas, declared)
     g = normalize(g)
-    return simplify_bdd(g) if simplify else g
+    return simplify_bdd(g, checker=checker) if simplify else g
 
 
 def _regress_raw(f: Formula, act: ActTerm, ssas, declared) -> Formula:

@@ -16,7 +16,7 @@ import pytest
 
 import state_reference as reference
 from bdd_reference import reference_simplify_bdd
-from checker_reference import ReferenceChecker
+from checker_reference import ReferenceChecker, every_grounding, reference_ground_expand
 from fomdp.logic import (
     FALSE,
     TRUE,
@@ -41,8 +41,11 @@ from fomdp.logic import (
     UnboundVariableError,
     Universe,
     Var,
+    _GroundDag,
+    _ground_plan,
     _scan_types,
     compile_query,
+    disjoint_regions,
     eval_in_state,
     format_formula,
     free_vars,
@@ -668,6 +671,27 @@ def test_checker_grounds_each_size_combination_once(text, groundings, skipped):
     assert (chk.stats.groundings, chk.stats.skipped) == (groundings, skipped)
 
 
+def test_ground_plan_builds_the_reference_dag():
+    # one plan per formula, run at every size combination: the same root and the
+    # same DAG, node for node, as the tree walk, for no more budget units
+    formulas = typed_corpus(37, 160) + non_monotone_probes() + corpus()
+    walked = planned = 0
+    for f in formulas + [normalize(f) for f in formulas]:
+        _, closed, groundings = every_grounding(f, TYPED_SIG, 3)
+        ground = _ground_plan(closed)
+        for pools in groundings:
+            want, got = _GroundDag(), _GroundDag()
+            left_want, left_got = [10**9], [10**9]
+            root = reference_ground_expand(closed, pools, {}, want, left_want)
+            assert ground(pools, got, left_got) == root, format_formula(f)
+            assert (got.kind, got.data, got.watch) == (want.kind, want.data, want.watch), format_formula(f)
+            assert left_got[0] >= left_want[0]
+            walked += 10**9 - left_want[0]
+            planned += 10**9 - left_got[0]
+    # repeats are most of the tree walk's expansions
+    assert planned * 2 < walked
+
+
 # ---------------------------------------------------------------------------
 # compiled queries against the product-over-pools evaluator
 
@@ -912,3 +936,36 @@ def test_simplify_matches_two_pass_reference(max_atoms):
         overflowed += want is twin and not isinstance(twin, Bool)
     assert overflowed >= 5
 
+
+
+def test_shared_atom_tables_change_no_output():
+    # a checker's atom tables, warm from earlier calls and lifted passes in any
+    # order, give what fresh per-call tables give; each run gets its own copy of
+    # the inputs, so equal formulas meet the tables as different objects
+    def inputs() -> list:
+        formulas = bdd_corpus(13) + typed_corpus(13, 120)
+        return formulas + [formulas[i : i + 4] + [alpha_variant(formulas[i])] for i in range(0, len(formulas), 4)]
+
+    def run(order, checker) -> dict:
+        items, out = inputs(), {}
+        for i in order:
+            if isinstance(items[i], list):
+                out[i] = disjoint_regions(items[i], checker)
+                continue
+            if checker is not None:
+                checker.check(items[i])  # the lifted pass shares the tables too
+            out[i] = simplify_bdd(items[i], checker=checker)
+        return out
+
+    n = len(inputs())
+    fresh = run(range(n), None)
+    chk = ConsistencyChecker(signature=TYPED_SIG)
+    misses = []
+    for seed in (1, 2):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        assert run(order, chk) == fresh
+        misses.append(chk.stats.atoms - sum(misses))
+    assert chk.stats.lifted_attempts > 0
+    # the second pass finds almost every atom in the table
+    assert misses[1] * 10 < misses[0]
