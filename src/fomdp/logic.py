@@ -8,9 +8,10 @@ canonical normal form used as the identity of a formula everywhere else in
 the package, closed-world evaluation against ground states, and a
 bounded-domain satisfiability check that the case algebra uses to prune
 impossible partitions.  Ground states have one evaluator, the index-join
-plans of `compile_query`; `eval_in_state` and `satisfying_bindings` compile
-one per call, so an unbound variable or an action term raises when the
-formula compiles, whatever the state.
+plans of `compile_query`, generated as Python source and compiled once;
+callers keep them, and `eval_in_state` and `satisfying_bindings` compile
+one per call, for one-off use.  An unbound variable or an action term
+raises when the formula compiles, whatever the state.
 """
 
 from __future__ import annotations
@@ -880,9 +881,9 @@ def make_state(atoms: Iterable[tuple], universe: Universe) -> GroundState:
 def eval_in_state(f: Formula, state: GroundState, binding: Optional[Mapping[str, str]] = None) -> bool:
     """Closed-world truth of f in a ground state under a variable binding.
 
-    The bound variables become objects and f runs as a `compile_query` plan
-    on a fresh `StateIndex`.  A free variable outside the binding, or an
-    action term, raises when f compiles, whatever the state.
+    For one-off use: the bound variables become objects and f compiles into
+    a `compile_query` plan run once on a fresh `StateIndex`.  A free
+    variable outside the binding, or an action term, raises when f compiles.
     """
     g = substitute(f, {v: Obj(o) for v, o in (binding or {}).items()})
     return bool(compile_query(g)(StateIndex(state)))
@@ -891,7 +892,7 @@ def eval_in_state(f: Formula, state: GroundState, binding: Optional[Mapping[str,
 def satisfying_bindings(
     f: Formula, state: GroundState, variables: Sequence[tuple[str, Optional[str]]]
 ) -> list[dict]:
-    """All bindings of `variables` satisfying f, in lexicographic object order."""
+    """All bindings of `variables` satisfying f, in lexicographic object order; for one-off use."""
     names = [name for name, _ in variables]
     return [dict(zip(names, combo)) for combo in compile_query(f, variables)(StateIndex(state))]
 
@@ -900,22 +901,29 @@ def satisfying_bindings(
 # compiled queries: conjunctive plans evaluated against an indexed state
 
 
+class _Pools(dict):
+    """Object pool per type of a universe, looked up on first use."""
+
+    def __init__(self, universe: Universe):
+        self.universe = universe
+
+    def __missing__(self, vtype: Optional[str]) -> tuple:
+        pool = self[vtype] = self.universe.pool(vtype)
+        return pool
+
+
 class StateIndex:
     """A ground state prepared for compiled queries; build one per state.
 
-    Pools and columns fill on first use.  `column(pred, pos)` maps the other
-    arguments of every `pred` atom to the objects at argument `pos`.
+    `pools[type]` (LogicError for an undeclared type) and columns fill on
+    first use.  `column(pred, pos)` maps the other arguments of every `pred`
+    atom to the objects at argument `pos`.
     """
 
     def __init__(self, state: GroundState):
         self.atoms, self.universe = state.atoms, state.universe
-        self._pools: dict = {}
+        self.pools = _Pools(state.universe)
         self._columns: dict = {}
-
-    def pool(self, vtype: Optional[str]) -> tuple:
-        if vtype not in self._pools:
-            self._pools[vtype] = self.universe.pool(vtype)
-        return self._pools[vtype]
 
     def column(self, pred: str, pos: int) -> dict:
         if (pred, pos) not in self._columns:
@@ -926,53 +934,142 @@ class StateIndex:
         return self._columns[(pred, pos)]
 
 
+_MAX_NESTING = 40  # parentheses in one generated expression; the parser fails near 200
+
+
 def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -> Callable:
     """Plan `(index, args) -> list of tuples` of the `variables` satisfying f.
 
-    The package's one evaluator of formulas in ground states: `eval_in_state`
-    and `satisfying_bindings` compile a plan per call.  `params` names
-    objects of f that each call binds to its `args`, so one plan answers for
-    every renaming `replace_objects(f, zip(params, args))`.  Top-level
-    conjuncts without a variable are tested first, once.  Each variable then
-    takes its candidates from the state's atoms, through a top-level atom
-    whose other arguments are bound, and every other conjunct filters at the
-    first variable that binds all of its own.  Tuples come in lexicographic
-    order of the variables' pools.  A free variable outside `variables`
-    raises UnboundVariableError, and an action term LogicError, here rather
-    than when a call reaches them.  The plan's closures hold no function
-    that refers to itself, so compiling leaves no reference cycles.
+    The package's one evaluator of formulas in ground states, generated as
+    Python source and compiled once.  `params` names objects of f that each
+    call binds to its `args`, so one plan answers for every renaming
+    `replace_objects(f, zip(params, args))`.  Top-level conjuncts without a
+    variable are tested first, once.  Then one loop per variable takes its
+    candidates from its pool, through a `StateIndex.column` of a top-level
+    atom whose other arguments are bound, and every other conjunct filters
+    at the first variable that binds all of its own, as one inline boolean
+    expression.  Tuples come in lexicographic order of the variables' pools.
+    A free variable outside `variables` raises UnboundVariableError, and an
+    action term LogicError, here; a wrong number of `args` raises
+    LogicError, and an undeclared quantifier type when a call reaches it.
     """
     variables, params = tuple(variables), tuple(params)
     names = [n for n, _ in variables]
     if len(set(names)) != len(names):
         raise LogicError(f"query variables {names} repeat a name")
-    k = len(names)
-    top = {n: i for i, n in enumerate(names)}
-    fixed = {p: k + i for i, p in enumerate(params)}  # slot of each parameter or constant
-    init: list = [None] * (k + len(params))  # the environment a call starts from
-    hoisted, levels = [], [[None, [], t] for _, t in variables]  # per variable: binder, filters, type
-    for c in _conjuncts(f):
-        last = max((top[v] for v in free_vars(c) if v in top), default=None)
-        if last is None:
-            hoisted.append(_node(c, top, fixed, init))
-        elif levels[last][0] is None and (bind := _binder(c, Var(names[last]), last, top, fixed, init)):
-            levels[last][0] = bind
+    return _QueryWriter(variables, params).plan(f)
+
+
+def _literal(name: Optional[str]) -> str:
+    """Source literal of a predicate, object or type name (None: the untyped pool)."""
+    if name is not None and not isinstance(name, str):
+        raise LogicError(f"name {name!r} is not a string")
+    return "None" if name is None else str.__repr__(name)
+
+
+def _tuple(items: list) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+class _QueryWriter:
+    """Writes one `compile_query` plan as the source of a factory of functions.
+
+    Names from the formula enter the source only as string literals, so
+    none runs as code; variables, parameters and helpers get generated
+    identifiers (`v`, `a`, `q`, `h` and a number).  Helpers are closures of
+    the factory, which is dropped once it has made the plan, so the plan
+    holds no reference cycle.
+    """
+
+    def __init__(self, variables: tuple, params: tuple):
+        self.variables = variables
+        self.where = {n: i for i, (n, _) in enumerate(variables)}
+        self.top = {n: f"v{i}" for n, i in self.where.items()}
+        self.args = [f"a{i}" for i in range(len(params))]
+        self.params = dict(zip(params, self.args))  # a repeated name takes its last slot
+        self.lines: list = []  # source of the factory's functions
+        self.fresh = itertools.count()
+
+    def plan(self, f: Formula) -> Callable:
+        hoisted, levels = [], [[None, []] for _ in self.variables]  # per variable: binder, filters
+        for c in _conjuncts(f):
+            last = max((self.where[v] for v in free_vars(c) if v in self.where), default=None)
+            if last is None:
+                hoisted.append(self.expr(c, self.top)[0])
+            elif levels[last][0] is None and (bind := self.binder(c, last)):
+                levels[last][0] = bind
+            else:
+                levels[last][1].append(self.expr(c, self.top)[0])
+        loops = []  # clauses of one comprehension, which nests any number of loops
+        for i, (bind, filters) in enumerate(levels):
+            if bind:
+                loops.append(f"for s{i} in [{bind}]")
+                filters = [f"v{i} in s{i}", *filters]
+            loops += [f"for v{i} in t{i}", f"if {' and '.join(filters)}"] if filters else [f"for v{i} in t{i}"]
+        m = len(self.args)
+        body = [f"if len(args) != {m}:"]
+        body.append(f"    raise LogicError('query takes {m} parameters, got %d' % len(args))")
+        body += [f"{', '.join(self.args)}, = args"] if m else []
+        body.append("atoms, pools, column = ix.atoms, ix.pools, ix.column")
+        # every variable's pool first: an undeclared type raises even when nothing matches
+        body += [f"t{i} = pools[{_literal(vtype)}]" for i, (_, vtype) in enumerate(self.variables)]
+        body += [f"if not ({' and '.join(hoisted)}):", "    return []"] if hoisted else []
+        body.append(f"return [{_tuple([f'v{i}' for i in range(len(levels))])} {' '.join(loops)}]")
+        self.lines += ["    def plan(ix, args=()):", *(f"        {line}" for line in body)]
+        namespace = {"LogicError": LogicError}
+        exec(compile("\n".join(["def make():", *self.lines, "    return plan"]), "<query>", "exec"), namespace)
+        return namespace.pop("make")()
+
+    def binder(self, c: Formula, i: int) -> Optional[str]:
+        """Objects for variable i that make atom c true once earlier variables are bound."""
+        v = Var(self.variables[i][0])
+        if isinstance(c, Atom) and c.args.count(v) == 1:
+            pos = c.args.index(v)
+            rest = c.args[:pos] + c.args[pos + 1 :]
+            if all(isinstance(t, Obj) or self.where.get(t.name, i) < i for t in rest):
+                key = _tuple([self.term(t, self.top) for t in rest])
+                return f"column({_literal(c.pred)}, {pos}).get({key}, ())"
+        return None
+
+    def term(self, t: Term, scope: Mapping[str, str]) -> str:
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise UnboundVariableError(f"variable {t.name} is not bound")
+            return scope[t.name]
+        if isinstance(t, ActTerm):
+            raise LogicError(f"action term {t.name} in a state formula")
+        return self.params.get(t.name) or _literal(t.name)
+
+    def expr(self, g: Formula, scope: Mapping[str, str]) -> tuple:
+        """A Python expression for g and its nesting depth."""
+        if isinstance(g, Bool):
+            return str(bool(g.value)), 0
+        if isinstance(g, Atom):
+            return f"{_tuple([_literal(g.pred), *(self.term(a, scope) for a in g.args)])} in atoms", 1
+        if isinstance(g, Eq):
+            return f"{self.term(g.left, scope)} == {self.term(g.right, scope)}", 0
+        if isinstance(g, Implies):
+            g = Or((Not(g.lhs), g.rhs))
+        if isinstance(g, Not):
+            sub, depth = self.expr(g.sub, scope)
+            src = f"(not {sub})"
+        elif isinstance(g, (And, Or)):
+            parts = [self.expr(p, scope) for p in g.parts] or [(str(isinstance(g, And)), 0)]
+            src = "(" + (" and " if isinstance(g, And) else " or ").join(s for s, _ in parts) + ")"
+            depth = max(d for _, d in parts)
+        elif isinstance(g, (Exists, Forall)):
+            q = f"q{next(self.fresh)}"
+            body, depth = self.expr(g.body, {**scope, g.var: q})
+            src = f"{'any' if isinstance(g, Exists) else 'all'}({body} for {q} in pools[{_literal(g.vtype)}])"
         else:
-            levels[last][1].append(_node(c, top, fixed, init))
-
-    def run(ix: StateIndex, args: tuple = ()) -> list:
-        if len(args) != len(params):
-            raise LogicError(f"query takes {len(params)} parameters, got {len(args)}")
-        env = list(init)
-        env[k : k + len(args)] = args
-        for _, vtype in variables:
-            ix.pool(vtype)  # an undeclared type raises even when nothing matches
-        out: list = []
-        if all(c(env, ix) for c in hoisted):
-            _extend(0, env, ix, out, levels)
-        return out
-
-    return run
+            raise TypeError(f"not a formula: {g!r}")
+        if depth < _MAX_NESTING:
+            return src, depth + 1
+        # a helper function of g's free variables, in which nesting starts over
+        names = ["atoms", "pools", *self.args, *sorted(scope[v] for v in free_vars(g))]
+        call = f"h{next(self.fresh)}({', '.join(names)})"
+        self.lines += [f"    def {call}:", f"        return {src}"]
+        return call, 1
 
 
 def _conjuncts(g: Formula) -> list:
@@ -991,78 +1088,6 @@ def _slot(t: Term, scope: Mapping[str, int], fixed: dict, init: list) -> int:
         fixed[t.name] = len(init)
         init.append(t.name)
     return fixed[t.name]
-
-
-def _node(g: Formula, scope: Mapping[str, int], fixed: dict, init: list) -> Callable:
-    """`(env, index) -> bool` for g, with its variables at their `scope` slots."""
-    if isinstance(g, Bool):
-        return lambda env, ix, value=g.value: value
-    if isinstance(g, Atom):
-        init.append(g.pred)  # its own slot: a parameter may share the predicate's name
-        key = _gather([len(init) - 1] + [_slot(a, scope, fixed, init) for a in g.args])
-        return lambda env, ix: key(env) in ix.atoms
-    if isinstance(g, Eq):
-        i, j = _slot(g.left, scope, fixed, init), _slot(g.right, scope, fixed, init)
-        return lambda env, ix: env[i] == env[j]
-    if isinstance(g, Not):
-        sub = _node(g.sub, scope, fixed, init)
-        return lambda env, ix: not sub(env, ix)
-    if isinstance(g, Implies):
-        return _node(Or((Not(g.lhs), g.rhs)), scope, fixed, init)
-    if isinstance(g, (And, Or)):
-        parts, stop = [_node(p, scope, fixed, init) for p in g.parts], isinstance(g, Or)
-
-        def junction(env, ix):
-            for p in parts:
-                if p(env, ix) is stop:
-                    return stop
-            return not stop
-
-        return junction
-    if isinstance(g, (Exists, Forall)):
-        s, vtype, stop = len(init), g.vtype, isinstance(g, Exists)
-        init.append(None)
-        body = _node(g.body, {**scope, g.var: s}, fixed, init)
-
-        def quantifier(env, ix):
-            for o in ix.pool(vtype):
-                env[s] = o
-                if body(env, ix) is stop:
-                    return stop
-            return not stop
-
-        return quantifier
-    raise TypeError(f"not a formula: {g!r}")
-
-
-def _binder(c: Formula, v: Var, i: int, top: Mapping[str, int], fixed: dict, init: list) -> Optional[Callable]:
-    """Values of v, variable i, that make atom c true once earlier variables are bound."""
-    if isinstance(c, Atom) and c.args.count(v) == 1:
-        pos = c.args.index(v)
-        rest = c.args[:pos] + c.args[pos + 1 :]
-        if all(isinstance(t, Obj) or top.get(t.name, i) < i for t in rest):
-            pred, key = c.pred, _gather([_slot(t, top, fixed, init) for t in rest])
-            return lambda env, ix: ix.column(pred, pos).get(key(env), ())
-    return None
-
-
-def _extend(i: int, env: list, ix: StateIndex, out: list, levels: list):
-    """Append every binding of the variables from i on that passes the plan."""
-    if i == len(levels):
-        out.append(tuple(env[:i]))
-        return
-    bind, checks, vtype = levels[i]
-    candidates = ix.pool(vtype)
-    if bind is not None:
-        allowed = bind(env, ix)
-        candidates = [o for o in candidates if o in allowed]
-    for o in candidates:
-        env[i] = o
-        for c in checks:
-            if not c(env, ix):
-                break
-        else:
-            _extend(i + 1, env, ix, out, levels)
 
 
 def _gather(slots: Sequence[int]) -> Callable:
@@ -1486,7 +1511,7 @@ def _ground_expansion(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Calla
         nid = _G_TRUE if f.value else _G_FALSE
         return lambda env, run: nid
     if isinstance(f, Atom):
-        init.append(f.pred)  # its own slot, as in `_node`
+        init.append(f.pred)  # its own slot, holding the predicate's name
         payload = _gather([len(init) - 1] + [_slot(a, scope, fixed, init) for a in f.args])
         return lambda env, run: run[1].atom(payload(env))
     if isinstance(f, Eq):

@@ -12,8 +12,8 @@ source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .logic import (
     ActTerm,
@@ -32,11 +32,13 @@ from .logic import (
     Not,
     Obj,
     Or,
+    StateIndex,
     Var,
+    compile_query,
     conj,
     make_state,
     normalize,
-    satisfying_bindings,
+    objects_in,
     simplify_bdd,
     substitute,
 )
@@ -66,6 +68,8 @@ class SuccessorStateAxiom:
     params: tuple
     body: Formula
     action_var: str = "a"
+    # `query` plans by (action name, arity, argument types), compiled on first use
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._validate(self.body)
@@ -108,6 +112,20 @@ class SuccessorStateAxiom:
             if f.var == self.action_var:
                 raise RegressionError(f"axiom for {self.fluent} rebinds the action variable {a}")
             self._validate(f.body)
+
+    def query(self, name: str, arity: int, types: tuple) -> Callable:
+        """Plan of the fluent's tuples, of `types`, that hold after an action `name` of `arity`.
+
+        The action's arguments are the plan's parameters, on placeholders
+        longer than every object name of the body, so none clashes with one.
+        """
+        if (name, arity, types) not in self.plans:
+            prefix = "?" * (1 + max(map(len, objects_in(self.body)), default=0))
+            slots = tuple(f"{prefix}{i}" for i in range(arity))
+            act = ActTerm(name, tuple(map(Obj, slots)))
+            body = resolve_action_equalities(substitute(self.body, {self.action_var: act}))
+            self.plans[name, arity, types] = compile_query(body, tuple(zip(self.params, types)), slots)
+        return self.plans[name, arity, types]
 
     def instantiate(self, args: Sequence, act: ActTerm) -> Formula:
         """Body with parameters bound to args and the action fixed to act."""
@@ -204,20 +222,19 @@ def apply_action(
     """Successor ground state after executing a ground deterministic action.
 
     Each fluent's axiom body is evaluated in the current state for every
-    argument tuple; atoms of predicates without an axiom (statics) carry
-    over unchanged.  `signature` supplies argument types for enumeration.
+    argument tuple, through a plan compiled once per action name (`query`);
+    atoms of predicates without an axiom (statics) carry over unchanged.
+    `signature` supplies argument types for enumeration.
     """
     for t in act.args:
         if not isinstance(t, Obj):
             raise RegressionError(f"apply_action requires a ground action, got {act}")
     atoms = {a for a in state.atoms if a[0] not in ssas}
-    uni = state.universe
+    index, args = StateIndex(state), tuple(t.name for t in act.args)
     for fname in sorted(ssas):
         ssa = ssas[fname]
-        body = resolve_action_equalities(substitute(ssa.body, {ssa.action_var: act}))
         types = signature.get(fname) if signature else None
-        if types is None:
-            types = [None] * len(ssa.params)
-        for b in satisfying_bindings(body, state, tuple(zip(ssa.params, types))):
-            atoms.add((fname, *(b[p] for p in ssa.params)))
-    return make_state(atoms, uni)
+        types = (None,) * len(ssa.params) if types is None else tuple(types)
+        for combo in ssa.query(act.name, len(args), types)(index, args):
+            atoms.add((fname, *combo))
+    return make_state(atoms, state.universe)

@@ -9,7 +9,7 @@ reweighting LP restricted to the current policy's regions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from .cases import CaseStatement, Partition, cross_sum, exists_case, max_case
@@ -21,7 +21,7 @@ from .folp import (
     affine_case,
     solve_first_order_lp,
 )
-from .logic import TRUE, ConsistencyChecker, conj, eval_in_state, normalize, satisfying_bindings
+from .logic import TRUE, ConsistencyChecker, StateIndex, compile_query, conj, normalize
 from .model import FOMDPModel, LinearValueFunction, backup_linear
 
 
@@ -52,11 +52,15 @@ class PolicyCase:
     Every partition names its action template in the tag and keeps the open
     formula over the action parameters whose witnesses realize the region's
     value; `cell_exprs` maps (tag, witness body) back to the affine backup
-    expression the region came from.
+    expression the region came from.  Regions and witness bodies compile on
+    the first decision: solvers build many policies, decide with none, and a
+    region can take milliseconds to compile.
     """
 
     case: CaseStatement
     cell_exprs: tuple = ()
+    # per partition, in order: (tag, region query, witness query)
+    plans: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for p in self.case.partitions:
@@ -72,14 +76,20 @@ class PolicyCase:
         Exactly one region must hold; the binding is the lexicographically
         least witness of its open body over the state's object pools.
         """
-        hits = [p for p in self.case.partitions if eval_in_state(p.formula, state)]
+        if not self.plans:
+            parts = self.case.partitions
+            self.plans.extend(
+                [(p.tag, compile_query(p.formula), compile_query(p.bind_body, p.bind_vars)) for p in parts]
+            )
+        index = StateIndex(state)
+        hits = [(tag, witness) for tag, region, witness in self.plans if region(index)]
         if len(hits) != 1:
             raise SolverError(f"{len(hits)} policy regions hold at the state (expected 1)")
-        p = hits[0]
-        witnesses = satisfying_bindings(p.bind_body, state, p.bind_vars)
+        tag, witness = hits[0]
+        witnesses = witness(index)
         if not witnesses:
             raise SolverError("satisfied policy region has no parameter witness")
-        return p.tag, tuple(witnesses[0][n] for n, _ in p.bind_vars)
+        return tag, witnesses[0]
 
 
 def loss_bound(phi: float, gamma: float) -> float:

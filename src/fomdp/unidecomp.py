@@ -151,8 +151,12 @@ def substitute_goal(qset: GenericQSet, binding, universe: Universe = None) -> Ge
 
 def goal_satisfied(qset: GenericQSet, binding, state) -> bool:
     """The goal holds for `binding`; raises UnidecompError for objects outside its types."""
-    _binding_map(qset, binding, state.universe)
-    return bool(qset.goal_query(StateIndex(state), tuple(binding)))
+    return _goal_holds(qset, binding, StateIndex(state))
+
+
+def _goal_holds(qset: GenericQSet, binding, index: StateIndex) -> bool:
+    _binding_map(qset, binding, index.universe)
+    return bool(qset.goal_query(index, tuple(binding)))
 
 
 def score_actions(qset: GenericQSet, goals, state) -> dict:
@@ -161,13 +165,14 @@ def score_actions(qset: GenericQSet, goals, state) -> dict:
     Already-satisfied goals contribute the same constant to every action,
     so they are dropped before averaging.  Per goal and template a ground
     binding takes the best Q partition it satisfies; summing all satisfied
-    partitions would double-count overlapping existential regions.
+    partitions would double-count overlapping existential regions.  One
+    state index serves the goal tests and every query.
     """
-    unsat = [tuple(g) for g in goals if not goal_satisfied(qset, g, state)]
+    index = StateIndex(state)
+    unsat = [tuple(g) for g in goals if not _goal_holds(qset, g, index)]
     if not unsat:
         raise UnidecompError("every goal is already satisfied")
     n = len(unsat)
-    index = StateIndex(state)
     scores: dict = {}
     for g in unsat:
         for name, parts in qset.plans:

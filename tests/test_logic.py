@@ -8,8 +8,10 @@ cases below were computed with these oracles and then frozen.
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -772,15 +774,122 @@ def test_evaluators_match_reference():
 
 def test_query_errors_and_name_clashes():
     state = StateIndex(make_state([("P", "b1")], Universe.of(QUERY_POOLS)))
+    empty = StateIndex(make_state([], Universe.of(QUERY_POOLS)))
     # a parameter named like a predicate rebinds only the object
     clash = compile_query(parse_formula("P(b) & b != P", objects=["P"]), [("b", "Box")], ("P",))
     assert clash(state, ("b2",)) == [("b1",)]
     with pytest.raises(UnboundVariableError):
         compile_query(parse_formula("P(b) & R(c)"), [("b", "Box")])
-    with pytest.raises(LogicError):
-        compile_query(parse_formula("P(b)"), [("b", "Box")], ("c1",))(state, ())
+    one_param = compile_query(parse_formula("P(b)"), [("b", "Box")], ("c1",))
+    for args in ((), ("c1", "c2")):
+        with pytest.raises(LogicError):
+            one_param(state, args)
     with pytest.raises(LogicError):
         compile_query(parse_formula("exists s: Ship. P(s)"))(state)
+    # an undeclared quantifier type raises only when evaluation reaches it
+    lazy = compile_query(parse_formula("!P(b1) | (exists s: Ship. P(s))", objects=["b1"]))
+    assert lazy(empty) == [()]
+    with pytest.raises(LogicError):
+        lazy(state)
+
+
+def test_deep_formulas_match_reference():
+    """About 450 alternating And/Or levels, quantifiers among them, past the parser's nesting limit."""
+    rng = random.Random(32)
+    quantified = {i: (f"d{i}", "Box" if i % 120 == 30 else "City") for i in range(30, 450, 60)}
+    f = Atom("In", (Var("b"), Var("c")))
+    for i in range(450):
+        scope = tuple(v for j, v in quantified.items() if j >= i)
+        f = (And if i % 2 else Or)((typed_formula(rng, 0, scope), f))
+        if i in quantified:
+            f = (Exists if i % 120 == 30 else Forall)(*quantified[i], f)
+    variables = [v for v in QUERY_VARS if v[0] in free_vars(f)]
+    query = compile_query(f, variables, QUERY_PARAMS)
+    cases = []
+    for _ in range(12):
+        state = query_state(rng)
+        args = (rng.choice(QUERY_POOLS["Box"]), rng.choice(QUERY_POOLS["City"]))
+        cases.append((state, args, query(StateIndex(state), args)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))  # the reference interpreter recurses per level
+    try:
+        for state, args, got in cases:
+            g = replace_objects(f, dict(zip(QUERY_PARAMS, args)))
+            want = reference.satisfying_bindings(g, state, variables)
+            assert got == [tuple(b[n] for n, _ in variables) for b in want]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 0 < sum(bool(got) for _, _, got in cases) < 12
+
+
+def test_query_with_many_variables():
+    """More variables than CPython nests loops in one function."""
+    variables = [(f"x{i}", "Box") for i in range(24)]
+    chain = [Eq(Var(f"x{i}"), Var(f"x{i + 1}")) for i in range(23)]
+    f = And((*chain, Atom("P", (Var("x0"),)), Atom("In", (Var("x23"), Obj("c1")))))
+    atoms = [("P", "b1"), ("P", "b2"), ("In", "b2", "c1"), ("In", "b3", "c1")]
+    got = compile_query(f, variables)(StateIndex(make_state(atoms, Universe.of(QUERY_POOLS))))
+    assert got == [("b2",) * 24]
+
+
+# names that close a string literal, escape, break the line or are code themselves
+HOSTILE = {
+    "P": 'P", __import__("builtins").setattr(__import__("builtins"), "HOSTILE_RAN", 1), "',
+    "R": "R'] or __import__('os') or ['",
+    "In": "In\\",
+    "K": "K\n)\nimport os\n(",
+    "Box": "Box')), __import__('builtins').setattr(__import__('builtins'), 'HOSTILE_RAN', 1), (('",
+    "City": 'City"""',
+    "Truck": "Truck\\'",
+    "b1": '__import__("builtins").setattr(__import__("builtins"), "HOSTILE_RAN", 1)',
+    "c1": "c1' + '",
+    "k1": "k\x00\u00e9\r",
+    "o1": "o1 == o1",
+    "b": "b) or (1",
+    "c": "lambda: 0",
+    "k": "k\n",
+    "u": "__import__",
+}
+
+
+def hostile(name: str) -> str:
+    return HOSTILE.get(name, name + '", __import__("os"), "')
+
+
+def renamed(f: Formula) -> Formula:
+    """f with every predicate, type, variable and object name made hostile."""
+    term = lambda t: type(t)(hostile(t.name))  # noqa: E731
+    if isinstance(f, Atom):
+        return Atom(hostile(f.pred), tuple(map(term, f.args)))
+    if isinstance(f, Eq):
+        return Eq(term(f.left), term(f.right))
+    if isinstance(f, Not):
+        return Not(renamed(f.sub))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(map(renamed, f.parts)))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(hostile(f.var), f.vtype and hostile(f.vtype), renamed(f.body))
+    return f
+
+
+def test_hostile_names_evaluate_as_data():
+    rng = random.Random(21)
+    pools = {hostile(t): tuple(map(hostile, objs)) for t, objs in QUERY_POOLS.items()}
+    ground = [(hostile(a[0]), *map(hostile, a[1:])) for a in QUERY_GROUND]
+    params = tuple(map(hostile, QUERY_PARAMS))
+    found = 0
+    for f in typed_corpus(23, 80):
+        g = renamed(f)
+        variables = [(hostile(n), t and hostile(t)) for n, t in QUERY_VARS if n in free_vars(f)]
+        query = compile_query(g, variables, params)
+        for _ in range(3):
+            state = make_state([a for a in ground if rng.random() < 0.4], Universe.of(pools))
+            args = (rng.choice(pools[hostile("Box")]), rng.choice(pools[hostile("City")]))
+            want = reference.satisfying_bindings(replace_objects(g, dict(zip(params, args))), state, variables)
+            assert query(StateIndex(state), args) == [tuple(b[n] for n, _ in variables) for b in want]
+            found += bool(want)
+    assert not hasattr(builtins, "HOSTILE_RAN")
+    assert 60 <= found <= 180
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ import random
 
 import pytest
 
+import state_reference as reference
+from conftest import ground_choice_actions
+from fomdp.domains import load_fixture
 from fomdp.logic import (
     ActTerm,
     And,
@@ -34,6 +37,7 @@ from fomdp.logic import (
     make_state,
     normalize,
     parse_formula,
+    substitute,
 )
 from fomdp.sitcalc import (
     RegressionError,
@@ -252,6 +256,38 @@ def test_apply_action_frame_and_effects():
     # failed variants change nothing
     same = apply_action(ActTerm("loadF", (Obj("box1"), Obj("tr1"), Obj("paris"))), s, BOX_SSAS, BOX_SIG)
     assert same.atoms == s.atoms
+
+
+def reference_apply(act, state, ssas, signature) -> frozenset:
+    """Successor atoms by substituting the action into each axiom, through the reference interpreter."""
+    atoms = {a for a in state.atoms if a[0] not in ssas}
+    for fname, ax in ssas.items():
+        body = resolve_action_equalities(substitute(ax.body, {ax.action_var: act}))
+        for b in reference.satisfying_bindings(body, state, tuple(zip(ax.params, signature[fname]))):
+            atoms.add((fname, *(b[p] for p in ax.params)))
+    return frozenset(atoms)
+
+
+@pytest.mark.parametrize("fixture", ["boxworld_mini", "blocksworld_mini"])
+def test_apply_action_matches_substituted_reference(fixture):
+    """Every ground action, repeated arguments included, on random states; one plan per action shape."""
+    model, _ = load_fixture(fixture)
+    sig = model.signature()
+    types = sorted({t for ts in sig.values() for t in ts})
+    count = 3 if len(types) == 1 else 2
+    universe = Universe.of({t: [f"{t.lower()}{i}" for i in range(count)] for t in types})
+    objs = [Obj(o) for o in universe.pool(None)]
+    acts = ground_choice_actions(model, universe) + [ActTerm("teleportS", (objs[0], objs[0], objs[-1]))]
+    ground = [(p, *c) for p, ts in sig.items() for c in itertools.product(*map(universe.pool, ts))]
+    rng = random.Random(17)
+    for _ in range(5):
+        state = make_state([a for a in ground if rng.random() < 0.4], universe)
+        for act in acts:
+            got = apply_action(act, state, model.ssas, sig)
+            assert got.atoms == reference_apply(act, state, model.ssas, sig), act
+    shapes = {(a.name, len(a.args)) for a in acts}
+    for fname, ax in model.ssas.items():
+        assert set(ax.plans) == {(*shape, sig[fname]) for shape in shapes}
 
 
 # ---------------------------------------------------------------------------

@@ -174,8 +174,11 @@ def test_policy_prefers_first_template_and_least_binding():
         c for c in product(*pools) if eval_in_state(hit[0].bind_body, state, dict(zip(names, c)))
     ]
     assert len(witnesses) > 1
+    assert not pol.plans  # extraction compiles nothing; the first decision does
     assert pol.decide(state) == (hit[0].tag, min(witnesses))
+    compiled = list(pol.plans)
     assert pol.decide(state) == ("drive", ("tr1", "paris", "paris"))
+    assert pol.plans == compiled and len(compiled) == len(pol.case.partitions)
 
 
 def test_policy_case_requires_tags_and_bodies():
