@@ -68,7 +68,7 @@ class SuccessorStateAxiom:
     params: tuple
     body: Formula
     action_var: str = "a"
-    # `query` plans by (action name, arity, argument types), compiled on first use
+    # `query` plans by (action name, arity, the fluent's argument types), compiled on first use
     plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

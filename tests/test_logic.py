@@ -858,7 +858,10 @@ def hostile(name: str) -> str:
 
 def renamed(f: Formula) -> Formula:
     """f with every predicate, type, variable and object name made hostile."""
-    term = lambda t: type(t)(hostile(t.name))  # noqa: E731
+
+    def term(t):
+        return type(t)(hostile(t.name))
+
     if isinstance(f, Atom):
         return Atom(hostile(f.pred), tuple(map(term, f.args)))
     if isinstance(f, Eq):
