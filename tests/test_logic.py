@@ -786,6 +786,8 @@ def test_query_errors_and_name_clashes():
             one_param(state, args)
     with pytest.raises(LogicError):
         compile_query(parse_formula("exists s: Ship. P(s)"))(state)
+    with pytest.raises(LogicError):  # names enter a plan only as string literals
+        compile_query(Atom("P", (Obj(3),)))
     # an undeclared quantifier type raises only when evaluation reaches it
     lazy = compile_query(parse_formula("!P(b1) | (exists s: Ship. P(s))", objects=["b1"]))
     assert lazy(empty) == [()]
