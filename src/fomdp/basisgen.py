@@ -99,7 +99,6 @@ def candidate_regressions(
     model: FOMDPModel,
     lvf: LinearValueFunction,
     ledger: Optional[DiscardLedger] = None,
-    checker: Optional[ConsistencyChecker] = None,
 ) -> list:
     """One-step reachability candidates from every positive-value region.
 
@@ -110,7 +109,7 @@ def candidate_regressions(
     ledgered, or equivalent at the bound to an existing positive region or
     an earlier candidate are dropped.
     """
-    chk = checker or model.checker
+    chk = model.checker
     heads = [p.formula for b in lvf.bases for p in b.partitions if p.value > 0.0]
     out: list = []
     for b in lvf.bases:
@@ -121,11 +120,11 @@ def candidate_regressions(
                 action = model.action(name)
                 x = action.param_vars()
                 reach = disj(
-                    regress(p.formula, ActTerm(ch.name, x), model.ssas, model.fluent_names(), checker=chk)
+                    regress(p.formula, ActTerm(ch.name, x), model.ssas, chk, model.fluent_names())
                     for ch in action.choices
                 )
                 raw = conj((Not(p.formula), exists_chain(action.params, reach)))
-                cand = normalize(simplify_bdd(normalize(raw), checker=chk))
+                cand = normalize(simplify_bdd(normalize(raw), chk))
                 if ledger is not None and cand in ledger:
                     continue
                 if chk.check(cand) is not True:
@@ -208,7 +207,7 @@ def _seed_entries(model: FOMDPModel, chk: ConsistencyChecker, include_constant: 
     return entries
 
 
-def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> tuple:
+def generate_basis(model: FOMDPModel, config: BasisGenConfig) -> tuple:
     """Grow an orthogonal basis by regressing valuable regions.
 
     Starts from the reward seeds, then alternates: derive reachability
@@ -219,7 +218,7 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> t
     at most `config.iters` solver calls.  Solver failures surface as
     BasisGenError carrying the partial result.
     """
-    chk = checker or model.checker
+    chk = model.checker
     ledger = DiscardLedger()
     rows: list = []
     entries = _seed_entries(model, chk, config.include_constant)
@@ -240,13 +239,13 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> t
         lvf = current()
         try:
             if config.solver == "foalp":
-                weights = foalp_solve(model, lvf, chk)
+                weights = foalp_solve(model, lvf)
                 objective = sum(
                     w * sum(p.value for p in e.case.partitions) / len(e.case.partitions)
                     for w, e in zip(weights, entries)
                 )
             else:
-                report = foapi_solve(model, lvf, config.api_iters, chk)
+                report = foapi_solve(model, lvf, config.api_iters)
                 weights = report.final_weights()
                 objective = report.phis[-1]
         except (SolverError, FOLPError, LPNumericalError) as exc:
@@ -277,10 +276,10 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig, checker=None) -> t
     fit(1)
     for it in range(2, config.iters + 1):
         added = 0
-        for core in candidate_regressions(model, current(), ledger, chk):
+        for core in candidate_regressions(model, current(), ledger):
             family = [e.head for e in entries if e.certified]
             full = normalize(
-                simplify_bdd(normalize(conj([core] + [Not(h) for h in family])), checker=chk)
+                simplify_bdd(normalize(conj([core] + [Not(h) for h in family])), chk)
             )
             disjoint = chk.check(full) is True and all(
                 chk.check(conj((full, h))) is False for h in family

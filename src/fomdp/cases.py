@@ -7,9 +7,7 @@ values (union semantics) from which `max_case` recovers a function.  All
 operators prune partitions whose formulas are unsatisfiable within the
 configured bound (`max_case` drops those its shared BDD proves empty before
 asking the checker) and simplify the survivors, which is what keeps symbolic
-dynamic programming tractable.  An operator called without a checker makes a
-fresh untyped `ConsistencyChecker()` for that call; callers holding a model
-pass its typed checker instead.
+dynamic programming tractable.
 
 Partitions may carry two pieces of bookkeeping used by policies: an action
 tag, and an open "binding body" over action-parameter variables recording,
@@ -95,8 +93,8 @@ class CaseStatement:
 
 def build_case(
     parts: Iterable[Partition],
+    checker: ConsistencyChecker,
     partitioned: bool = False,
-    checker: Optional[ConsistencyChecker] = None,
     simplify: bool = True,
 ) -> CaseStatement:
     """Construct a case, simplifying formulas and pruning inconsistent ones.
@@ -105,27 +103,26 @@ def build_case(
     (pruning must never be unsound).  The partitioned flag is the caller's assertion; dropping
     unsatisfiable partitions cannot break it.
     """
-    chk = checker or ConsistencyChecker()
     kept = []
     for p in parts:
-        f = simplify_bdd(normalize(p.formula), checker=chk) if simplify else normalize(p.formula)
+        f = simplify_bdd(normalize(p.formula), checker) if simplify else normalize(p.formula)
         if f == FALSE:
             continue
-        if f != TRUE and not chk.is_consistent(f):
+        if f != TRUE and not checker.is_consistent(f):
             continue
         kept.append(replace(p, formula=f))
     return CaseStatement(tuple(kept), partitioned)
 
 
-def case_of(pairs: Sequence, partitioned: bool = True, checker=None) -> CaseStatement:
+def case_of(pairs: Sequence, checker: ConsistencyChecker, partitioned: bool = True) -> CaseStatement:
     """Case from (formula, value) pairs."""
-    return build_case((Partition(f, float(v)) for f, v in pairs), partitioned, checker)
+    return build_case((Partition(f, float(v)) for f, v in pairs), checker, partitioned)
 
 
 def indicator_case(formula: Formula, value: float, checker: ConsistencyChecker) -> CaseStatement:
     """The partitioned case {φ : value ; ¬φ : 0}."""
     return build_case(
-        [Partition(formula, value), Partition(normalize(Not(formula)), 0.0)], True, checker
+        [Partition(formula, value), Partition(normalize(Not(formula)), 0.0)], checker, True
     )
 
 
@@ -144,7 +141,7 @@ def combine(
     op: str,
     c1: CaseStatement,
     c2: CaseStatement,
-    checker: Optional[ConsistencyChecker] = None,
+    checker: ConsistencyChecker,
 ) -> CaseStatement:
     """Cross-product of partitions with op applied to values.
 
@@ -166,10 +163,10 @@ def combine(
             out.append(
                 Partition(And((p.formula, q.formula)), fn(p.value, q.value), tag, bv, bb)
             )
-    return build_case(out, c1.partitioned and c2.partitioned, checker)
+    return build_case(out, checker, c1.partitioned and c2.partitioned)
 
 
-def cross_sum(cases: Sequence[CaseStatement], checker=None) -> CaseStatement:
+def cross_sum(cases: Sequence[CaseStatement], checker: ConsistencyChecker) -> CaseStatement:
     """⊕ over a list; the empty sum is {true: 0}."""
     out = None
     for c in cases:
@@ -182,12 +179,12 @@ def scale_case(c: CaseStatement, k: float) -> CaseStatement:
     return CaseStatement(tuple(replace(p, value=p.value * k) for p in c.partitions), c.partitioned)
 
 
-def merge_equal_values(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
+def merge_equal_values(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
     """Disjoin adjacent-in-sort partitions sharing value, tag, and bindings.
 
     Sound for both partitioned and union semantics; used to control growth
     in long ⊕ chains.  The merged formulas are simplified through
-    `checker`'s atom tables when it is given.
+    `checker`'s atom tables.
     """
     groups: dict = {}
     order = []
@@ -203,42 +200,34 @@ def merge_equal_values(c: CaseStatement, checker: Optional[ConsistencyChecker] =
         if len(ps) == 1:
             out.append(ps[0])
         else:
-            merged = simplify_bdd(normalize(Or(tuple(p.formula for p in ps))), checker=checker)
+            merged = simplify_bdd(normalize(Or(tuple(p.formula for p in ps))), checker)
             out.append(replace(ps[0], formula=merged))
     return CaseStatement(tuple(out), c.partitioned)
 
 
-def exists_case(
-    variables: Sequence,
-    c: CaseStatement,
-    checker: Optional[ConsistencyChecker] = None,
-    keep_bindings: bool = False,
-) -> CaseStatement:
+def exists_case(variables: Sequence, c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
     """∃x⃗ applied to every partition formula; values unchanged.
 
     Disjointness may be lost, so the partitioned flag is cleared (quantifying
-    over an empty variable list keeps it).  With keep_bindings the open
-    pre-quantification formula is retained on each partition so policies can
+    over an empty variable list keeps it).  The open pre-quantification
+    formula becomes each partition's binding body over x⃗, so policies can
     later enumerate witnessing instantiations.
     """
     variables = tuple((v, t) for v, t in variables)
     out = []
     for p in c.partitions:
-        open_body = simplify_bdd(normalize(p.formula), checker=checker)
-        closed = simplify_bdd(normalize(exists_chain(variables, p.formula)), checker=checker)
-        if keep_bindings:
-            out.append(Partition(closed, p.value, p.tag, variables, open_body))
-        else:
-            out.append(Partition(closed, p.value, p.tag, p.bind_vars, p.bind_body))
-    return build_case(out, c.partitioned if not variables else False, checker, simplify=False)
+        open_body = simplify_bdd(normalize(p.formula), checker)
+        closed = simplify_bdd(normalize(exists_chain(variables, p.formula)), checker)
+        out.append(Partition(closed, p.value, p.tag, variables, open_body))
+    return build_case(out, checker, c.partitioned if not variables else False, simplify=False)
 
 
 def regress_case(
     c: CaseStatement,
     act: ActTerm,
     ssas: Mapping[str, SuccessorStateAxiom],
+    checker: ConsistencyChecker,
     fluents: Optional[Iterable[str]] = None,
-    checker: Optional[ConsistencyChecker] = None,
 ) -> CaseStatement:
     """Per-partition regression through a deterministic action.
 
@@ -247,13 +236,13 @@ def regress_case(
     formula is pruned, so e.g. an unreachable branch disappears.
     """
     out = [
-        Partition(regress(p.formula, act, ssas, fluents, checker=checker), p.value, p.tag)
+        Partition(regress(p.formula, act, ssas, checker, fluents), p.value, p.tag)
         for p in c.partitions
     ]
-    return build_case(out, c.partitioned, checker, simplify=False)
+    return build_case(out, checker, c.partitioned, simplify=False)
 
 
-def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
+def max_case(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
     """Pointwise maximum of a union-semantics case.
 
     Partitions are ordered by value descending (ties by tag, then canonical
@@ -265,11 +254,10 @@ def max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> 
     read-back limit a region is the normalised conjunction.  The output is
     marked partitioned when the formulas cover every state at the bound.
     """
-    chk = checker or ConsistencyChecker()
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
-    covers = chk.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
-    regions = zip(ordered, disjoint_regions([p.formula for p in ordered], chk))
-    return build_case((replace(p, formula=f) for p, f in regions), covers, chk, simplify=False)
+    covers = checker.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
+    regions = zip(ordered, disjoint_regions([p.formula for p in ordered], checker))
+    return build_case((replace(p, formula=f) for p, f in regions), checker, covers, simplify=False)
 
 
 def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
@@ -329,16 +317,15 @@ def eval_max(
     return best
 
 
-def verify_partitioned(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> bool:
+def verify_partitioned(c: CaseStatement, checker: ConsistencyChecker) -> bool:
     """Pairwise-exclusive and exhaustive at the bound?"""
-    chk = checker or ConsistencyChecker()
     for i, p in enumerate(c.partitions):
         for q in c.partitions[i + 1 :]:
-            if chk.check(And((p.formula, q.formula))) is not False:
+            if checker.check(And((p.formula, q.formula))) is not False:
                 return False
     if not c.partitions:
         return False
-    return chk.is_valid(Or(tuple(p.formula for p in c.partitions)))
+    return checker.is_valid(Or(tuple(p.formula for p in c.partitions)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +363,11 @@ def parse_partitions(
 
 def parse_case(
     text: str,
+    checker: ConsistencyChecker,
     objects: Iterable[str] = (),
     act_names: Iterable[str] = (),
     signature: Optional[Mapping[str, Sequence]] = None,
     partitioned: bool = True,
-    checker: Optional[ConsistencyChecker] = None,
 ) -> CaseStatement:
     """Parse `{ formula : number ; ... }` into a case statement."""
-    return build_case(parse_partitions(text, objects, act_names, signature), partitioned, checker)
+    return build_case(parse_partitions(text, objects, act_names, signature), checker, partitioned)

@@ -190,7 +190,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     sig = signature() or None
 
     def case(text: str):
-        return build_case(parse_partitions(text, (), act_names, sig), True, checker)
+        return build_case(parse_partitions(text, (), act_names, sig), checker, True)
 
     if ureward is not None:
         uvars, goal_text, noop_v, act_v = ureward

@@ -401,12 +401,11 @@ def _search_cases(
 def search_schema(
     schema: ConstraintSchema,
     weights: Mapping[str, float],
-    checker: Optional[ConsistencyChecker] = None,
+    checker: ConsistencyChecker,
     tol: float = VIOLATION_TOL,
     exhaustive: bool = False,
 ) -> Optional[ViolatedConstraint]:
     """Most-violated consistent selection of one schema, or None within tol."""
-    chk = checker or ConsistencyChecker()
     cert = () if exhaustive else tuple(schema.certified)
     others = [i for i in range(len(schema.cases)) if i not in set(cert)]
     best: list = [None, None]
@@ -421,12 +420,12 @@ def search_schema(
         candidates = [{}]
     for cand in candidates:
         formulas = tuple(schema.cases[i].partitions[pi].formula for i, pi in cand.items())
-        if formulas and not chk.is_consistent(conj(formulas)):
+        if formulas and not checker.is_consistent(conj(formulas)):
             continue
         expr = LinExpr()
         for i, pi in cand.items():
             expr = expr + _as_expr(schema.cases[i].partitions[pi].value)
-        _search_cases(others, schema, weights, chk, dict(cand), formulas, expr, best)
+        _search_cases(others, schema, weights, checker, dict(cand), formulas, expr, best)
     if best[0] is None or best[0] <= tol:
         return None
     sel, expr = best[1]
@@ -436,7 +435,7 @@ def search_schema(
 def search_schemata(
     schemata: Sequence,
     weights: Mapping[str, float],
-    checker: Optional[ConsistencyChecker] = None,
+    checker: ConsistencyChecker,
     tol: float = VIOLATION_TOL,
 ) -> list:
     """Per-schema (violation, wall-ms) results, schema order preserved."""
@@ -498,12 +497,11 @@ def _seed_selection(
     return None
 
 
-def seed_rows(folp: FirstOrderLP, checker: Optional[ConsistencyChecker] = None) -> tuple:
+def seed_rows(folp: FirstOrderLP, checker: ConsistencyChecker) -> tuple:
     """(schema_id, selection, expr) for each schema's first consistent selection."""
-    chk = checker or ConsistencyChecker()
     out = []
     for schema in folp.schemata:
-        got = _seed_selection(schema, chk)
+        got = _seed_selection(schema, checker)
         if got is not None:
             sel, expr = got
             out.append((schema.schema_id, sel, expr))
@@ -512,16 +510,15 @@ def seed_rows(folp: FirstOrderLP, checker: Optional[ConsistencyChecker] = None) 
 
 def solve_first_order_lp(
     folp: FirstOrderLP,
-    checker: Optional[ConsistencyChecker] = None,
+    checker: ConsistencyChecker,
     tol: float = VIOLATION_TOL,
     max_iters: int = 1000,
 ) -> FOLPResult:
     """Constraint generation: LP-solve, add maximally violated rows, repeat."""
-    chk = checker or ConsistencyChecker()
     seen: set = set()
     rows: list = []
     stats: list = []
-    for sid, sel, expr in seed_rows(folp, chk):
+    for sid, sel, expr in seed_rows(folp, checker):
         key = (sid, sel)
         if key not in seen:
             seen.add(key)
@@ -540,7 +537,7 @@ def solve_first_order_lp(
             lp_objective = sol.objective
         added = 0
         stalled = False
-        found = search_schemata(folp.schemata, weights, chk, tol)
+        found = search_schemata(folp.schemata, weights, checker, tol)
         for schema, (vc, wall) in zip(folp.schemata, found):
             stats.append(
                 GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall)

@@ -832,6 +832,9 @@ def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
         body = _canon(f.body, {**env, f.var: fresh}, depth + 1)
         if isinstance(body, Bool):
             return body
+        if fresh not in free_vars(body):
+            # the variable went with the simplified body: bind the rest one level up
+            return _canon(body, {}, depth)
         return f if fresh == f.var and body is f.body else type(f)(fresh, f.vtype, body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -1775,16 +1778,14 @@ class _BddSimplifier:
     Keyed by formula, the tables hold each opaque subformula's BDD atom and
     each atom's negation dual, so an atom that repeats, recurs at a nested
     quantifier level, or recurs in a later region or a later call through
-    the same checker, is canonicalised once.  Without a checker the tables
-    are a fresh checker's, dropped when the call returns.
+    the same checker, is canonicalised once.
     """
 
     tree_limit = 10_000  # read-back tree nodes; tier-1 tests reach 4,224, cold solves 117
 
-    def __init__(self, max_atoms: int, checker: Optional[ConsistencyChecker] = None):
-        owner = checker or ConsistencyChecker()
+    def __init__(self, max_atoms: int, checker: ConsistencyChecker):
         self.max_atoms = max_atoms
-        self.keys, self.duals, self.stats = owner._atom_keys, owner._duals, owner.stats
+        self.keys, self.duals, self.stats = checker._atom_keys, checker._duals, checker.stats
 
     def atom_key(self, f: Formula) -> tuple[Formula, bool]:
         """Canonical polarity for an opaque subformula.
@@ -1894,7 +1895,7 @@ class _BddSimplifier:
         return f
 
 
-def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS, checker: Optional[ConsistencyChecker] = None) -> Formula:
+def simplify_bdd(f: Formula, checker: ConsistencyChecker, max_atoms: int = BDD_MAX_ATOMS) -> Formula:
     """Boolean simplification that treats quantified subformulas as atoms.
 
     Quantifiers are first pushed inward (with one-point elimination of
@@ -1906,22 +1907,22 @@ def simplify_bdd(f: Formula, max_atoms: int = BDD_MAX_ATOMS, checker: Optional[C
     consistency checker's lifted pass is the typed path.  When the atom
     count exceeds `max_atoms`, or the read-back unfolds into more than
     `_BddSimplifier.tree_limit` nodes, the input is returned unchanged.
-    Atoms are canonicalised through `checker`'s tables when it is given, so
-    a call repeats none of the work of earlier calls through that checker;
-    the result is the same either way.
+    Atoms are canonicalised through `checker`'s tables, so a call repeats
+    none of the work of earlier calls through that checker; the result does
+    not depend on what those tables already hold.
     """
     s = _BddSimplifier(max_atoms, checker)
     g = s.reduce(s.prepare(f))
     return f if g is None else normalize(g)
 
 
-def disjoint_regions(formulas: Sequence[Formula], checker: Optional[ConsistencyChecker] = None) -> list:
+def disjoint_regions(formulas: Sequence[Formula], checker: ConsistencyChecker) -> list:
     """Each φ_i ∧ ¬φ_1 ∧ … ∧ ¬φ_{i-1}, unnormalised, over one BDD and a running cover.
 
     Each φ_i is prepared as in `simplify_bdd` and compiled once; an empty region
     is FALSE.  Past `BDD_MAX_ATOMS` or `_BddSimplifier.tree_limit` a region is
     the conjunction itself, which is what `simplify_bdd` returns for it.  As
-    there, `checker`'s atom tables are used when it is given.
+    there, atoms are canonicalised through `checker`'s tables.
     """
     s, bdd, order, index, memo = _BddSimplifier(BDD_MAX_ATOMS, checker), _Bdd(), [], {}, {}
     covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out

@@ -219,7 +219,7 @@ class LinearValueFunction:
     def with_weights(self, weights: Sequence[float]) -> "LinearValueFunction":
         return LinearValueFunction(tuple(float(w) for w in weights), self.bases)
 
-    def flatten(self, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
+    def flatten(self, checker: ConsistencyChecker) -> CaseStatement:
         """⊕_i w_i · bCase_i as one partitioned case."""
         scaled = [scale_case(b, w) for w, b in zip(self.weights, self.bases)]
         return merge_equal_values(cross_sum(scaled, checker), checker)
@@ -241,8 +241,8 @@ class BackedUpLinear:
 
     def flatten(
         self,
+        checker: ConsistencyChecker,
         weights: Optional[Sequence[float]] = None,
-        checker: Optional[ConsistencyChecker] = None,
     ) -> CaseStatement:
         w = tuple(weights) if weights is not None else self.weights
         if len(w) != len(self.fodtrs):
@@ -263,7 +263,7 @@ def fodtr(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseSt
     terms = []
     for ch in action.choices:
         act = ActTerm(ch.name, x)
-        reg = regress_case(v, act, model.ssas, model.fluent_names(), model.checker)
+        reg = regress_case(v, act, model.ssas, model.checker, model.fluent_names())
         terms.append(combine("multiply", ch.pcase, reg, model.checker))
     out = cross_sum(terms, model.checker)
     return merge_equal_values(scale_case(out, model.discount), model.checker)
@@ -280,7 +280,7 @@ def backup_exists(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -
     tagged = CaseStatement(
         tuple(replace(p, tag=action.name) for p in q.partitions), q.partitioned
     )
-    return exists_case(action.params, tagged, model.checker, keep_bindings=True)
+    return exists_case(action.params, tagged, model.checker)
 
 
 def backup_max(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseStatement:

@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence
 
 from .cases import CaseStatement, Partition, cross_sum, exists_case, max_case
 from .folp import (
-    VIOLATION_TOL,
     ConstraintSchema,
     FirstOrderLP,
     LinExpr,
@@ -141,25 +140,20 @@ def _minus_bases(lvf: LinearValueFunction) -> tuple:
     return tuple(affine_case(b, _wvar(i), -1.0) for i, b in enumerate(lvf.bases))
 
 
-def foalp_lp(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    checker: Optional[ConsistencyChecker] = None,
-) -> FirstOrderLP:
+def foalp_lp(model: FOMDPModel, lvf: LinearValueFunction) -> FirstOrderLP:
     """Value-bound LP: minimize size-weighted sums subject to 0 >= backup - value.
 
     One schema per action template over the parameterized backup cells; the
     per-parameter constraints imply the same bound as maximizing over the
     parameters first.
     """
-    chk = checker or model.checker
     variables = tuple(_wvar(i) for i in range(len(lvf.bases)))
     objective = tuple(
         (_wvar(i), sum(p.value for p in b.partitions) / len(b.partitions))
         for i, b in enumerate(lvf.bases)
     )
     minus = _minus_bases(lvf)
-    cert = _certified_indices(lvf.bases, chk)
+    cert = _certified_indices(lvf.bases, model.checker)
     schemata = []
     for name in model.action_names():
         cases = _backup_cases(model, lvf, name)
@@ -170,23 +164,18 @@ def foalp_lp(
     return FirstOrderLP(variables, objective, tuple(schemata))
 
 
-def _action_cells(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    name: str,
-    checker: ConsistencyChecker,
-) -> CaseStatement:
+def _action_cells(model: FOMDPModel, lvf: LinearValueFunction, name: str) -> CaseStatement:
     """Existentially closed backup cells of one action, values affine.
 
     Each cell keeps the open pre-quantification formula; equal-valued cells
     are deliberately not merged so every partition still names exactly one
     affine expression.
     """
-    flat = cross_sum(_backup_cases(model, lvf, name), checker)
+    flat = cross_sum(_backup_cases(model, lvf, name), model.checker)
     tagged = CaseStatement(
         tuple(replace(p, tag=name) for p in flat.partitions), flat.partitioned
     )
-    return exists_case(model.action(name).params, tagged, checker, keep_bindings=True)
+    return exists_case(model.action(name).params, tagged, model.checker)
 
 
 def _cell_key(p: Partition) -> tuple:
@@ -206,23 +195,13 @@ def _collect_exprs(partitions, exprs: dict):
 # weight solving
 
 
-def foalp_solve(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    checker: Optional[ConsistencyChecker] = None,
-    tol: float = VIOLATION_TOL,
-    max_iters: int = 1000,
-    stats_out: Optional[list] = None,
-) -> tuple:
+def foalp_solve(model: FOMDPModel, lvf: LinearValueFunction) -> tuple:
     """Basis weights bounding every action's backup from above.
 
     Minimizes sum_i w_i * (mean partition value of basis i) subject to
     0 >= backup_A - value for every action, state, and parameter choice.
     """
-    chk = checker or model.checker
-    res = solve_first_order_lp(foalp_lp(model, lvf, chk), chk, tol, max_iters)
-    if stats_out is not None:
-        stats_out.extend(res.stats)
+    res = solve_first_order_lp(foalp_lp(model, lvf), model.checker)
     return tuple(res.assignment[_wvar(i)] for i in range(len(lvf.bases)))
 
 
@@ -230,7 +209,7 @@ def foalp_solve(
 # policy extraction
 
 
-def _policy_from_cells(action_cells, weights: Mapping[str, float], checker) -> PolicyCase:
+def _policy_from_cells(action_cells, weights: Mapping[str, float], checker: ConsistencyChecker) -> PolicyCase:
     exprs: dict = {}
     parts: list = []
     for closed in action_cells:
@@ -242,11 +221,7 @@ def _policy_from_cells(action_cells, weights: Mapping[str, float], checker) -> P
     return PolicyCase(best, tuple(exprs.items()))
 
 
-def extract_policy(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    checker: Optional[ConsistencyChecker] = None,
-) -> PolicyCase:
+def extract_policy(model: FOMDPModel, lvf: LinearValueFunction) -> PolicyCase:
     """Greedy policy of a weighted value function.
 
     Backup cells from every action template are pooled in template-name
@@ -254,9 +229,8 @@ def extract_policy(
     template, then to canonical formula order.  Each region keeps its tag
     and witness body for binding extraction.
     """
-    chk = checker or model.checker
-    cells = [_action_cells(model, lvf, name, chk) for name in model.action_names()]
-    return _policy_from_cells(cells, weight_map(lvf.weights), chk)
+    cells = [_action_cells(model, lvf, name) for name in model.action_names()]
+    return _policy_from_cells(cells, weight_map(lvf.weights), model.checker)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +304,7 @@ def _policy_key(policy: PolicyCase) -> tuple:
     )
 
 
-def foapi_solve(
-    model: FOMDPModel,
-    lvf: LinearValueFunction,
-    max_iters: int,
-    checker: Optional[ConsistencyChecker] = None,
-    tol: float = VIOLATION_TOL,
-    lp_iters: int = 1000,
-) -> SolveReport:
+def foapi_solve(model: FOMDPModel, lvf: LinearValueFunction, max_iters: int) -> SolveReport:
     """Alternate greedy extraction with minimal-residual reweighting.
 
     Convergence is a repeated policy (normalized region formulas, tags, and
@@ -346,8 +313,8 @@ def foapi_solve(
     """
     if max_iters < 1:
         raise SolverError(f"max_iters must be at least 1, got {max_iters}")
-    chk = checker or model.checker
-    cells = [_action_cells(model, lvf, name, chk) for name in model.action_names()]
+    chk = model.checker
+    cells = [_action_cells(model, lvf, name) for name in model.action_names()]
     weights = tuple(float(w) for w in lvf.weights)
     trajectory: list = []
     phis: list = []
@@ -366,7 +333,7 @@ def foapi_solve(
             rows.append(IterationRow(it, phis[-1], True, (time.perf_counter() - t0) * 1000.0, *regions))
             break
         previous = key
-        res = solve_first_order_lp(_api_lp(lvf, policy, chk), chk, tol, lp_iters)
+        res = solve_first_order_lp(_api_lp(lvf, policy, chk), chk)
         weights = tuple(res.assignment[_wvar(i)] for i in range(len(lvf.bases)))
         phi = float(res.assignment[_PHI])
         if phi < 0.0:

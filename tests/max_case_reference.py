@@ -9,14 +9,12 @@ past the BDD's atom or read-back limit, exactly the region here.
 """
 
 from dataclasses import replace
-from typing import Optional
 
 from fomdp.cases import CaseStatement, build_case
 from fomdp.logic import And, ConsistencyChecker, Not, Or, sort_key
 
 
-def reference_max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] = None) -> CaseStatement:
-    chk = checker or ConsistencyChecker()
+def reference_max_case(c: CaseStatement, chk: ConsistencyChecker) -> CaseStatement:
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
     out = []
     prefix: list = []
@@ -25,7 +23,7 @@ def reference_max_case(c: CaseStatement, checker: Optional[ConsistencyChecker] =
         out.append(replace(p, formula=refined))
         prefix.append(Not(p.formula))
     covers = chk.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
-    return build_case(out, covers, chk)
+    return build_case(out, chk, covers)
 
 
 def assert_same_regions(got: CaseStatement, want: CaseStatement, checker: ConsistencyChecker):

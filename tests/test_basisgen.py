@@ -1,8 +1,11 @@
 """Basis growth: reachability candidates, certification, weight-based retirement."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import fomdp
 from conftest import all_fluent_states, ground_value_iteration
 from fomdp import basisgen, solvers
 from fomdp.basisgen import (
@@ -69,8 +73,8 @@ def chain_states(model):
 def indicator(model, f):
     return build_case(
         [Partition(normalize(f), 1.0), Partition(normalize(Not(f)), 0.0)],
-        True,
         model.checker,
+        True,
     )
 
 
@@ -249,6 +253,47 @@ def test_checker_stats_repeat_across_cold_solves():
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert CheckerStats(**json.loads(out.stdout.splitlines()[-1])) == s, seed
+
+
+def test_no_checker_parameter_has_a_default():
+    takers = []
+    for info in pkgutil.iter_modules(fomdp.__path__):
+        module = importlib.import_module(f"fomdp.{info.name}")
+        classes = [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+        for owner in [module, *classes]:
+            for fn in vars(owner).values():
+                fn = getattr(fn, "__func__", fn)  # static and class methods
+                # functions written in the module, not dataclass-generated ones
+                if not inspect.isfunction(fn) or fn.__code__.co_filename != module.__file__:
+                    continue
+                param = inspect.signature(fn).parameters.get("checker")
+                if param is not None:
+                    assert param.default is inspect.Parameter.empty, fn.__qualname__
+                    takers.append(fn.__qualname__)
+    assert {"build_case", "simplify_bdd", "_BddSimplifier.__init__", "LinearValueFunction.flatten"} <= set(takers)
+
+
+@pytest.mark.parametrize("solver", ["foalp", "foapi"])
+def test_cold_solve_runs_on_the_model_checker_alone(monkeypatch, solver):
+    model = make_generic_goal(load_fixture("boxworld_mini")[0])
+    model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+    made, used = [], []
+    real_init, real_check = ConsistencyChecker.__init__, ConsistencyChecker.check
+
+    def init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    def check(self, f):
+        used.append(self)
+        return real_check(self, f)
+
+    monkeypatch.setattr(ConsistencyChecker, "__init__", init)
+    monkeypatch.setattr(ConsistencyChecker, "check", check)
+    generate_basis(model, BasisGenConfig(iters=2, solver=solver))
+    assert made == []
+    assert len(used) == model.checker.stats.checks > 0
+    assert all(c is model.checker for c in used)
 
 
 def cold_foapi_solve(fixture: str) -> tuple:

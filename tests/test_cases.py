@@ -86,7 +86,7 @@ def random_partitioned(rng: random.Random) -> CaseStatement:
         regions = [And((r, a)) for r in regions] + [And((r, Not(a))) for r in regions]
     for r in regions:
         parts.append(Partition(r, rng.randint(-5, 20)))
-    return build_case(parts, partitioned=True)
+    return build_case(parts, ConsistencyChecker(), partitioned=True)
 
 
 # ---------------------------------------------------------------------------
@@ -94,36 +94,36 @@ def random_partitioned(rng: random.Random) -> CaseStatement:
 
 
 def test_cross_sum_paper_values():
-    c1 = case_of([(parse_formula("F1"), 10), (parse_formula("F2"), 20)], partitioned=False)
-    c2 = case_of([(parse_formula("G1"), 1), (parse_formula("G2"), 2)], partitioned=False)
-    got = combine("add", c1, c2)
+    c1 = case_of([(parse_formula("F1"), 10), (parse_formula("F2"), 20)], ConsistencyChecker(), partitioned=False)
+    c2 = case_of([(parse_formula("G1"), 1), (parse_formula("G2"), 2)], ConsistencyChecker(), partitioned=False)
+    got = combine("add", c1, c2, ConsistencyChecker())
     assert got.values() == (11.0, 12.0, 21.0, 22.0)
     assert got.formulas()[0] == normalize(And((Atom("F1"), Atom("G1"))))
     assert not got.partitioned
 
 
 def test_additive_identity():
-    c = case_of([(P, 1), (Not(P), 2)])
-    got = combine("add", c, constant_case(0.0))
+    c = case_of([(P, 1), (Not(P), 2)], ConsistencyChecker())
+    got = combine("add", c, constant_case(0.0), ConsistencyChecker())
     assert got == c
 
 
 def test_cross_terms_pruned():
-    c1 = case_of([(P, 1), (Not(P), 2)])
-    c2 = case_of([(P, 10), (Not(P), 20)])
-    got = combine("add", c1, c2)
+    c1 = case_of([(P, 1), (Not(P), 2)], ConsistencyChecker())
+    c2 = case_of([(P, 10), (Not(P), 20)], ConsistencyChecker())
+    got = combine("add", c1, c2, ConsistencyChecker())
     assert got.values() == (11.0, 22.0)
     assert got.formulas() == (P, normalize(Not(P)))
     assert got.partitioned
 
 
 def test_subtract_and_multiply():
-    c1 = case_of([(P, 6), (Not(P), 4)])
+    c1 = case_of([(P, 6), (Not(P), 4)], ConsistencyChecker())
     c2 = constant_case(2.0)
-    assert combine("subtract", c1, c2).values() == (4.0, 2.0)
-    assert combine("multiply", c1, c2).values() == (12.0, 8.0)
+    assert combine("subtract", c1, c2, ConsistencyChecker()).values() == (4.0, 2.0)
+    assert combine("multiply", c1, c2, ConsistencyChecker()).values() == (12.0, 8.0)
     with pytest.raises(CaseError):
-        combine("min", c1, c2)
+        combine("min", c1, c2, ConsistencyChecker())
 
 
 def test_combine_homomorphism():
@@ -131,7 +131,7 @@ def test_combine_homomorphism():
     for _ in range(20):
         c1, c2 = random_partitioned(rng), random_partitioned(rng)
         for op, fn in [("add", lambda a, b: a + b), ("subtract", lambda a, b: a - b), ("multiply", lambda a, b: a * b)]:
-            got = combine(op, c1, c2)
+            got = combine(op, c1, c2, ConsistencyChecker())
             assert got.partitioned
             assert len(got) <= len(c1) * len(c2)
             for s in PROP_STATES:
@@ -141,19 +141,19 @@ def test_combine_homomorphism():
 def test_combine_prefers_first_operand_tags():
     c1 = CaseStatement((Partition(P, 1.0, tag="drive"),), True)
     c2 = CaseStatement((Partition(TRUE, 2.0, tag="load"),), True)
-    assert combine("add", c1, c2).partitions[0].tag == "drive"
+    assert combine("add", c1, c2, ConsistencyChecker()).partitions[0].tag == "drive"
     c3 = CaseStatement((Partition(TRUE, 2.0),), True)
-    assert combine("add", c3, c2).partitions[0].tag == "load"
+    assert combine("add", c3, c2, ConsistencyChecker()).partitions[0].tag == "load"
 
 
 def test_cross_sum_empty_is_zero():
-    assert cross_sum([]) == constant_case(0.0)
-    c = case_of([(P, 3), (Not(P), 1)])
-    assert cross_sum([c]) == c
+    assert cross_sum([], ConsistencyChecker()) == constant_case(0.0)
+    c = case_of([(P, 3), (Not(P), 1)], ConsistencyChecker())
+    assert cross_sum([c], ConsistencyChecker()) == c
 
 
 def test_scale_case():
-    c = case_of([(P, 3), (Not(P), 1)])
+    c = case_of([(P, 3), (Not(P), 1)], ConsistencyChecker())
     assert scale_case(c, 0.9).values() == (2.7, 0.9)
     assert scale_case(c, 0.9).partitioned
 
@@ -163,8 +163,8 @@ def test_scale_case():
 
 
 def test_exists_case_definition():
-    c = case_of([(Atom("S", (Var("x"),)), 1), (Not(Atom("S", (Var("x"),))), 0)])
-    got = exists_case([("x", None)], c)
+    c = case_of([(Atom("S", (Var("x"),)), 1), (Not(Atom("S", (Var("x"),))), 0)], ConsistencyChecker())
+    got = exists_case([("x", None)], c, ConsistencyChecker())
     assert got.formulas() == (
         normalize(parse_formula("exists x. S(x)")),
         normalize(parse_formula("exists x. !S(x)")),
@@ -174,8 +174,8 @@ def test_exists_case_definition():
 
 
 def test_exists_case_closed_noop():
-    c = case_of([(P, 1), (Not(P), 0)])
-    got = exists_case([("x", None)], c)
+    c = case_of([(P, 1), (Not(P), 0)], ConsistencyChecker())
+    got = exists_case([("x", None)], c, ConsistencyChecker())
     assert got.formulas() == c.formulas() and got.values() == c.values()
 
 
@@ -183,29 +183,29 @@ def test_exists_case_union_semantics():
     # both branches satisfiable in a mixed state; max later picks the 1
     uni = Universe.of({None: ["a", "b"]})
     s = make_state([("S", "a")], uni)
-    c = case_of([(Atom("S", (Var("x"),)), 1), (Not(Atom("S", (Var("x"),))), 0)])
-    got = exists_case([("x", None)], c)
+    c = case_of([(Atom("S", (Var("x"),)), 1), (Not(Atom("S", (Var("x"),))), 0)], ConsistencyChecker())
+    got = exists_case([("x", None)], c, ConsistencyChecker())
     assert eval_max(got, s) == 1.0
-    assert eval_case(max_case(got), s) == 1.0
+    assert eval_case(max_case(got, ConsistencyChecker()), s) == 1.0
 
 
 def test_exists_case_keeps_bindings_on_request():
     body = Atom("S", (Var("x"),))
-    c = case_of([(body, 1), (Not(body), 0)])
-    got = exists_case([("x", "Thing")], c, keep_bindings=True)
-    assert got.partitions[0].bind_vars == (("x", "Thing"),)
-    assert got.partitions[0].bind_body == body
+    c = case_of([(body, 1), (Not(body), 0)], ConsistencyChecker())
+    got = exists_case([("x", "Thing")], c, ConsistencyChecker())
+    assert [p.bind_vars for p in got.partitions] == [(("x", "Thing"),)] * 2
+    assert [p.bind_body for p in got.partitions] == [body, Not(body)]
 
 
 def test_regress_case_flip():
-    c = case_of([(P, 1), (Not(P), 0)])
-    through_s = regress_case(c, ActTerm("flipS"), FLIP_SSAS)
+    c = case_of([(P, 1), (Not(P), 0)], ConsistencyChecker())
+    through_s = regress_case(c, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker())
     assert through_s.formulas() == (TRUE,) and through_s.values() == (1.0,)
     assert through_s.partitioned
-    through_f = regress_case(c, ActTerm("flipF"), FLIP_SSAS)
+    through_f = regress_case(c, ActTerm("flipF"), FLIP_SSAS, ConsistencyChecker())
     assert through_f.formulas() == c.formulas() and through_f.values() == c.values()
     const = constant_case(4.5)
-    assert regress_case(const, ActTerm("flipS"), FLIP_SSAS) == const
+    assert regress_case(const, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker()) == const
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,13 @@ def test_regress_case_flip():
 
 def test_max_case_definition():
     a, b = Atom("A"), Atom("B")
-    got = max_case(union_case(case_of([(a, 7)], partitioned=False), case_of([(b, 5)], partitioned=False)))
+    got = max_case(
+        union_case(
+            case_of([(a, 7)], ConsistencyChecker(), partitioned=False),
+            case_of([(b, 5)], ConsistencyChecker(), partitioned=False),
+        ),
+        ConsistencyChecker(),
+    )
     assert got.values() == (7.0, 5.0)
     assert got.formulas() == (a, normalize(And((b, Not(a)))))
     assert not got.partitioned  # A ∨ B does not cover ¬A∧¬B states
@@ -223,16 +229,19 @@ def test_max_case_definition():
 def test_max_case_eval_overlap():
     uni = Universe.of({None: ["o1"]})
     s = make_state([("A",), ("B",)], uni)
-    c = union_case(case_of([(Atom("A"), 7)], partitioned=False), case_of([(Atom("B"), 5)], partitioned=False))
-    m = max_case(c)
+    c = union_case(
+        case_of([(Atom("A"), 7)], ConsistencyChecker(), partitioned=False),
+        case_of([(Atom("B"), 5)], ConsistencyChecker(), partitioned=False),
+    )
+    m = max_case(c, ConsistencyChecker())
     hit = [p for p in m.partitions if p.formula == Atom("A")]
     assert hit and hit[0].value == 7.0
     assert eval_max(c, s) == 7.0
 
 
 def test_max_case_already_disjoint_same_mapping():
-    c = case_of([(P, 3), (Not(P), 8)])
-    m = max_case(c)
+    c = case_of([(P, 3), (Not(P), 8)], ConsistencyChecker())
+    m = max_case(c, ConsistencyChecker())
     assert m.partitioned
     for s in PROP_STATES:
         assert eval_case(m, s) == eval_case(c, s)
@@ -243,7 +252,7 @@ def test_max_case_matches_pointwise_max():
     for _ in range(15):
         c1, c2 = random_partitioned(rng), random_partitioned(rng)
         u = union_case(c1, c2)
-        m = max_case(u)
+        m = max_case(u, ConsistencyChecker())
         assert m.partitioned  # union of two covers still covers
         for s in PROP_STATES:
             assert eval_case(m, s) == max(eval_case(c1, s), eval_case(c2, s))
@@ -256,15 +265,18 @@ def test_max_case_pairwise_inconsistent():
 
     chk = ConsistencyChecker()
     for _ in range(10):
-        m = max_case(union_case(random_partitioned(rng), random_partitioned(rng)))
+        m = max_case(union_case(random_partitioned(rng), random_partitioned(rng)), ConsistencyChecker())
         for i, p in enumerate(m.partitions):
             for q in m.partitions[i + 1 :]:
                 assert chk.check(And((p.formula, q.formula))) is False
 
 
 def test_max_case_tie_break_deterministic():
-    c = union_case(case_of([(Q, 5)], partitioned=False), case_of([(P, 5)], partitioned=False))
-    m = max_case(c)
+    c = union_case(
+        case_of([(Q, 5)], ConsistencyChecker(), partitioned=False),
+        case_of([(P, 5)], ConsistencyChecker(), partitioned=False),
+    )
+    m = max_case(c, ConsistencyChecker())
     # equal values: canonical formula order puts P first
     assert m.formulas() == (P, normalize(And((Q, Not(P)))))
 
@@ -357,7 +369,7 @@ def test_eval_case_logistics_reward():
         [
             (parse_formula("forall t:Truck, c:City. TAt(t, c) -> Dst(t, c)"), 10),
             (parse_formula("exists t:Truck, c:City. TAt(t, c) & !Dst(t, c)"), 0),
-        ]
+        ], ConsistencyChecker()
     )
     misplaced = make_state([("TAt", "t1", "paris"), ("Dst", "t1", "rome")], uni)
     placed = make_state([("TAt", "t1", "rome"), ("Dst", "t1", "rome")], uni)
@@ -373,7 +385,7 @@ def test_eval_case_constant():
 def test_eval_case_errors():
     uni = Universe.of({None: ["a"]})
     s = make_state([], uni)
-    not_exhaustive = case_of([(P, 1.0)])
+    not_exhaustive = case_of([(P, 1.0)], ConsistencyChecker())
     with pytest.raises(PartitionViolation) as err:
         eval_case(not_exhaustive, s)
     assert err.value.satisfied == ()
@@ -387,7 +399,7 @@ def test_eval_case_errors():
 def test_eval_case_free_vars_existential():
     uni = Universe.of({None: ["a", "b"]})
     s = make_state([("S", "a")], uni)
-    c = case_of([(Atom("S", (Var("x"),)), 1), (parse_formula("forall x. !S(x)"), 0)])
+    c = case_of([(Atom("S", (Var("x"),)), 1), (parse_formula("forall x. !S(x)"), 0)], ConsistencyChecker())
     assert eval_case(c, s) == 1.0
 
 
@@ -396,13 +408,13 @@ def test_eval_case_free_vars_existential():
 
 
 def test_build_prunes_inconsistent():
-    c = build_case([Partition(And((P, Not(P))), 9.0), Partition(P, 1.0)], partitioned=False)
+    c = build_case([Partition(And((P, Not(P))), 9.0), Partition(P, 1.0)], ConsistencyChecker(), partitioned=False)
     assert c.formulas() == (P,)
 
 
 def test_merge_equal_values():
-    c = case_of([(And((P, Q)), 1), (And((P, Not(Q))), 1), (Not(P), 0)])
-    m = merge_equal_values(c)
+    c = case_of([(And((P, Q)), 1), (And((P, Not(Q))), 1), (Not(P), 0)], ConsistencyChecker())
+    m = merge_equal_values(c, ConsistencyChecker())
     assert m.partitioned
     assert set(m.values()) == {1.0, 0.0}
     assert len(m) == 2
@@ -411,22 +423,22 @@ def test_merge_equal_values():
 
 
 def test_verify_partitioned():
-    assert verify_partitioned(case_of([(P, 1), (Not(P), 0)]))
-    assert not verify_partitioned(case_of([(P, 1)]))
+    assert verify_partitioned(case_of([(P, 1), (Not(P), 0)], ConsistencyChecker()), ConsistencyChecker())
+    assert not verify_partitioned(case_of([(P, 1)], ConsistencyChecker()), ConsistencyChecker())
     assert not verify_partitioned(
-        CaseStatement((Partition(P, 1.0), Partition(TRUE, 0.0)), True)
+        CaseStatement((Partition(P, 1.0), Partition(TRUE, 0.0)), True), ConsistencyChecker()
     )
 
 
 def test_parse_case_literal():
-    c = parse_case("{ P & Q : 1.5 ; !P : 0 }", partitioned=False)
+    c = parse_case("{ P & Q : 1.5 ; !P : 0 }", ConsistencyChecker(), partitioned=False)
     assert c.values() == (1.5, 0.0)
     assert c.formulas()[0] == normalize(And((P, Q)))
-    typed = parse_case("{ exists c:City. TAt(t, c) : 2 }", partitioned=False)
+    typed = parse_case("{ exists c:City. TAt(t, c) : 2 }", ConsistencyChecker(), partitioned=False)
     assert typed.values() == (2.0,)
     with pytest.raises(CaseError):
-        parse_case("P : 1")
+        parse_case("P : 1", ConsistencyChecker())
     with pytest.raises(CaseError):
-        parse_case("{ P }")
+        parse_case("{ P }", ConsistencyChecker())
     with pytest.raises(CaseError):
-        parse_case("{ P : abc }")
+        parse_case("{ P : abc }", ConsistencyChecker())

@@ -193,7 +193,7 @@ def test_linexpr_arithmetic():
 
 
 def test_affine_case_wraps_values():
-    c = parse_case("{ P : 2 ; !P : 0 }")
+    c = parse_case("{ P : 2 ; !P : 0 }", ConsistencyChecker())
     ac = affine_case(c, "w", 0.5)
     assert ac.partitioned
     assert ac.partitions[0].value == LinExpr.of({"w": 1.0})
@@ -208,12 +208,12 @@ def _eval_affine(case, state, weights):
 
 
 def test_flatten_schema_matches_component_sum():
-    c1 = affine_case(parse_case("{ P : 1 ; !P : 0 }"), "u")
-    c2 = affine_case(parse_case("{ Q : 3 ; !Q : 7 }"), "v", -1.0)
-    r = parse_case("{ P & Q : 5 ; !(P & Q) : 2 }")
+    c1 = affine_case(parse_case("{ P : 1 ; !P : 0 }", ConsistencyChecker()), "u")
+    c2 = affine_case(parse_case("{ Q : 3 ; !Q : 7 }", ConsistencyChecker()), "v", -1.0)
+    r = parse_case("{ P & Q : 5 ; !(P & Q) : 2 }", ConsistencyChecker())
     schema = ConstraintSchema("s", (c1, c2, affine_case(r, None)))
     weights = {"u": 2.0, "v": 0.5}
-    flat = cross_sum(schema.cases)
+    flat = cross_sum(schema.cases, ConsistencyChecker())
     assert flat.partitioned
     uni = Universe.of({})
     for p_true, q_true in itertools.product([False, True], repeat=2):
@@ -315,7 +315,7 @@ def test_schema_validation():
 def test_generation_reaches_known_minimum():
     case = CaseStatement((Partition(TRUE, LinExpr.of({"w": -1.0}, 5.0)),), True)
     folp = FirstOrderLP(("w",), (("w", 1.0),), (ConstraintSchema("s", (case,)),))
-    res = solve_first_order_lp(folp)
+    res = solve_first_order_lp(folp, ConsistencyChecker())
     assert res.assignment["w"] == pytest.approx(5.0, abs=1e-9)
     assert res.objective == pytest.approx(5.0, abs=1e-9)
     assert res.iterations == 1
@@ -324,12 +324,12 @@ def test_generation_reaches_known_minimum():
 
 
 def _flip_folp():
-    reward = parse_case("{ P : 10 ; !P : 0 }")
-    fodtr_const = parse_case("{ true : 0.9 }")
-    fodtr_flip = parse_case("{ P : 0.9 ; !P : 0.72 }")
-    fodtr_noop = parse_case("{ P : 0.9 ; !P : 0 }")
-    basis_const = parse_case("{ true : 1 }")
-    basis_p = parse_case("{ P : 1 ; !P : 0 }")
+    reward = parse_case("{ P : 10 ; !P : 0 }", ConsistencyChecker())
+    fodtr_const = parse_case("{ true : 0.9 }", ConsistencyChecker())
+    fodtr_flip = parse_case("{ P : 0.9 ; !P : 0.72 }", ConsistencyChecker())
+    fodtr_noop = parse_case("{ P : 0.9 ; !P : 0 }", ConsistencyChecker())
+    basis_const = parse_case("{ true : 1 }", ConsistencyChecker())
+    basis_p = parse_case("{ P : 1 ; !P : 0 }", ConsistencyChecker())
 
     def schema(sid, f1):
         cases = (
@@ -349,12 +349,12 @@ def _flip_folp():
 
 def test_generation_solves_two_action_value_bound():
     # tightest upper bound: w0 + w1 = 100 and w0 = 7.2 w1
-    res = solve_first_order_lp(_flip_folp())
+    res = solve_first_order_lp(_flip_folp(), ConsistencyChecker())
     assert res.assignment["w0"] == pytest.approx(87.80487804878048, abs=1e-7)
     assert res.assignment["w1"] == pytest.approx(12.195121951219512, abs=1e-7)
     assert res.objective == pytest.approx(93.90243902439024, abs=1e-7)
     for schema in _flip_folp().schemata:
-        assert search_schema(schema, res.assignment) is None
+        assert search_schema(schema, res.assignment, ConsistencyChecker()) is None
     # one seed per schema plus one generated cut per schema
     assert len(res.constraints) == 4
     assert res.iterations == 2
@@ -366,7 +366,7 @@ def test_unbounded_relaxation_probed_with_ray():
         (Partition(pos, LinExpr.of({"w": 1.0}, -10.0)), Partition(Not(pos), LinExpr())), True
     )
     folp = FirstOrderLP(("w",), (("w", -1.0),), (ConstraintSchema("cap", (case,), certified=(0,)),))
-    res = solve_first_order_lp(folp)
+    res = solve_first_order_lp(folp, ConsistencyChecker())
     assert res.assignment["w"] == pytest.approx(10.0, abs=1e-9)
     assert res.objective == pytest.approx(-10.0, abs=1e-9)
     assert res.iterations == 2
@@ -376,4 +376,4 @@ def test_generation_reports_unbounded():
     case = CaseStatement((Partition(TRUE, LinExpr.of({"w": -1.0})),), True)
     folp = FirstOrderLP(("w",), (("w", -1.0),), (ConstraintSchema("s", (case,)),))
     with pytest.raises(FOLPError, match="unbounded along w="):
-        solve_first_order_lp(folp)
+        solve_first_order_lp(folp, ConsistencyChecker())

@@ -15,7 +15,7 @@ from fomdp.cases import (
     verify_partitioned,
 )
 from fomdp.domains import load_fixture
-from fomdp.logic import parse_formula
+from fomdp.logic import ConsistencyChecker, parse_formula
 from fomdp.model import (
     ActionTemplate,
     FOMDPModel,
@@ -48,17 +48,17 @@ def blocksworld():
 
 
 def flip_v():
-    return parse_case("{ P : 1 ; !P : 0 }")
+    return parse_case("{ P : 1 ; !P : 0 }", ConsistencyChecker())
 
 
 def box_v(model):
     sig = model.signature()
-    return parse_case("{ forall b: Box, c: City. Dst(b, c) -> BIn(b, c) : 5 ; exists b: Box, c: City. Dst(b, c) & !BIn(b, c) : 1 }", signature=sig)
+    return parse_case("{ forall b: Box, c: City. Dst(b, c) -> BIn(b, c) : 5 ; exists b: Box, c: City. Dst(b, c) & !BIn(b, c) : 1 }", ConsistencyChecker(), signature=sig)
 
 
 def blocks_v(model):
     sig = model.signature()
-    return parse_case("{ forall x: Block, y: Block. GoalOn(x, y) -> On(x, y) : 5 ; exists x: Block, y: Block. GoalOn(x, y) & !On(x, y) : 1 }", signature=sig)
+    return parse_case("{ forall x: Block, y: Block. GoalOn(x, y) -> On(x, y) : 5 ; exists x: Block, y: Block. GoalOn(x, y) & !On(x, y) : 1 }", ConsistencyChecker(), signature=sig)
 
 
 def eval_states(model, inst, rng=None, extra=0):
@@ -161,7 +161,7 @@ def test_blocksworld_backups_match_ground():
 def lvf_for(model, goal_case, spare_text):
     sig = model.signature()
     b0 = constant_case(1.0)
-    b2 = parse_case(spare_text, signature=sig)
+    b2 = parse_case(spare_text, ConsistencyChecker(), signature=sig)
     return LinearValueFunction((1.3, -0.7, 2.1), (b0, goal_case, b2))
 
 
@@ -200,6 +200,7 @@ def test_boxworld_linear_backup_identity():
             lvf.bases[1],
             parse_case(
                 "{ exists b: Box, t: Truck. On(b, t) : 1 ; !(exists b: Box, t: Truck. On(b, t)) : 0 }",
+                ConsistencyChecker(),
                 signature=model.signature(),
             ),
         ),
@@ -214,7 +215,7 @@ def test_reweighted_linear_backup_matches_direct():
     structured = backup_linear(model, lvf, model.action("flip"))
     w2 = (0.25, 4.0, -1.5)
     direct = backup_param(model, lvf.with_weights(w2).flatten(model.checker), model.action("flip"))
-    rebuilt = structured.flatten(w2, model.checker)
+    rebuilt = structured.flatten(model.checker, w2)
     for s in reachable_states(model, inst):
         assert eval_case(rebuilt, s) == pytest.approx(eval_case(direct, s), abs=TOL)
 
@@ -224,7 +225,7 @@ def test_backed_up_weight_count_checked():
     lvf = lvf_for(model, flip_v(), "{ !P : 1 ; P : 0 }")
     structured = backup_linear(model, lvf, model.action("flip"))
     with pytest.raises(ModelError):
-        structured.flatten((1.0,))
+        structured.flatten(ConsistencyChecker(), (1.0,))
 
 
 # -- degenerate parameters ------------------------------------------------------
@@ -256,7 +257,7 @@ def test_fodtr_scales_linearly_with_discount():
 
 def test_fodtr_rejects_union_cases():
     model, _ = flip()
-    v = case_of([(parse_formula("P"), 1.0)], partitioned=False)
+    v = case_of([(parse_formula("P"), 1.0)], ConsistencyChecker(), partitioned=False)
     with pytest.raises(ModelError):
         fodtr(model, v, model.action("flip"))
 
@@ -325,7 +326,7 @@ def test_validate_probabilities_sum():
     bad = ActionTemplate(
         "flip",
         (),
-        (flip_tpl.choices[0], NatureChoice("flipF", parse_case("{ true : 0.3 }"))),
+        (flip_tpl.choices[0], NatureChoice("flipF", parse_case("{ true : 0.3 }", ConsistencyChecker()))),
     )
     with pytest.raises(ModelError):
         replace(model, actions={"flip": bad}).validate()
@@ -333,14 +334,14 @@ def test_validate_probabilities_sum():
 
 def test_validate_probability_range():
     model = flip_pieces()
-    bad = ActionTemplate("flip", (), (NatureChoice("flipS", parse_case("{ true : 1.4 }")),))
+    bad = ActionTemplate("flip", (), (NatureChoice("flipS", parse_case("{ true : 1.4 }", ConsistencyChecker())),))
     with pytest.raises(ModelError):
         replace(model, actions={"flip": bad}).validate()
 
 
 def test_validate_pcase_free_variables():
     model = flip_pieces()
-    pc = parse_case("{ Q(z) : 1.0 ; !Q(z) : 0.0 }")
+    pc = parse_case("{ Q(z) : 1.0 ; !Q(z) : 0.0 }", ConsistencyChecker())
     preds = {**model.predicates, "Q": PredicateDecl("Q", ("Thing",))}
     bad = ActionTemplate("flip", (), (NatureChoice("flipS", pc),))
     with pytest.raises(ModelError):
@@ -349,7 +350,7 @@ def test_validate_pcase_free_variables():
 
 def test_validate_pcase_partition():
     model = flip_pieces()
-    pc = parse_case("{ P : 0.5 ; P : 0.5 }")
+    pc = parse_case("{ P : 0.5 ; P : 0.5 }", ConsistencyChecker())
     bad = ActionTemplate("flip", (), (NatureChoice("flipS", pc),))
     with pytest.raises(ModelError):
         replace(model, actions={"flip": bad}).validate()
@@ -367,7 +368,7 @@ def test_validate_reward_keys_and_partition():
     model = flip_pieces()
     with pytest.raises(ModelError):
         replace(model, rewards={**model.rewards, "jump": constant_case(1.0)}).validate()
-    broken = case_of([(parse_formula("P"), 1.0)], partitioned=True)
+    broken = case_of([(parse_formula("P"), 1.0)], ConsistencyChecker(), partitioned=True)
     with pytest.raises(ModelError):
         replace(model, rewards={"any": broken}).validate()
 
@@ -376,8 +377,8 @@ def test_linear_value_function_shape_checks():
     with pytest.raises(ModelError):
         LinearValueFunction((1.0,), ())
     with pytest.raises(ModelError):
-        LinearValueFunction((1.0,), (case_of([(parse_formula("P"), 1.0)], partitioned=False),))
+        LinearValueFunction((1.0,), (case_of([(parse_formula("P"), 1.0)], ConsistencyChecker(), partitioned=False),))
     lvf = LinearValueFunction((2.0,), (constant_case(1.0),))
     assert lvf.with_weights([3.0]).weights == (3.0,)
-    flat = lvf.flatten()
-    assert flat.partitions[0].value == 2.0 and verify_partitioned(flat)
+    flat = lvf.flatten(ConsistencyChecker())
+    assert flat.partitions[0].value == 2.0 and verify_partitioned(flat, ConsistencyChecker())

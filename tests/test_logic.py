@@ -263,10 +263,33 @@ def test_normalize_alpha_equivalence():
     assert normalize(f) == normalize(g)
 
 
+def fresh_copy(f: Formula) -> Formula:
+    """f rebuilt node by node, so no cache or `_normed` mark of f survives."""
+    if isinstance(f, Bool):
+        return Bool(f.value)
+    if isinstance(f, Atom):
+        return Atom(f.pred, f.args)
+    if isinstance(f, Eq):
+        return Eq(f.left, f.right)
+    if isinstance(f, Not):
+        return Not(fresh_copy(f.sub))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(fresh_copy(p) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(fresh_copy(f.lhs), fresh_copy(f.rhs))
+    return type(f)(f.var, f.vtype, fresh_copy(f.body))
+
+
 def test_normalize_idempotent_on_corpus():
-    for f in corpus(60, 4):
+    # the quantified variable disappears only once the body is simplified
+    f = parse_formula("forall x:T. !(R -> x = x) | !R")
+    assert normalize(f) == Not(Atom("R"))
+    formulas = corpus(60, 4) + corpus(400, 4, 3) + typed_corpus(3, 400) + bdd_corpus(5)
+    for f in formulas:
         n1 = normalize(f)
         assert normalize(n1) == n1
+        # a fresh copy carries no `_normed` mark, so it is canonicalised again
+        assert normalize(fresh_copy(n1)) == n1, format_formula(f)
 
 
 def test_normalize_preserves_truth():
@@ -903,12 +926,12 @@ def test_hostile_names_evaluate_as_data():
 
 def test_simplify_absorption():
     f = parse_formula("(P & Q) | (P & !Q)")
-    assert simplify_bdd(f) == Atom("P")
+    assert simplify_bdd(f, ConsistencyChecker()) == Atom("P")
 
 
 def test_simplify_closed_tautology():
     phi = parse_formula("exists x. P(x) & Q(x, x)")
-    assert simplify_bdd(Or((phi, Not(phi)))) == TRUE
+    assert simplify_bdd(Or((phi, Not(phi))), ConsistencyChecker()) == TRUE
 
 
 def test_simplify_shares_duplicated_subformula():
@@ -916,21 +939,21 @@ def test_simplify_shares_duplicated_subformula():
     e = parse_formula("exists x. P(x)")
     a = Atom("A")
     f = Or((And((e, a)), And((e, Not(a)))))
-    assert simplify_bdd(f) == normalize(e)
+    assert simplify_bdd(f, ConsistencyChecker()) == normalize(e)
     # frozen from oracle_equivalent at bound 2
     assert oracle_equivalent(f, e, {"P": 1, "A": 0}, 2) is True
 
 
 def test_simplify_shares_alpha_variant_subformulas():
     f = Or((parse_formula("exists x. P(x)"), parse_formula("!(exists y. P(y))")))
-    assert simplify_bdd(f) == TRUE
+    assert simplify_bdd(f, ConsistencyChecker()) == TRUE
 
 
 def test_simplify_one_point_rule():
     f = parse_formula("exists x. x = a & P(x)", objects=["a"])
-    assert simplify_bdd(f) == Atom("P", (Obj("a"),))
+    assert simplify_bdd(f, ConsistencyChecker()) == Atom("P", (Obj("a"),))
     g = parse_formula("exists x. x = a", objects=["a"])
-    assert simplify_bdd(g) == TRUE
+    assert simplify_bdd(g, ConsistencyChecker()) == TRUE
 
 
 def test_simplify_pushes_quantifiers_inward():
@@ -943,7 +966,7 @@ def test_simplify_pushes_quantifiers_inward():
 def test_simplify_preserves_truth_on_corpus():
     pool = ["a", "b"]  # corpus objects must belong to the universe
     for f in corpus(30, 3):
-        g = simplify_bdd(f)
+        g = simplify_bdd(f, ConsistencyChecker())
         fv = sorted(free_vars(f) | free_vars(g))
         for state in all_states(PREDS, pool):
             for combo in itertools.product(pool, repeat=len(fv)):
@@ -954,7 +977,7 @@ def test_simplify_preserves_truth_on_corpus():
 def test_simplify_atom_overflow_returns_input():
     parts = tuple(Atom(f"P{i}") for i in range(8))
     f = Or(parts)
-    assert simplify_bdd(f, max_atoms=4) == f
+    assert simplify_bdd(f, ConsistencyChecker(), max_atoms=4) == f
 
 
 def test_simplify_read_back_overflow_returns_input():
@@ -962,14 +985,14 @@ def test_simplify_read_back_overflow_returns_input():
     # tree it has 2^(k+1) - 2 nodes; k = 18 once took 46 s to simplify
     f = Or(tuple(And((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(18)))
     t0 = time.perf_counter()
-    assert simplify_bdd(f) is f
+    assert simplify_bdd(f, ConsistencyChecker()) is f
     assert time.perf_counter() - t0 < 2.0
     # a quantifier body past the limit is kept, and the level above it is still read back
     body = Or(tuple(And((Atom(f"A{i}", (Var("x"),)), Atom(f"B{i}", (Var("x"),)))) for i in range(18)))
     g = Or((Forall("x", None, body), Atom("R"), Atom("Q")))
-    assert simplify_bdd(g) == normalize(g)
+    assert simplify_bdd(g, ConsistencyChecker()) == normalize(g)
     small = Or(tuple(And((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(4)))
-    assert simplify_bdd(small) is not small
+    assert simplify_bdd(small, ConsistencyChecker()) is not small
 
 
 def alpha_variant(f: Formula, tag: str = "r") -> Formula:
@@ -1045,7 +1068,7 @@ def test_simplify_matches_two_pass_reference(max_atoms):
     overflowed = 0
     for f, twin in zip(formulas, twins):
         want = reference_simplify_bdd(twin, max_atoms)
-        assert simplify_bdd(f, max_atoms) == want, format_formula(f)
+        assert simplify_bdd(f, ConsistencyChecker(), max_atoms) == want, format_formula(f)
         # past the atom limit at the top level the input object comes back
         overflowed += want is twin and not isinstance(twin, Bool)
     assert overflowed >= 5
@@ -1061,14 +1084,16 @@ def test_shared_atom_tables_change_no_output():
         return formulas + [formulas[i : i + 4] + [alpha_variant(formulas[i])] for i in range(0, len(formulas), 4)]
 
     def run(order, checker) -> dict:
+        # without a checker, every call gets a new one and so fresh tables
         items, out = inputs(), {}
         for i in order:
+            chk = ConsistencyChecker() if checker is None else checker
             if isinstance(items[i], list):
-                out[i] = disjoint_regions(items[i], checker)
+                out[i] = disjoint_regions(items[i], chk)
                 continue
             if checker is not None:
                 checker.check(items[i])  # the lifted pass shares the tables too
-            out[i] = simplify_bdd(items[i], checker=checker)
+            out[i] = simplify_bdd(items[i], chk)
         return out
 
     n = len(inputs())

@@ -22,6 +22,7 @@ from fomdp.logic import (
     ActTerm,
     And,
     Atom,
+    ConsistencyChecker,
     Eq,
     Exists,
     Forall,
@@ -149,14 +150,14 @@ def random_box_formula(rng: random.Random, depth: int, scope: dict) -> object:
 
 def test_flip_regression_frozen():
     p = Atom("P")
-    assert regress(p, ActTerm("flipS"), FLIP_SSAS) == TRUE
-    assert regress(p, ActTerm("flipF"), FLIP_SSAS) == p
+    assert regress(p, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker()) == TRUE
+    assert regress(p, ActTerm("flipF"), FLIP_SSAS, ConsistencyChecker()) == p
 
 
 def test_static_atom_unchanged():
     dst = Atom("Dst", (Var("b"), Var("c")))
     act = ActTerm("driveS", (Var("t"), Var("c1"), Var("c")))
-    assert regress(dst, act, BOX_SSAS) == dst
+    assert regress(dst, act, BOX_SSAS, ConsistencyChecker()) == dst
 
 
 def test_drive_regression():
@@ -169,7 +170,7 @@ def test_drive_regression():
     """
     f = Atom("TAt", (Var("t"), Var("c")))
     act = ActTerm("driveS", (Var("t"), Var("c1"), Var("c")))
-    got = regress(f, act, BOX_SSAS)
+    got = regress(f, act, BOX_SSAS, ConsistencyChecker())
     want = normalize(Or((Atom("TAt", (Var("t"), Var("c"))), Atom("TAt", (Var("t"), Var("c1"))))))
     assert got == want
 
@@ -192,17 +193,23 @@ def test_regress_distributes_over_connectives():
     for _ in range(10):
         f = random_box_formula(rng, 2, {"t": "Truck", "c1": "City", "c2": "City"})
         g = random_box_formula(rng, 2, {"t": "Truck", "c1": "City", "c2": "City"})
-        both = regress(And((f, g)), act, BOX_SSAS, simplify=False)
+        both = regress(And((f, g)), act, BOX_SSAS, ConsistencyChecker(), simplify=False)
         parts = normalize(
-            And((regress(f, act, BOX_SSAS, simplify=False), regress(g, act, BOX_SSAS, simplify=False)))
+            And((
+                regress(f, act, BOX_SSAS, ConsistencyChecker(), simplify=False),
+                regress(g, act, BOX_SSAS, ConsistencyChecker(), simplify=False),
+            ))
         )
         assert both == parts
-        either = regress(Or((f, g)), act, BOX_SSAS, simplify=False)
+        either = regress(Or((f, g)), act, BOX_SSAS, ConsistencyChecker(), simplify=False)
         assert either == normalize(
-            Or((regress(f, act, BOX_SSAS, simplify=False), regress(g, act, BOX_SSAS, simplify=False)))
+            Or((
+                regress(f, act, BOX_SSAS, ConsistencyChecker(), simplify=False),
+                regress(g, act, BOX_SSAS, ConsistencyChecker(), simplify=False),
+            ))
         )
-        assert regress(Not(f), act, BOX_SSAS, simplify=False) == normalize(
-            Not(regress(f, act, BOX_SSAS, simplify=False))
+        assert regress(Not(f), act, BOX_SSAS, ConsistencyChecker(), simplify=False) == normalize(
+            Not(regress(f, act, BOX_SSAS, ConsistencyChecker(), simplify=False))
         )
 
 
@@ -232,7 +239,7 @@ def test_regression_soundness_corpus():
     for psi in formulas:
         assert not free_vars(psi), format_formula(psi)
         for act in actions:
-            rho = regress(psi, act, BOX_SSAS)
+            rho = regress(psi, act, BOX_SSAS, ConsistencyChecker())
             for s, a, after in transitions:
                 if a != act:
                     continue
@@ -308,12 +315,12 @@ def test_action_equality_resolution():
 
 def test_missing_ssa_for_declared_fluent():
     with pytest.raises(RegressionError):
-        regress(Atom("Held", (Var("b"),)), ActTerm("noopS"), BOX_SSAS, fluents=["TAt", "Held"])
+        regress(Atom("Held", (Var("b"),)), ActTerm("noopS"), BOX_SSAS, ConsistencyChecker(), fluents=["TAt", "Held"])
 
 
 def test_ssa_arity_mismatch():
     with pytest.raises(RegressionError):
-        regress(Atom("TAt", (Var("t"),)), ActTerm("noopS"), BOX_SSAS)
+        regress(Atom("TAt", (Var("t"),)), ActTerm("noopS"), BOX_SSAS, ConsistencyChecker())
 
 
 def test_apply_requires_ground_action():

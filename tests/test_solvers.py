@@ -15,13 +15,14 @@ from conftest import (
 )
 from fomdp.cases import CaseStatement, Partition, build_case, constant_case, eval_case
 from fomdp.domains import load_fixture
-from fomdp.folp import FOLPError
+from fomdp.folp import FOLPError, solve_first_order_lp
 from fomdp.logic import TRUE, Not, eval_in_state, make_state, normalize
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import (
     PolicyCase,
     SolverError,
     extract_policy,
+    foalp_lp,
     foalp_solve,
     foapi_solve,
     loss_bound,
@@ -46,7 +47,7 @@ def indicator_lvf(model):
     """Constant basis plus the reward region's indicator, weights zero."""
     goal = model.rewards["any"].partitions[0].formula
     ind = build_case(
-        [Partition(goal, 1.0), Partition(normalize(Not(goal)), 0.0)], True, model.checker
+        [Partition(goal, 1.0), Partition(normalize(Not(goal)), 0.0)], model.checker, True
     )
     return LinearValueFunction((0.0, 0.0), (constant_case(1.0), ind))
 
@@ -108,8 +109,8 @@ def test_foalp_ground_feasibility_on_mini_domains():
 def test_foalp_objective_recomputed_from_weights():
     model, _ = flip()
     lvf = indicator_lvf(model)
-    stats = []
-    w = foalp_solve(model, lvf, stats_out=stats)
+    w = foalp_solve(model, lvf)
+    stats = solve_first_order_lp(foalp_lp(model, lvf), model.checker).stats
     sizes = [sum(p.value for p in b.partitions) / len(b.partitions) for b in lvf.bases]
     recomputed = sum(wi * si for wi, si in zip(w, sizes))
     assert recomputed == pytest.approx(stats[-1].lp_objective, abs=TOL)
@@ -121,7 +122,7 @@ def test_foalp_seed_only_infeasible_without_constant():
     model, _ = flip()
     goal = model.rewards["any"].partitions[0].formula
     ind = build_case(
-        [Partition(goal, 1.0), Partition(normalize(Not(goal)), 0.0)], True, model.checker
+        [Partition(goal, 1.0), Partition(normalize(Not(goal)), 0.0)], model.checker, True
     )
     lvf = LinearValueFunction((0.0,), (ind,))
     with pytest.raises(FOLPError, match="infeasible"):
