@@ -64,6 +64,8 @@ class BasisGenConfig:
     def __post_init__(self):
         if self.iters < 1:
             raise BasisGenError(f"iteration limit must be at least 1, got {self.iters}")
+        if self.api_iters < 1:
+            raise BasisGenError(f"policy iteration limit must be at least 1, got {self.api_iters}")
         if self.tau < 0.0:
             raise BasisGenError(f"value threshold must be nonnegative, got {self.tau}")
         if self.discard_tau is not None and self.discard_tau < 0.0:

@@ -21,6 +21,7 @@ from .logic import ConsistencyChecker, conj
 VIOLATION_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 _PIVOT_TOL = 1e-9
+MAX_GENERATION_ITERS = 1000  # LP solves in one constraint generation
 
 
 class FOLPError(Exception):
@@ -402,11 +403,9 @@ def search_schema(
     schema: ConstraintSchema,
     weights: Mapping[str, float],
     checker: ConsistencyChecker,
-    tol: float = VIOLATION_TOL,
-    exhaustive: bool = False,
 ) -> Optional[ViolatedConstraint]:
-    """Most-violated consistent selection of one schema, or None within tol."""
-    cert = () if exhaustive else tuple(schema.certified)
+    """Most-violated consistent selection of one schema, or None within `VIOLATION_TOL`."""
+    cert = tuple(schema.certified)
     others = [i for i in range(len(schema.cases)) if i not in set(cert)]
     best: list = [None, None]
     if cert:
@@ -426,7 +425,7 @@ def search_schema(
         for i, pi in cand.items():
             expr = expr + _as_expr(schema.cases[i].partitions[pi].value)
         _search_cases(others, schema, weights, checker, dict(cand), formulas, expr, best)
-    if best[0] is None or best[0] <= tol:
+    if best[0] is None or best[0] <= VIOLATION_TOL:
         return None
     sel, expr = best[1]
     return ViolatedConstraint(schema.schema_id, sel, expr, best[0])
@@ -436,13 +435,12 @@ def search_schemata(
     schemata: Sequence,
     weights: Mapping[str, float],
     checker: ConsistencyChecker,
-    tol: float = VIOLATION_TOL,
 ) -> list:
     """Per-schema (violation, wall-ms) results, schema order preserved."""
     out = []
     for schema in schemata:
         t0 = time.perf_counter()
-        vc = search_schema(schema, weights, checker, tol)
+        vc = search_schema(schema, weights, checker)
         out.append((vc, (time.perf_counter() - t0) * 1000.0))
     return out
 
@@ -508,12 +506,7 @@ def seed_rows(folp: FirstOrderLP, checker: ConsistencyChecker) -> tuple:
     return tuple(out)
 
 
-def solve_first_order_lp(
-    folp: FirstOrderLP,
-    checker: ConsistencyChecker,
-    tol: float = VIOLATION_TOL,
-    max_iters: int = 1000,
-) -> FOLPResult:
+def solve_first_order_lp(folp: FirstOrderLP, checker: ConsistencyChecker) -> FOLPResult:
     """Constraint generation: LP-solve, add maximally violated rows, repeat."""
     seen: set = set()
     rows: list = []
@@ -524,7 +517,7 @@ def solve_first_order_lp(
             seen.add(key)
             rows.append(_expr_row(expr))
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_GENERATION_ITERS + 1):
         sol = solve_lp(LPModel(folp.variables, folp.objective, tuple(rows)))
         if sol.status == "infeasible":
             raise FOLPError("generated LP is infeasible")
@@ -537,7 +530,7 @@ def solve_first_order_lp(
             lp_objective = sol.objective
         added = 0
         stalled = False
-        found = search_schemata(folp.schemata, weights, checker, tol)
+        found = search_schemata(folp.schemata, weights, checker)
         for schema, (vc, wall) in zip(folp.schemata, found):
             stats.append(
                 GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall)
@@ -558,4 +551,4 @@ def solve_first_order_lp(
             if stalled:
                 raise LPNumericalError("violated constraint already present; tolerance conflict")
             return FOLPResult(sol.assignment, sol.objective, tuple(stats), tuple(rows), it)
-    raise FOLPError(f"constraint generation exceeded {max_iters} iterations")
+    raise FOLPError(f"constraint generation exceeded {MAX_GENERATION_ITERS} iterations")

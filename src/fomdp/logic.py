@@ -7,11 +7,15 @@ The module provides a parser and printer for a small text syntax, a
 canonical normal form used as the identity of a formula everywhere else in
 the package, closed-world evaluation against ground states, and a
 bounded-domain satisfiability check that the case algebra uses to prune
-impossible partitions.  Ground states have one evaluator, the index-join
-plans of `compile_query`, generated as Python source and compiled once;
-callers keep them, and `eval_in_state` and `satisfying_bindings` compile
-one per call, for one-off use.  An unbound variable or an action term
-raises when the formula compiles, whatever the state.
+impossible partitions.  Generic walks: `nodes` visits every subformula,
+`map_leaves` rebuilds a formula through a function of its atoms and
+equalities, and `term_names` reads a term's variables or objects; `survey`
+collects in one walk what a check needs of a formula before grounding.
+Ground states have one evaluator, the index-join plans of `compile_query`,
+generated as Python source and compiled once; callers keep them, and
+`eval_in_state` and `satisfying_bindings` compile one per call, for one-off
+use.  An unbound variable or an action term raises when the formula
+compiles, whatever the state.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class LogicError(Exception):
@@ -233,15 +237,29 @@ def _sort_key_of(f: Formula) -> tuple:
 # structural helpers
 
 
-def _term_vars(t: Term) -> set:
-    if isinstance(t, Var):
+def term_names(t: Term, kind: type) -> set:
+    """Names of the `kind` leaves (Var or Obj) of t, inside action terms too."""
+    if isinstance(t, kind):
         return {t.name}
     if isinstance(t, ActTerm):
-        out = set()
-        for a in t.args:
-            out |= _term_vars(a)
-        return out
+        return set().union(*(term_names(a, kind) for a in t.args))
     return set()
+
+
+def nodes(f: Formula) -> Iterator[Formula]:
+    """f and each of its subformulas, depth first, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, (And, Or)):
+            stack.extend(reversed(g.parts))
+        elif isinstance(g, Implies):
+            stack += (g.rhs, g.lhs)
+        elif isinstance(g, (Exists, Forall)):
+            stack.append(g.body)
 
 
 def free_vars(f: Formula) -> frozenset:
@@ -257,12 +275,9 @@ def _free_vars_of(f: Formula) -> frozenset:
     if isinstance(f, Bool):
         return frozenset()
     if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            out |= _term_vars(a)
-        return frozenset(out)
+        return frozenset().union(*(term_names(a, Var) for a in f.args))
     if isinstance(f, Eq):
-        return frozenset(_term_vars(f.left) | _term_vars(f.right))
+        return frozenset(term_names(f.left, Var) | term_names(f.right, Var))
     if isinstance(f, Not):
         return free_vars(f.sub)
     if isinstance(f, (And, Or)):
@@ -279,60 +294,51 @@ def _free_vars_of(f: Formula) -> frozenset:
 
 def all_var_names(f: Formula) -> set:
     """Every variable name occurring in f, free or bound."""
-    if isinstance(f, (Exists, Forall)):
-        return all_var_names(f.body) | {f.var}
-    if isinstance(f, Not):
-        return all_var_names(f.sub)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= all_var_names(p)
-        return out
-    if isinstance(f, Implies):
-        return all_var_names(f.lhs) | all_var_names(f.rhs)
-    return free_vars(f)
-
-
-def _term_objs(t: Term) -> set:
-    if isinstance(t, Obj):
-        return {t.name}
-    if isinstance(t, ActTerm):
-        out = set()
-        for a in t.args:
-            out |= _term_objs(a)
-        return out
-    return set()
+    out = set()
+    for g in nodes(f):
+        if isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+        elif isinstance(g, (Atom, Eq)):
+            out |= free_vars(g)
+    return out
 
 
 def objects_in(f: Formula) -> set:
     """Names of objects mentioned in f."""
-    if isinstance(f, Atom):
-        out = set()
-        for a in f.args:
-            out |= _term_objs(a)
-        return out
-    if isinstance(f, Eq):
-        return _term_objs(f.left) | _term_objs(f.right)
-    if isinstance(f, Not):
-        return objects_in(f.sub)
-    if isinstance(f, (And, Or)):
-        out = set()
-        for p in f.parts:
-            out |= objects_in(p)
-        return out
-    if isinstance(f, Implies):
-        return objects_in(f.lhs) | objects_in(f.rhs)
-    if isinstance(f, (Exists, Forall)):
-        return objects_in(f.body)
-    return set()
+    return survey(f, {})[1]
 
 
-def _sub_term(t: Term, sub: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
+def _replace_term(t: Term, kind: type, sub: Mapping[str, Term]) -> Term:
+    """t with each `kind` leaf (Var or Obj) that `sub` names replaced by its term."""
+    if isinstance(t, kind):
         return sub.get(t.name, t)
     if isinstance(t, ActTerm):
-        return ActTerm(t.name, tuple(_sub_term(a, sub) for a in t.args))
+        return ActTerm(t.name, tuple(_replace_term(a, kind, sub) for a in t.args))
     return t
+
+
+def _replace_terms(g: Formula, kind: type, sub: Mapping[str, Term]) -> Formula:
+    """`_replace_term` on each term of an atom or equality."""
+    if isinstance(g, Atom):
+        return Atom(g.pred, tuple(_replace_term(a, kind, sub) for a in g.args))
+    return Eq(_replace_term(g.left, kind, sub), _replace_term(g.right, kind, sub))
+
+
+def map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """f with every atom and equality g replaced by leaf(g); connectives and binders stay as they are."""
+    if isinstance(f, (Atom, Eq)):
+        return leaf(f)
+    if isinstance(f, Bool):
+        return f
+    if isinstance(f, Not):
+        return Not(map_leaves(f.sub, leaf))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(map_leaves(p, leaf) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(map_leaves(f.lhs, leaf), map_leaves(f.rhs, leaf))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, f.vtype, map_leaves(f.body, leaf))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
@@ -341,10 +347,8 @@ def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
         return f
     if isinstance(f, (Bool,)):
         return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_sub_term(a, sub) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(_sub_term(f.left, sub), _sub_term(f.right, sub))
+    if isinstance(f, (Atom, Eq)):
+        return _replace_terms(f, Var, sub)
     if isinstance(f, Not):
         return Not(substitute(f.sub, sub))
     if isinstance(f, And):
@@ -360,7 +364,7 @@ def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
         # rename the binder if a substituted term would be captured
         incoming = set()
         for v in inner.values():
-            incoming |= _term_vars(v)
+            incoming |= term_names(v, Var)
         var = f.var
         body = f.body
         if var in incoming:
@@ -376,53 +380,20 @@ def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _rename_term(t: Term, mapping: Mapping[str, str]) -> Term:
-    if isinstance(t, Obj):
-        return Obj(mapping.get(t.name, t.name))
-    if isinstance(t, ActTerm):
-        return ActTerm(t.name, tuple(_rename_term(a, mapping) for a in t.args))
-    return t
-
-
 def replace_objects(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename objects throughout f (used for goal instantiation)."""
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_rename_term(a, mapping) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(_rename_term(f.left, mapping), _rename_term(f.right, mapping))
-    if isinstance(f, Not):
-        return Not(replace_objects(f.sub, mapping))
-    if isinstance(f, And):
-        return And(tuple(replace_objects(p, mapping) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(replace_objects(p, mapping) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(replace_objects(f.lhs, mapping), replace_objects(f.rhs, mapping))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, f.vtype, replace_objects(f.body, mapping))
-    raise TypeError(f"not a formula: {f!r}")
+    sub = {name: Obj(new) for name, new in mapping.items()}
+    return map_leaves(f, lambda g: _replace_terms(g, Obj, sub))
 
 
-def collect_predicates(f: Formula, acc: Optional[dict] = None) -> dict:
+def collect_predicates(f: Formula) -> dict:
     """Map predicate name -> arity for every atom in f; raises on conflicts."""
-    if acc is None:
-        acc = {}
-    if isinstance(f, Atom):
-        n = len(f.args)
-        if acc.setdefault(f.pred, n) != n:
-            raise ArityError(f"predicate {f.pred} used with arities {acc[f.pred]} and {n}")
-    elif isinstance(f, Not):
-        collect_predicates(f.sub, acc)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            collect_predicates(p, acc)
-    elif isinstance(f, Implies):
-        collect_predicates(f.lhs, acc)
-        collect_predicates(f.rhs, acc)
-    elif isinstance(f, (Exists, Forall)):
-        collect_predicates(f.body, acc)
+    acc: dict = {}
+    for g in nodes(f):
+        if isinstance(g, Atom):
+            n = len(g.args)
+            if acc.setdefault(g.pred, n) != n:
+                raise ArityError(f"predicate {g.pred} used with arities {acc[g.pred]} and {n}")
     return acc
 
 
@@ -1105,38 +1076,55 @@ def _gather(slots: Sequence[int]) -> Callable:
 # type inference for variables and objects
 
 
-def infer_types(
-    f: Formula,
-    signature: Mapping[str, Sequence],
-    env: Optional[Mapping[str, Optional[str]]] = None,
-    acc: Optional[dict] = None,
-) -> dict:
-    """Best-effort types for free variables and objects from atom positions."""
-    if acc is None:
-        acc = {}
-    env = dict(env or {})
+def survey(f: Formula, signature: Mapping[str, Sequence]) -> tuple:
+    """What a check needs of f before grounding, in one walk: (types, objects, binders, nonmono).
 
-    def note(t: Term, vtype):
-        if vtype is None:
-            return
-        if isinstance(t, (Var, Obj)) and t.name not in env:
-            acc.setdefault(t.name, vtype)
-
-    if isinstance(f, Atom):
-        types = signature.get(f.pred, ())
-        for a, vt in zip(f.args, types):
-            note(a, vt)
-    elif isinstance(f, Not):
-        infer_types(f.sub, signature, env, acc)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            infer_types(p, signature, env, acc)
-    elif isinstance(f, Implies):
-        infer_types(f.lhs, signature, env, acc)
-        infer_types(f.rhs, signature, env, acc)
-    elif isinstance(f, (Exists, Forall)):
-        infer_types(f.body, signature, {**env, f.var: f.vtype}, acc)
+    `types` maps free variables and objects to the type of the first atom
+    position that gives them one (a name bound there is skipped), in the
+    order met.  `objects` holds the named objects.  `binders` holds the types
+    of f's quantifiers and of the ∃ that `implicit_close(f, types)` adds.
+    `nonmono` holds the types that may not be monotone in f, by Claessen &
+    Lillieström's first calculus: an extra object that copies an existing
+    one satisfies whatever the original did, except a positive equality
+    with a universally quantified variable (a ∀, or an ∃ under negation).
+    An untyped one adds None, which stands for every type.
+    """
+    acc = ({}, set(), set(), set())
+    _survey(f, {}, True, signature, acc)
+    acc[2].update(acc[0].get(v) for v in free_vars(f))
     return acc
+
+
+def _survey(f: Formula, scope: dict, positive: bool, signature: Mapping[str, Sequence], acc: tuple):
+    """Add f to `survey`'s results; scope maps each bound name to (universally bound?, type)."""
+    if isinstance(f, (And, Or)):
+        for p in f.parts:
+            _survey(p, scope, positive, signature, acc)
+    elif isinstance(f, Atom):
+        for t in f.args:
+            acc[1].update(term_names(t, Obj))
+        for t, vtype in zip(f.args, signature.get(f.pred, ())):
+            if vtype is not None and isinstance(t, (Var, Obj)) and t.name not in scope:
+                acc[0].setdefault(t.name, vtype)
+    elif isinstance(f, Not):
+        _survey(f.sub, scope, not positive, signature, acc)
+    elif isinstance(f, Eq):
+        for t in (f.left, f.right):
+            acc[1].update(term_names(t, Obj))
+            if positive and isinstance(t, Var) and scope.get(t.name, (False,))[0]:
+                acc[3].add(scope[t.name][1])
+    elif isinstance(f, (Exists, Forall)):
+        acc[2].add(f.vtype)
+        inner = {**scope, f.var: (isinstance(f, Forall) == positive, f.vtype)}
+        _survey(f.body, inner, positive, signature, acc)
+    elif isinstance(f, Implies):
+        _survey(f.lhs, scope, not positive, signature, acc)
+        _survey(f.rhs, scope, positive, signature, acc)
+
+
+def infer_types(f: Formula, signature: Mapping[str, Sequence]) -> dict:
+    """Best-effort types for free variables and objects from atom positions; see `survey`."""
+    return survey(f, signature)[0]
 
 
 def implicit_close(f: Formula, var_types: Optional[Mapping[str, Optional[str]]] = None) -> Formula:
@@ -1169,6 +1157,8 @@ class ConsistencyBound:
     def __post_init__(self):
         if self.objects_per_type < 1:
             raise ValueError("objects_per_type must be positive")
+        if self.work_budget < 0:
+            raise ValueError("work_budget must not be negative")
 
 
 class _BudgetExhausted(Exception):
@@ -1272,13 +1262,11 @@ class ConsistencyChecker:
         The closed formula compiles once into a grounding plan that every
         combination runs (`_ground_plan`).
         """
-        types = infer_types(f, self.signature)
+        types, objects, binders, nonmono = survey(f, self.signature)
         closed = implicit_close(f, types)
         consts: dict = {}
-        for name in sorted(objects_in(closed)):
+        for name in sorted(objects):
             consts.setdefault(types.get(name), []).append(name)
-        binders, nonmono = set(), set()
-        _scan_types(closed, {}, binders, nonmono)
         typed = sorted(t for t in set(consts) | binders if t is not None)
         loop_types = typed if typed else [None]
         ranges = []
@@ -1338,30 +1326,7 @@ class ConsistencyChecker:
         rule uses the same `types` that close and pool f for grounding.
         """
         g = normalize(push_quantifiers(f, types))
-        return _BddSimplifier(BDD_MAX_ATOMS, self).decide(g)
-
-
-def _scan_types(f: Formula, universal: Mapping[str, Optional[str]], binders: set, nonmono: set):
-    """Add f's binder types to `binders` and its non-monotone types to `nonmono`; expects NNF.
-
-    Claessen & Lillieström's first calculus: an extra object that copies an
-    existing one satisfies whatever the original did, except a positive
-    equality with a ∀-bound variable (`universal` maps those in scope to
-    their types).  An untyped one adds None, which stands for every type.
-    """
-    if isinstance(f, (Exists, Forall)):
-        binders.add(f.vtype)
-        inner = {name: t for name, t in universal.items() if name != f.var}
-        if isinstance(f, Forall):
-            inner[f.var] = f.vtype
-        _scan_types(f.body, inner, binders, nonmono)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _scan_types(p, universal, binders, nonmono)
-    elif isinstance(f, Eq):
-        for t in (f.left, f.right):
-            if isinstance(t, Var) and t.name in universal:
-                nonmono.add(universal[t.name])
+        return _BddSimplifier(self).decide(g)
 
 
 _G_TRUE = 0
@@ -1618,7 +1583,7 @@ def push_quantifiers(f: Formula, types: Optional[Mapping[str, Optional[str]]] = 
 
     Without `types` the one-point rule ignores quantifier types, which is
     sound over untyped domains only.  With `types` (the free variables' and
-    objects' types, as `infer_types` gives them) binder types are tracked on
+    objects' types, as `survey` gives them) binder types are tracked on
     the way down, and `∃x:T. x = t ∧ φ` (or its ∀ dual) is rewritten only
     when T is None or t has type T: a term of type None lives in the
     untyped pool only.  Subformulas where nothing moves come back as the
@@ -1647,9 +1612,9 @@ def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Opti
     if not isinstance(part, Eq):
         return None
     l, r = part.left, part.right
-    if isinstance(l, Var) and l.name == var and var not in _term_vars(r):
+    if isinstance(l, Var) and l.name == var and var not in term_names(r, Var):
         t = r
-    elif isinstance(r, Var) and r.name == var and var not in _term_vars(l):
+    elif isinstance(r, Var) and r.name == var and var not in term_names(l, Var):
         t = l
     else:
         return None
@@ -1783,8 +1748,7 @@ class _BddSimplifier:
 
     tree_limit = 10_000  # read-back tree nodes; tier-1 tests reach 4,224, cold solves 117
 
-    def __init__(self, max_atoms: int, checker: ConsistencyChecker):
-        self.max_atoms = max_atoms
+    def __init__(self, checker: ConsistencyChecker):
         self.keys, self.duals, self.stats = checker._atom_keys, checker._duals, checker.stats
 
     def atom_key(self, f: Formula) -> tuple[Formula, bool]:
@@ -1845,7 +1809,7 @@ class _BddSimplifier:
         key, negated = self.atom_key(f)
         var = index.get(key)
         if var is None:
-            if len(order) == self.max_atoms:
+            if len(order) == BDD_MAX_ATOMS:
                 raise _AtomLimit()
             var = index[key] = len(order)
             order.append(key)
@@ -1895,7 +1859,7 @@ class _BddSimplifier:
         return f
 
 
-def simplify_bdd(f: Formula, checker: ConsistencyChecker, max_atoms: int = BDD_MAX_ATOMS) -> Formula:
+def simplify_bdd(f: Formula, checker: ConsistencyChecker) -> Formula:
     """Boolean simplification that treats quantified subformulas as atoms.
 
     Quantifiers are first pushed inward (with one-point elimination of
@@ -1905,13 +1869,13 @@ def simplify_bdd(f: Formula, checker: ConsistencyChecker, max_atoms: int = BDD_M
     This path calls `push_quantifiers` without types, so over typed domains
     the result can be weaker (∃x:Box. ∃y:City. x = y becomes true); the
     consistency checker's lifted pass is the typed path.  When the atom
-    count exceeds `max_atoms`, or the read-back unfolds into more than
+    count exceeds `BDD_MAX_ATOMS`, or the read-back unfolds into more than
     `_BddSimplifier.tree_limit` nodes, the input is returned unchanged.
     Atoms are canonicalised through `checker`'s tables, so a call repeats
     none of the work of earlier calls through that checker; the result does
     not depend on what those tables already hold.
     """
-    s = _BddSimplifier(max_atoms, checker)
+    s = _BddSimplifier(checker)
     g = s.reduce(s.prepare(f))
     return f if g is None else normalize(g)
 
@@ -1924,7 +1888,7 @@ def disjoint_regions(formulas: Sequence[Formula], checker: ConsistencyChecker) -
     the conjunction itself, which is what `simplify_bdd` returns for it.  As
     there, atoms are canonicalised through `checker`'s tables.
     """
-    s, bdd, order, index, memo = _BddSimplifier(BDD_MAX_ATOMS, checker), _Bdd(), [], {}, {}
+    s, bdd, order, index, memo = _BddSimplifier(checker), _Bdd(), [], {}, {}
     covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out
     for i, f in enumerate(formulas):
         try:

@@ -17,9 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .logic import (
     ActTerm,
-    And,
     Atom,
-    Bool,
     ConsistencyChecker,
     Eq,
     Exists,
@@ -27,33 +25,25 @@ from .logic import (
     Forall,
     Formula,
     GroundState,
-    Implies,
     LogicError,
-    Not,
     Obj,
-    Or,
     StateIndex,
     Var,
     compile_query,
     conj,
     make_state,
+    map_leaves,
+    nodes,
     normalize,
     objects_in,
     simplify_bdd,
     substitute,
+    term_names,
 )
 
 
 class RegressionError(LogicError):
     pass
-
-
-def _term_mentions(t, name: str) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, ActTerm):
-        return any(_term_mentions(a, name) for a in t.args)
-    return False
 
 
 @dataclass(frozen=True)
@@ -76,42 +66,21 @@ class SuccessorStateAxiom:
 
     def _validate(self, f: Formula):
         a = self.action_var
-        if isinstance(f, Atom):
-            for t in f.args:
-                if _term_mentions(t, a):
+        for g in nodes(f):
+            if isinstance(g, Atom):
+                if any(a in term_names(t, Var) for t in g.args):
                     raise RegressionError(
-                        f"action variable {a} used as an object argument of {f.pred} in the axiom for {self.fluent}"
+                        f"action variable {a} used as an object argument of {g.pred} in the axiom for {self.fluent}"
                     )
-        elif isinstance(f, Eq):
-            sides = (f.left, f.right)
-            if any(_term_mentions(t, a) for t in sides):
-                ok = (
-                    isinstance(f.left, Var)
-                    and f.left.name == a
-                    and isinstance(f.right, ActTerm)
-                    and not _term_mentions(f.right, a)
-                ) or (
-                    isinstance(f.right, Var)
-                    and f.right.name == a
-                    and isinstance(f.left, ActTerm)
-                    and not _term_mentions(f.left, a)
-                )
-                if not ok:
-                    raise RegressionError(
-                        f"axiom for {self.fluent} must compare {a} only with action terms"
-                    )
-        elif isinstance(f, Not):
-            self._validate(f.sub)
-        elif isinstance(f, (And, Or)):
-            for p in f.parts:
-                self._validate(p)
-        elif isinstance(f, Implies):
-            self._validate(f.lhs)
-            self._validate(f.rhs)
-        elif isinstance(f, (Exists, Forall)):
-            if f.var == self.action_var:
+            elif isinstance(g, Eq):
+                left, right = (a in term_names(t, Var) for t in (g.left, g.right))
+                if (left or right) and not (
+                    (g.left == Var(a) and isinstance(g.right, ActTerm) and not right)
+                    or (g.right == Var(a) and isinstance(g.left, ActTerm) and not left)
+                ):
+                    raise RegressionError(f"axiom for {self.fluent} must compare {a} only with action terms")
+            elif isinstance(g, (Exists, Forall)) and g.var == a:
                 raise RegressionError(f"axiom for {self.fluent} rebinds the action variable {a}")
-            self._validate(f.body)
 
     def query(self, name: str, arity: int, types: tuple) -> Callable:
         """Plan of the fluent's tuples, of `types`, that hold after an action `name` of `arity`.
@@ -138,32 +107,27 @@ class SuccessorStateAxiom:
         return resolve_action_equalities(substitute(self.body, sub))
 
 
+def _resolve(g: Formula) -> Formula:
+    """An atom or equality with an equality between action terms compiled away."""
+    if not isinstance(g, Eq):
+        return g
+    la, ra = isinstance(g.left, ActTerm), isinstance(g.right, ActTerm)
+    if la and ra:
+        if g.left.name != g.right.name or len(g.left.args) != len(g.right.args):
+            return FALSE
+        return conj(Eq(l, r) for l, r in zip(g.left.args, g.right.args))
+    if la or ra:
+        raise RegressionError(f"action term compared with an object term: {g}")
+    return g
+
+
 def resolve_action_equalities(f: Formula) -> Formula:
     """Compile equalities between action terms down to object equalities.
 
     Distinct deterministic action names never denote the same action, and
     n(u⃗) = n(v⃗) holds exactly when the arguments agree pairwise.
     """
-    if isinstance(f, Eq):
-        la, ra = isinstance(f.left, ActTerm), isinstance(f.right, ActTerm)
-        if la and ra:
-            if f.left.name != f.right.name or len(f.left.args) != len(f.right.args):
-                return FALSE
-            return conj(Eq(l, r) for l, r in zip(f.left.args, f.right.args))
-        if la or ra:
-            raise RegressionError(f"action term compared with an object term: {f}")
-        return f
-    if isinstance(f, Not):
-        return Not(resolve_action_equalities(f.sub))
-    if isinstance(f, And):
-        return And(tuple(resolve_action_equalities(p) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(resolve_action_equalities(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(resolve_action_equalities(f.lhs), resolve_action_equalities(f.rhs))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, f.vtype, resolve_action_equalities(f.body))
-    return f
+    return map_leaves(f, _resolve)
 
 
 def regress(
@@ -172,7 +136,6 @@ def regress(
     ssas: Mapping[str, SuccessorStateAxiom],
     checker: ConsistencyChecker,
     fluents: Optional[Iterable[str]] = None,
-    simplify: bool = True,
 ) -> Formula:
     """Pre-action formula equivalent to f holding after doing act.
 
@@ -183,34 +146,22 @@ def regress(
     an axiom; atoms of unlisted predicates are treated as static.
     """
     declared = frozenset(fluents) if fluents is not None else None
-    g = _regress_raw(f, act, ssas, declared)
-    g = normalize(g)
-    return simplify_bdd(g, checker) if simplify else g
+    return simplify_bdd(normalize(_regress_raw(f, act, ssas, declared)), checker)
 
 
 def _regress_raw(f: Formula, act: ActTerm, ssas, declared) -> Formula:
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        ssa = ssas.get(f.pred)
-        if ssa is None:
-            if declared is not None and f.pred in declared:
-                raise RegressionError(f"no successor-state axiom for fluent {f.pred}")
-            return f
-        return ssa.instantiate(f.args, act)
-    if isinstance(f, Eq):
-        return resolve_action_equalities(f)
-    if isinstance(f, Not):
-        return Not(_regress_raw(f.sub, act, ssas, declared))
-    if isinstance(f, And):
-        return And(tuple(_regress_raw(p, act, ssas, declared) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_regress_raw(p, act, ssas, declared) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_regress_raw(f.lhs, act, ssas, declared), _regress_raw(f.rhs, act, ssas, declared))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, f.vtype, _regress_raw(f.body, act, ssas, declared))
-    raise TypeError(f"not a formula: {f!r}")
+    """f with each fluent atom replaced by its axiom body for act and action equalities resolved."""
+
+    def leaf(g: Formula) -> Formula:
+        if isinstance(g, Eq):
+            return _resolve(g)
+        if g.pred in ssas:
+            return ssas[g.pred].instantiate(g.args, act)
+        if declared is not None and g.pred in declared:
+            raise RegressionError(f"no successor-state axiom for fluent {g.pred}")
+        return g
+
+    return map_leaves(f, leaf)
 
 
 def apply_action(

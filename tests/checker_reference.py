@@ -8,11 +8,16 @@ must return exactly the verdicts this returns.  It grounds through
 grounding plans replaced: it expands every occurrence of a subformula under
 every binding it meets and spends one budget unit on each expansion.  The
 plans must build exactly the `_GroundDag` this builds.
+
+`reference_infer_types`, `reference_objects_in` and `reference_scan_types`
+are the three walks that `fomdp.logic.survey` folded into one; `survey`
+must give exactly what they give.
 """
 
 import itertools
 
 from fomdp.logic import (
+    ActTerm,
     And,
     Atom,
     Bool,
@@ -33,9 +38,101 @@ from fomdp.logic import (
     _ground_sat,
     _spend,
     implicit_close,
-    infer_types,
-    objects_in,
 )
+
+
+def reference_infer_types(f: Formula, signature, env=None, acc=None) -> dict:
+    """Best-effort types for free variables and objects from atom positions."""
+    if acc is None:
+        acc = {}
+    env = dict(env or {})
+
+    def note(t, vtype):
+        if vtype is None:
+            return
+        if isinstance(t, (Var, Obj)) and t.name not in env:
+            acc.setdefault(t.name, vtype)
+
+    if isinstance(f, Atom):
+        types = signature.get(f.pred, ())
+        for a, vt in zip(f.args, types):
+            note(a, vt)
+    elif isinstance(f, Not):
+        reference_infer_types(f.sub, signature, env, acc)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            reference_infer_types(p, signature, env, acc)
+    elif isinstance(f, Implies):
+        reference_infer_types(f.lhs, signature, env, acc)
+        reference_infer_types(f.rhs, signature, env, acc)
+    elif isinstance(f, (Exists, Forall)):
+        reference_infer_types(f.body, signature, {**env, f.var: f.vtype}, acc)
+    return acc
+
+
+def _term_objs(t) -> set:
+    if isinstance(t, Obj):
+        return {t.name}
+    if isinstance(t, ActTerm):
+        out = set()
+        for a in t.args:
+            out |= _term_objs(a)
+        return out
+    return set()
+
+
+def reference_objects_in(f: Formula) -> set:
+    """Names of objects mentioned in f."""
+    if isinstance(f, Atom):
+        out = set()
+        for a in f.args:
+            out |= _term_objs(a)
+        return out
+    if isinstance(f, Eq):
+        return _term_objs(f.left) | _term_objs(f.right)
+    if isinstance(f, Not):
+        return reference_objects_in(f.sub)
+    if isinstance(f, (And, Or)):
+        out = set()
+        for p in f.parts:
+            out |= reference_objects_in(p)
+        return out
+    if isinstance(f, Implies):
+        return reference_objects_in(f.lhs) | reference_objects_in(f.rhs)
+    if isinstance(f, (Exists, Forall)):
+        return reference_objects_in(f.body)
+    return set()
+
+
+def reference_scan_types(f: Formula, universal, binders: set, nonmono: set):
+    """Add f's binder types to `binders` and its non-monotone types to `nonmono`; expects NNF.
+
+    Claessen & Lillieström's first calculus: an extra object that copies an
+    existing one satisfies whatever the original did, except a positive
+    equality with a ∀-bound variable (`universal` maps those in scope to
+    their types).  An untyped one adds None, which stands for every type.
+    """
+    if isinstance(f, (Exists, Forall)):
+        binders.add(f.vtype)
+        inner = {name: t for name, t in universal.items() if name != f.var}
+        if isinstance(f, Forall):
+            inner[f.var] = f.vtype
+        reference_scan_types(f.body, inner, binders, nonmono)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            reference_scan_types(p, universal, binders, nonmono)
+    elif isinstance(f, Eq):
+        for t in (f.left, f.right):
+            if isinstance(t, Var) and t.name in universal:
+                nonmono.add(universal[t.name])
+
+
+def reference_survey(f: Formula, signature) -> tuple:
+    """`survey`'s four results by the three walks it replaced; binders and nonmono expect NNF."""
+    types = reference_infer_types(f, signature)
+    binders, nonmono = set(), set()
+    reference_scan_types(implicit_close(f, types), {}, binders, nonmono)
+    return types, reference_objects_in(f), binders, nonmono
 
 
 def reference_ground_expand(f: Formula, pools, binding: dict, dag: _GroundDag, left: list) -> int:
@@ -108,10 +205,10 @@ def binder_types(f: Formula) -> dict:
 
 def every_grounding(f: Formula, signature, n: int) -> tuple:
     """f's types, its closure, and the pools of every per-type size combination up to n, smallest first."""
-    types = infer_types(f, signature)
+    types = reference_infer_types(f, signature)
     closed = implicit_close(f, types)
     consts: dict = {}
-    for name in sorted(objects_in(closed)):
+    for name in sorted(reference_objects_in(closed)):
         consts.setdefault(types.get(name), []).append(name)
     needed = set(consts) | set(binder_types(closed))
     if not needed:

@@ -110,6 +110,8 @@ def assert_certified_disjoint(model, lvf, report):
 def test_config_validation():
     with pytest.raises(BasisGenError, match="iteration limit"):
         BasisGenConfig(iters=0)
+    with pytest.raises(BasisGenError, match="policy iteration limit"):
+        BasisGenConfig(api_iters=0)
     with pytest.raises(BasisGenError, match="value threshold"):
         BasisGenConfig(tau=-0.1)
     with pytest.raises(BasisGenError, match="discard threshold"):

@@ -13,12 +13,20 @@ import itertools
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 import state_reference as reference
 from bdd_reference import reference_simplify_bdd
-from checker_reference import ReferenceChecker, every_grounding, reference_ground_expand
+from checker_reference import (
+    ReferenceChecker,
+    every_grounding,
+    reference_ground_expand,
+    reference_infer_types,
+    reference_objects_in,
+    reference_survey,
+)
 from fomdp.logic import (
     FALSE,
     TRUE,
@@ -45,14 +53,16 @@ from fomdp.logic import (
     Var,
     _GroundDag,
     _ground_plan,
-    _scan_types,
+    _nnf,
     compile_query,
     disjoint_regions,
     eval_in_state,
     format_formula,
     free_vars,
     implicit_close,
+    infer_types,
     make_state,
+    nodes,
     normalize,
     objects_in,
     parse_formula,
@@ -61,7 +71,12 @@ from fomdp.logic import (
     satisfying_bindings,
     simplify_bdd,
     substitute,
+    survey,
 )
+from fomdp import logic
+from fomdp.basisgen import BasisGenConfig, generate_basis
+from fomdp.domains import load_fixture
+from fomdp.unidecomp import make_generic_goal
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -458,6 +473,16 @@ def test_validity_and_equivalence():
     assert chk.equivalent(f, parse_formula("Q")) is False
 
 
+def test_bad_bounds_rejected():
+    # a negative budget never reached 0, so it used to turn the budget off
+    with pytest.raises(ValueError, match="work_budget"):
+        ConsistencyBound(work_budget=-1)
+    with pytest.raises(ValueError, match="objects_per_type"):
+        ConsistencyBound(objects_per_type=0)
+    chk = ConsistencyChecker(ConsistencyBound(work_budget=0))
+    assert chk.check(parse_formula("exists x. P(x)")) is None and chk.stats.exhausted == 1
+
+
 def test_timeout_reported_indeterminate():
     # the work budget took the place of the wall-clock timeout; a check that
     # runs out of it still gets the indeterminate verdict
@@ -591,9 +616,7 @@ def test_lifted_one_point_rule_respects_types(text, verdict):
 
 def scanned_types(text: str) -> tuple:
     f = parse_formula(text, objects=["b1", "c1"])
-    binders, nonmono = set(), set()
-    _scan_types(implicit_close(normalize(f)), {}, binders, nonmono)
-    return binders, nonmono
+    return survey(normalize(f), {})[2:]
 
 
 @pytest.mark.parametrize(
@@ -619,9 +642,63 @@ def test_scan_types_finds_binders_and_non_monotone_types(text, binders, nonmono)
 def test_scan_types_respects_shadowing():
     # the inner ∃x hides the outer ∀x, so the equality does not bind a ∀ variable
     f = Forall("x", "Box", Exists("x", "City", Eq(Var("x"), Obj("c1"))))
-    binders, nonmono = set(), set()
-    _scan_types(f, {}, binders, nonmono)
-    assert (binders, nonmono) == ({"Box", "City"}, set())
+    assert survey(f, {})[2:] == ({"Box", "City"}, set())
+
+
+SURVEY_SIG = {**TYPED_SIG, "Q": ("Box", "City")}  # corpus atoms get types too
+
+
+def solve_checks(monkeypatch) -> list:
+    """(formula, signature) of each check reaching `_sat` in cold boxworld FOALP and blocksworld FOAPI solves."""
+    seen, real = [], ConsistencyChecker._sat
+
+    def sat(self, f, left):
+        seen.append((f, self.signature))
+        return real(self, f, left)
+
+    monkeypatch.setattr(ConsistencyChecker, "_sat", sat)
+    for fixture, solver in (("boxworld_mini", "foalp"), ("blocksworld_mini", "foapi")):
+        model = make_generic_goal(load_fixture(fixture)[0])
+        model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+        generate_basis(model, BasisGenConfig(iters=2, solver=solver))
+    return seen
+
+
+def test_survey_matches_the_three_walks(monkeypatch):
+    # types and objects of any formula, binder and non-monotone types of its NNF
+    formulas = corpus(60, 4) + typed_corpus(29, 200) + bdd_corpus(7)
+    cases = [(g, SURVEY_SIG) for f in formulas for g in (f, normalize(f))]
+    checked = solve_checks(monkeypatch)
+    assert len(checked) > 200
+    nonmono = 0
+    for f, sig in cases + checked:
+        got = survey(f, sig)
+        want = reference_survey(_nnf(f, False), sig)
+        assert list(got[0].items()) == list(reference_infer_types(f, sig).items()) == list(want[0].items())
+        assert got[1] == reference_objects_in(f) == want[1]
+        assert got[2:] == want[2:], format_formula(f)
+        assert (infer_types(f, sig), objects_in(f)) == got[:2]
+        nonmono += bool(got[3])
+    assert nonmono > 100
+
+
+def test_cold_check_surveys_its_formula_once(monkeypatch):
+    f = normalize(non_monotone_probes()[0])
+    visits, real = [], logic._survey
+
+    def counted(g, *args):
+        visits.append(g)
+        return real(g, *args)
+
+    def another_walk(*args):
+        raise AssertionError("a second walk before grounding")
+
+    monkeypatch.setattr(logic, "_survey", counted)
+    monkeypatch.setattr(logic, "infer_types", another_walk)
+    monkeypatch.setattr(logic, "objects_in", another_walk)
+    chk = ConsistencyChecker(signature=TYPED_SIG)
+    assert chk.check(f) is True and chk.stats.groundings > 1
+    assert [id(g) for g in visits] == [id(g) for g in nodes(f)]
 
 
 # hand-written probes whose verdicts hinge on a non-monotone type's small sizes
@@ -974,10 +1051,12 @@ def test_simplify_preserves_truth_on_corpus():
                 assert eval_in_state(f, state, b) == eval_in_state(g, state, b), format_formula(f)
 
 
-def test_simplify_atom_overflow_returns_input():
+def test_simplify_atom_overflow_returns_input(monkeypatch):
     parts = tuple(Atom(f"P{i}") for i in range(8))
     f = Or(parts)
-    assert simplify_bdd(f, ConsistencyChecker(), max_atoms=4) == f
+    assert simplify_bdd(f, ConsistencyChecker()) is not f
+    monkeypatch.setattr(logic, "BDD_MAX_ATOMS", 4)
+    assert simplify_bdd(f, ConsistencyChecker()) is f
 
 
 def test_simplify_read_back_overflow_returns_input():
@@ -1061,14 +1140,15 @@ def bdd_corpus(seed: int) -> list:
 
 
 @pytest.mark.parametrize("max_atoms", [40, 3])
-def test_simplify_matches_two_pass_reference(max_atoms):
+def test_simplify_matches_two_pass_reference(monkeypatch, max_atoms):
     # each side gets its own copy, so nothing one run caches reaches the other
     formulas, twins = bdd_corpus(11), bdd_corpus(11)
     assert len(formulas) >= 200
     overflowed = 0
+    monkeypatch.setattr(logic, "BDD_MAX_ATOMS", max_atoms)
     for f, twin in zip(formulas, twins):
         want = reference_simplify_bdd(twin, max_atoms)
-        assert simplify_bdd(f, ConsistencyChecker(), max_atoms) == want, format_formula(f)
+        assert simplify_bdd(f, ConsistencyChecker()) == want, format_formula(f)
         # past the atom limit at the top level the input object comes back
         overflowed += want is twin and not isinstance(twin, Bool)
     assert overflowed >= 5
