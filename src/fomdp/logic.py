@@ -11,6 +11,9 @@ impossible partitions.  Generic walks: `nodes` visits every subformula,
 `map_leaves` rebuilds a formula through a function of its atoms and
 equalities, and `term_names` reads a term's variables or objects; `survey`
 collects in one walk what a check needs of a formula before grounding.
+Formulas share subformula objects, so `normalize`, `survey`,
+`push_quantifiers` and the BDD passes visit each distinct subformula once
+per context in a call, through memos keyed by object id that end with it.
 Ground states have one evaluator, the index-join plans of `compile_query`,
 generated as Python source and compiled once; callers keep them, and
 `eval_in_state` and `satisfying_bindings` compile one per call, for one-off
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
@@ -453,62 +457,34 @@ def _fmt(f: Formula, ctx: int) -> str:
 # parsing
 
 
-_SYMBOLS = ("!=", "->", "(", ")", ",", ".", ":", "!", "&", "|", "=")
+# whitespace and comments, symbols (longest first), words; a word must start with a letter
+_TOKEN = re.compile(r"([ \t\r\n]+|#[^\n]*)|(!=|->|[(),.:!&|=])|(\w+)")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._lex()
-
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _lex(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "#":
-                end = text.find("\n", self.pos)
-                self._advance((end if end >= 0 else len(text)) - self.pos)
-                continue
-            matched = False
-            for sym in _SYMBOLS:
-                if text.startswith(sym, self.pos):
-                    self.tokens.append(("sym", sym, self.line, self.col))
-                    self._advance(len(sym))
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch.isalpha():
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[self.pos : j]
-                self.tokens.append(("ident", word, self.line, self.col))
-                self._advance(j - self.pos)
-                continue
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", self.line, self.col)
-        self.tokens.append(("eof", "", self.line, self.col))
+def _lex(text: str) -> list:
+    """Tokens (kind, value, line, column) of text, ending with an "eof" token."""
+    tokens, line, line_start, pos = [], 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if m is None or (m.lastindex == 3 and not text[pos].isalpha()):
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        skip, sym, word = m.groups()
+        if sym:
+            tokens.append(("sym", sym, line, col))
+        elif word:
+            tokens.append(("ident", word, line, col))
+        elif "\n" in skip:
+            line += skip.count("\n")
+            line_start = pos + skip.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, objects: frozenset, act_names: frozenset):
-        self.toks = _Lexer(text).tokens
+        self.toks = _lex(text)
         self.i = 0
         self.objects = objects
         self.act_names = act_names
@@ -689,42 +665,18 @@ def normalize(f: Formula) -> Formula:
     parts sorted under a fixed total order, and bound variables renamed by
     quantifier depth.  Alpha-equivalent formulas normalize identically and
     the map is idempotent.  Outputs are marked so renormalizing one is free.
+    One walk does it all, working out each distinct compound subformula once
+    per (polarity, renaming of its free variables, depth).
     """
     if f.__dict__.get("_normed", False):
         return f
-    g = _canon(_nnf(f, False), {}, 0)
+    g = _canon(f, False, {}, 0, (), {})
     object.__setattr__(g, "_normed", True)
     if isinstance(g, (And, Or)):
         # direct parts are canonical at depth 0 themselves
         for p in g.parts:
             object.__setattr__(p, "_normed", True)
     return g
-
-
-def _nnf(f: Formula, neg: bool) -> Formula:
-    if not neg and f.__dict__.get("_normed", False):
-        return f
-    if isinstance(f, Bool):
-        return Bool(f.value != neg)
-    if isinstance(f, (Atom, Eq)):
-        return Not(f) if neg else f
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if isinstance(f, And):
-        parts = tuple(_nnf(p, neg) for p in f.parts)
-        return Or(parts) if neg else And(parts)
-    if isinstance(f, Or):
-        parts = tuple(_nnf(p, neg) for p in f.parts)
-        return And(parts) if neg else Or(parts)
-    if isinstance(f, Implies):
-        return _nnf(Or((Not(f.lhs), f.rhs)), neg)
-    if isinstance(f, Exists):
-        cls = Forall if neg else Exists
-        return cls(f.var, f.vtype, _nnf(f.body, neg))
-    if isinstance(f, Forall):
-        cls = Exists if neg else Forall
-        return cls(f.var, f.vtype, _nnf(f.body, neg))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def _canon_term(t: Term, env: Mapping[str, str]) -> Term:
@@ -739,75 +691,103 @@ def _complement(f: Formula) -> Formula:
     return f.sub if isinstance(f, Not) else Not(f)
 
 
-def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
-    # a node that canonicalises to itself comes back as the same object, so a
-    # canonical form shares its input's unchanged subtrees instead of copying them
-    if not env and depth == 0 and f.__dict__.get("_normed", False):
-        return f
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, Atom):
-        args = tuple(_canon_term(a, env) for a in f.args)
-        return f if args == f.args else Atom(f.pred, args)
-    if isinstance(f, Eq):
+def _canon(f: Formula, neg: bool, env: Mapping[str, str], depth: int, clash: tuple, memo: dict) -> Formula:
+    """Canonical form of f (of ¬f when `neg`) with free variables renamed by env, below `depth` quantifiers.
+
+    A node that canonicalises to itself comes back as the same object.  A
+    compound node is worked out once per (polarity, depth, renaming of its
+    free variables, `clash`); `memo` holds it, so its id stays its own.
+    `clash` holds env's entries from a name like `v<n>` to another: only
+    through them can a renamed variable be renamed again, when a flattened
+    part is canonicalised once more, so the rest of env does not matter.
+    """
+    kind = type(f)
+    if kind is Not:
+        g = _canon(f.sub, not neg, env, depth, clash, memo)
+        return f if not neg and type(g) is Not and g.sub is f.sub else g
+    if kind is Atom:
+        args = tuple(_canon_term(a, env) for a in f.args) if env else f.args
+        g = f if args == f.args else Atom(f.pred, args)
+    elif kind is Bool:
+        return (FALSE if f.value else TRUE) if neg else f
+    elif kind is Eq:
         left = _canon_term(f.left, env)
         right = _canon_term(f.right, env)
         if left == right:
-            return TRUE
-        if isinstance(left, Obj) and isinstance(right, Obj):
-            return FALSE  # distinct names denote distinct objects
-        if term_key(right) < term_key(left):
-            left, right = right, left
-        return f if (left, right) == (f.left, f.right) else Eq(left, right)
-    if isinstance(f, Not):
-        sub = _canon(f.sub, env, depth)
-        if isinstance(sub, Bool):
-            return Bool(not sub.value)
-        if isinstance(sub, Not):
-            return sub.sub
-        return f if sub is f.sub else Not(sub)
-    if isinstance(f, (And, Or)):
-        is_and = isinstance(f, And)
-        identity, absorber = (TRUE, FALSE) if is_and else (FALSE, TRUE)
-        flat: list[Formula] = []
-        seen = set()
-        stack = deque(f.parts)
-        while stack:
-            p = _canon(stack.popleft(), env, depth)
-            if isinstance(p, type(f)):
-                stack.extendleft(reversed(p.parts))
-                continue
-            if p == absorber:
-                return absorber
-            if p == identity or p in seen:
-                continue
-            seen.add(p)
-            flat.append(p)
-        for p in flat:
-            if _complement(p) in seen:
-                return absorber
-        flat.sort(key=sort_key)
-        if not flat:
-            return identity
-        if len(flat) == 1:
-            return flat[0]
-        return And(tuple(flat)) if is_and else Or(tuple(flat))
+            g = TRUE
+        elif isinstance(left, Obj) and isinstance(right, Obj):
+            g = FALSE  # distinct names denote distinct objects
+        else:
+            if term_key(right) < term_key(left):
+                left, right = right, left
+            g = f if (left, right) == (f.left, f.right) else Eq(left, right)
+    else:
+        if not neg and depth == 0 and f.__dict__.get("_normed", False):
+            return f
+        key = (id(f), neg, depth, tuple(map(env.get, free_vars(f))) if env else (), clash)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (f, _canon_compound(f, neg, env, depth, clash, memo))
+        return got[1]
+    if not neg:
+        return g
+    return (FALSE if g.value else TRUE) if isinstance(g, Bool) else Not(g)
+
+
+def _canon_compound(f: Formula, neg: bool, env: Mapping[str, str], depth: int, clash: tuple, memo: dict) -> Formula:
+    """`_canon` of a junction, implication or quantifier, worked out."""
     if isinstance(f, (Exists, Forall)):
-        if f.var not in free_vars(f.body):
-            return _canon(f.body, env, depth)
+        body_vars = free_vars(f.body)
+        if f.var not in body_vars:
+            return _canon(f.body, neg, env, depth, clash, memo)
         fresh = f"v{depth + 1}"
-        avoid = free_vars(f.body) - {f.var}
-        avoid = {env.get(n, n) for n in avoid}
+        avoid = {env.get(n, n) for n in body_vars if n != f.var}
         while fresh in avoid:
             fresh += "_"
-        body = _canon(f.body, {**env, f.var: fresh}, depth + 1)
+        clash = tuple(c for c in clash if c[0] != f.var)
+        if f.var != fresh and f.var[:1] == "v" and f.var[1:].rstrip("_").isdigit():
+            clash += ((f.var, fresh),)
+        body = _canon(f.body, neg, {**env, f.var: fresh}, depth + 1, clash, memo)
         if isinstance(body, Bool):
             return body
         if fresh not in free_vars(body):
             # the variable went with the simplified body: bind the rest one level up
-            return _canon(body, {}, depth)
-        return f if fresh == f.var and body is f.body else type(f)(fresh, f.vtype, body)
-    raise TypeError(f"not a formula: {f!r}")
+            return _canon(body, False, {}, depth, (), memo)
+        if not neg and fresh == f.var and body is f.body:
+            return f
+        return (Exists if isinstance(f, Exists) != neg else Forall)(fresh, f.vtype, body)
+    if isinstance(f, (And, Or)):
+        cls = (Or if isinstance(f, And) else And) if neg else type(f)
+        stack = deque(zip(f.parts, itertools.repeat(neg)))
+    elif isinstance(f, Implies):
+        cls = And if neg else Or
+        stack = deque(((f.lhs, not neg), (f.rhs, neg)))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    identity, absorber = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
+    flat: list[Formula] = []
+    seen = set()
+    while stack:
+        p = _canon(*stack.popleft(), env, depth, clash, memo)
+        if isinstance(p, cls):
+            # a nested junction's parts are canonicalised once more as they are flattened
+            stack.extendleft(zip(reversed(p.parts), itertools.repeat(False)))
+            continue
+        if p == absorber:
+            return absorber
+        if p == identity or p in seen:
+            continue
+        seen.add(p)
+        flat.append(p)
+    for p in flat:
+        if _complement(p) in seen:
+            return absorber
+    flat.sort(key=sort_key)
+    if len(flat) < 2:
+        return flat[0] if flat else identity
+    if not neg and isinstance(f, cls) and len(flat) == len(f.parts) and all(map(is_, flat, f.parts)):
+        return f
+    return cls(tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,39 +1067,46 @@ def survey(f: Formula, signature: Mapping[str, Sequence]) -> tuple:
     Lillieström's first calculus: an extra object that copies an existing
     one satisfies whatever the original did, except a positive equality
     with a universally quantified variable (a ∀, or an ∃ under negation).
-    An untyped one adds None, which stands for every type.
+    An untyped one adds None, which stands for every type.  The walk skips
+    a subformula met again under the same scope and polarity: it adds nothing.
     """
     acc = ({}, set(), set(), set())
-    _survey(f, {}, True, signature, acc)
+    _survey(f, {}, True, signature, acc, {})
     acc[2].update(acc[0].get(v) for v in free_vars(f))
     return acc
 
 
-def _survey(f: Formula, scope: dict, positive: bool, signature: Mapping[str, Sequence], acc: tuple):
-    """Add f to `survey`'s results; scope maps each bound name to (universally bound?, type)."""
+def _survey(f: Formula, scope: dict, positive: bool, signature: Mapping[str, Sequence], acc: tuple, seen: dict):
+    """Add f to `survey`'s results; scope maps each bound name to (universally bound?, type).
+
+    `seen` maps the ids of each (subformula, scope, polarity) met to the scope, which it keeps alive.
+    """
+    subs = ()
     if isinstance(f, (And, Or)):
-        for p in f.parts:
-            _survey(p, scope, positive, signature, acc)
+        subs = [(p, scope, positive) for p in f.parts]
     elif isinstance(f, Atom):
         for t in f.args:
             acc[1].update(term_names(t, Obj))
         for t, vtype in zip(f.args, signature.get(f.pred, ())):
             if vtype is not None and isinstance(t, (Var, Obj)) and t.name not in scope:
                 acc[0].setdefault(t.name, vtype)
-    elif isinstance(f, Not):
-        _survey(f.sub, scope, not positive, signature, acc)
     elif isinstance(f, Eq):
         for t in (f.left, f.right):
             acc[1].update(term_names(t, Obj))
             if positive and isinstance(t, Var) and scope.get(t.name, (False,))[0]:
                 acc[3].add(scope[t.name][1])
+    elif isinstance(f, Not):
+        subs = [(f.sub, scope, not positive)]
     elif isinstance(f, (Exists, Forall)):
         acc[2].add(f.vtype)
-        inner = {**scope, f.var: (isinstance(f, Forall) == positive, f.vtype)}
-        _survey(f.body, inner, positive, signature, acc)
+        subs = [(f.body, {**scope, f.var: (isinstance(f, Forall) == positive, f.vtype)}, positive)]
     elif isinstance(f, Implies):
-        _survey(f.lhs, scope, not positive, signature, acc)
-        _survey(f.rhs, scope, positive, signature, acc)
+        subs = [(f.lhs, scope, not positive), (f.rhs, scope, positive)]
+    for g, inner, pos in subs:
+        key = (id(g), id(inner), pos)
+        if key not in seen:
+            seen[key] = inner
+            _survey(g, inner, pos, signature, acc, seen)
 
 
 def infer_types(f: Formula, signature: Mapping[str, Sequence]) -> dict:
@@ -1588,24 +1575,38 @@ def push_quantifiers(f: Formula, types: Optional[Mapping[str, Optional[str]]] = 
     when T is None or t has type T: a term of type None lives in the
     untyped pool only.  Subformulas where nothing moves come back as the
     same objects, so renormalising an unchanged canonical input is free.
+    Each distinct subformula is pushed once per binder types for the call.
     """
+    return _push(f, types, {})
+
+
+def _push(f: Formula, types: Optional[Mapping], memo: dict) -> Formula:
+    """`push_quantifiers`; memo maps (id of a node, id of its types) to (node, types, result)."""
     if isinstance(f, (Bool, Atom, Eq)):
         return f
+    got = memo.get((id(f), id(types)))
+    if got is not None:
+        return got[2]
     if isinstance(f, Not):
-        sub = push_quantifiers(f.sub, types)
-        return f if sub is f.sub else Not(sub)
-    if isinstance(f, (And, Or)):
-        parts = tuple(push_quantifiers(p, types) for p in f.parts)
-        if len(parts) > 1 and all(p is q for p, q in zip(parts, f.parts)):
-            return f
-        return conj(parts) if isinstance(f, And) else disj(parts)
-    if isinstance(f, (Exists, Forall)):
+        sub = _push(f.sub, types, memo)
+        g = f if sub is f.sub else Not(sub)
+    elif isinstance(f, (And, Or)):
+        parts = tuple(_push(p, types, memo) for p in f.parts)
+        if len(parts) > 1 and all(map(is_, parts, f.parts)):
+            g = f
+        else:
+            g = conj(parts) if isinstance(f, And) else disj(parts)
+    elif isinstance(f, (Exists, Forall)):
         inner = None if types is None else {**types, f.var: f.vtype}
-        body = push_quantifiers(f.body, inner)
+        body = _push(f.body, inner, memo)
         push = _push_exists if isinstance(f, Exists) else _push_forall
-        g = push(f.var, f.vtype, body, types)
-        return f if body is f.body and g == f else g
-    raise TypeError(f"unexpected node (normalize first): {f!r}")
+        g = push(f.var, f.vtype, body, types, memo)
+        if body is f.body and g == f:
+            g = f
+    else:
+        raise TypeError(f"unexpected node (normalize first): {f!r}")
+    memo[(id(f), id(types))] = (f, types, g)
+    return g
 
 
 def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Optional[Mapping]) -> Optional[Term]:
@@ -1623,11 +1624,11 @@ def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Opti
     return t if isinstance(t, (Var, Obj)) and types.get(t.name) == vtype else None
 
 
-def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping] = None) -> Formula:
+def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping], memo: dict) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, Or):
-        return disj(_push_exists(var, vtype, p, types) for p in body.parts)
+        return disj(_push_exists(var, vtype, p, types, memo) for p in body.parts)
     if isinstance(body, Eq) and _one_point_target(body, var, vtype, types) is not None:
         return TRUE  # pools are never empty, so a witness always exists
     if isinstance(body, And):
@@ -1638,17 +1639,17 @@ def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[
             t = _one_point_target(p, var, vtype, types)
             if t is not None:
                 rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                return push_quantifiers(conj(indep + rest), types)
+                return _push(conj(indep + rest), types, memo)
         if indep:
             return conj(indep + [Exists(var, vtype, conj(dep))])
     return Exists(var, vtype, body)
 
 
-def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping] = None) -> Formula:
+def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping], memo: dict) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, And):
-        return conj(_push_forall(var, vtype, p, types) for p in body.parts)
+        return conj(_push_forall(var, vtype, p, types, memo) for p in body.parts)
     if isinstance(body, Or):
         dep, indep = [], []
         for p in body.parts:
@@ -1658,7 +1659,7 @@ def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[
                 t = _one_point_target(p.sub, var, vtype, types)
                 if t is not None:
                     rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                    return push_quantifiers(disj(indep + rest), types)
+                    return _push(disj(indep + rest), types, memo)
         if indep:
             return disj(indep + [Forall(var, vtype, disj(dep))])
     return Forall(var, vtype, body)
@@ -1671,7 +1672,10 @@ BDD_MAX_ATOMS = 40  # opaque atoms in one BDD; past it the input is left as it i
 
 
 class _Bdd:
-    """Reduced ordered BDD with hash-consing; variables are small ints."""
+    """Reduced ordered BDD with hash-consing; variable i stands for `atoms[i]` (`index` maps back).
+
+    `built` maps the id of each formula built to (formula, node), `read` each node read back to (formula, tree size).
+    """
 
     FALSE = 0
     TRUE = 1
@@ -1682,6 +1686,10 @@ class _Bdd:
         self.hi: list = [None, None]
         self.unique: dict = {}
         self.memo: dict = {}
+        self.atoms: list = []
+        self.index: dict = {}
+        self.built: dict = {}
+        self.read: dict = {}
 
     def mk(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -1743,13 +1751,18 @@ class _BddSimplifier:
     Keyed by formula, the tables hold each opaque subformula's BDD atom and
     each atom's negation dual, so an atom that repeats, recurs at a nested
     quantifier level, or recurs in a later region or a later call through
-    the same checker, is canonicalised once.
+    the same checker, is canonicalised once.  A simplifier lives for one
+    `simplify_bdd`, `disjoint_regions` or lifted-pass call; it maps each
+    distinct subformula's quantifier bodies once (`mapped`), and each `_Bdd`
+    builds each distinct subformula once.
     """
 
     tree_limit = 10_000  # read-back tree nodes; tier-1 tests reach 4,224, cold solves 117
 
     def __init__(self, checker: ConsistencyChecker):
         self.keys, self.duals, self.stats = checker._atom_keys, checker._duals, checker.stats
+        self.mapped: dict = {}  # id of a formula -> (formula, `map_quantified` of it)
+        self.pushed: dict = {}  # the untyped `push_quantifiers` memo of `prepare`
 
     def atom_key(self, f: Formula) -> tuple[Formula, bool]:
         """Canonical polarity for an opaque subformula.
@@ -1776,55 +1789,61 @@ class _BddSimplifier:
 
     def prepare(self, f: Formula) -> Formula:
         """f canonical, with quantifiers pushed inward and every quantifier body reduced."""
-        return self.map_quantified(normalize(push_quantifiers(normalize(f))))
+        return self.map_quantified(normalize(_push(normalize(f), None, self.pushed)))
 
     def reduce(self, f: Formula) -> Optional[Formula]:
         """f, whose quantifier bodies are reduced, read back from its BDD; None past the limits."""
-        bdd, order = _Bdd(), []
+        bdd = _Bdd()
         try:
-            return self.read_back(self.build(f, bdd, order, {}), bdd, order, {})[0]
+            return self.read_back(self.build(f, bdd), bdd)[0]
         except _AtomLimit:
             return None
 
     def decide(self, f: Formula) -> Optional[bool]:
         """Read only the root of f's BDD: True/False if it is a constant, else None."""
         try:
-            root = self.build(self.map_quantified(f), _Bdd(), [], {})
+            root = self.build(self.map_quantified(f), _Bdd())
         except _AtomLimit:
             return None
         return None if root > _Bdd.TRUE else root == _Bdd.TRUE
 
-    def build(self, f: Formula, bdd: _Bdd, order: list, index: dict) -> int:
+    def build(self, f: Formula, bdd: _Bdd) -> int:
         """BDD of f; atoms get variables in first-use order as they are met."""
+        got = bdd.built.get(id(f))
+        if got is None:
+            got = bdd.built[id(f)] = (f, self._build(f, bdd))
+        return got[1]
+
+    def _build(self, f: Formula, bdd: _Bdd) -> int:
         if isinstance(f, Bool):
             return _Bdd.TRUE if f.value else _Bdd.FALSE
         if isinstance(f, Not):
-            return bdd.neg(self.build(f.sub, bdd, order, index))
+            return bdd.neg(self.build(f.sub, bdd))
         if isinstance(f, (And, Or)):
             op = "and" if isinstance(f, And) else "or"
             out = _Bdd.TRUE if op == "and" else _Bdd.FALSE
             for p in f.parts:
-                out = bdd.apply(op, out, self.build(p, bdd, order, index))
+                out = bdd.apply(op, out, self.build(p, bdd))
             return out
         key, negated = self.atom_key(f)
-        var = index.get(key)
+        var = bdd.index.get(key)
         if var is None:
-            if len(order) == BDD_MAX_ATOMS:
+            if len(bdd.atoms) == BDD_MAX_ATOMS:
                 raise _AtomLimit()
-            var = index[key] = len(order)
-            order.append(key)
+            var = bdd.index[key] = len(bdd.atoms)
+            bdd.atoms.append(key)
         node = bdd.mk(var, _Bdd.FALSE, _Bdd.TRUE)
         return bdd.neg(node) if negated else node
 
-    def read_back(self, node: int, bdd: _Bdd, atoms: list, memo: dict) -> tuple[Formula, int]:
+    def read_back(self, node: int, bdd: _Bdd) -> tuple[Formula, int]:
         """The node as a formula and its size as a tree, which later passes walk; past `tree_limit`, give up."""
         if node <= _Bdd.TRUE:
             return (TRUE if node == _Bdd.TRUE else FALSE), 0
-        if node in memo:
-            return memo[node]
-        atom = atoms[bdd.var[node]]
-        lo, lo_size = self.read_back(bdd.lo[node], bdd, atoms, memo)
-        hi, hi_size = self.read_back(bdd.hi[node], bdd, atoms, memo)
+        if node in bdd.read:
+            return bdd.read[node]
+        atom = bdd.atoms[bdd.var[node]]
+        lo, lo_size = self.read_back(bdd.lo[node], bdd)
+        hi, hi_size = self.read_back(bdd.hi[node], bdd)
         size = 1 + lo_size + hi_size
         if size > self.tree_limit:
             raise _AtomLimit()
@@ -1840,10 +1859,19 @@ class _BddSimplifier:
             out = disj([atom, lo])
         else:
             out = disj([conj([atom, hi]), conj([self.dual(atom), lo])])
-        memo[node] = out, size
-        return memo[node]
+        bdd.read[node] = out, size
+        return bdd.read[node]
 
     def map_quantified(self, f: Formula) -> Formula:
+        """f with every quantifier body reduced through its own BDD."""
+        if not isinstance(f, (Exists, Forall, Not, And, Or)):
+            return f
+        got = self.mapped.get(id(f))
+        if got is None:
+            got = self.mapped[id(f)] = (f, self._map_quantified(f))
+        return got[1]
+
+    def _map_quantified(self, f: Formula) -> Formula:
         if isinstance(f, (Exists, Forall)):
             inner = self.reduce(self.map_quantified(f.body))
             body = f.body if inner is None else inner
@@ -1854,9 +1882,7 @@ class _BddSimplifier:
             return Not(self.map_quantified(f.sub))
         if isinstance(f, And):
             return conj(self.map_quantified(p) for p in f.parts)
-        if isinstance(f, Or):
-            return disj(self.map_quantified(p) for p in f.parts)
-        return f
+        return disj(self.map_quantified(p) for p in f.parts)
 
 
 def simplify_bdd(f: Formula, checker: ConsistencyChecker) -> Formula:
@@ -1888,16 +1914,16 @@ def disjoint_regions(formulas: Sequence[Formula], checker: ConsistencyChecker) -
     the conjunction itself, which is what `simplify_bdd` returns for it.  As
     there, atoms are canonicalised through `checker`'s tables.
     """
-    s, bdd, order, index, memo = _BddSimplifier(checker), _Bdd(), [], {}, {}
+    s, bdd = _BddSimplifier(checker), _Bdd()
     covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out
     for i, f in enumerate(formulas):
         try:
             if covered is None:
                 raise _AtomLimit()
             cover, covered = covered, None
-            node = s.build(s.prepare(f), bdd, order, index)
+            node = s.build(s.prepare(f), bdd)
             covered = bdd.apply("or", cover, node)
-            out.append(s.read_back(bdd.apply("and", node, bdd.neg(cover)), bdd, order, memo)[0])
+            out.append(s.read_back(bdd.apply("and", node, bdd.neg(cover)), bdd)[0])
         except _AtomLimit:
             out.append(And((f,) + tuple(Not(g) for g in formulas[:i])) if i else f)
     return out

@@ -42,7 +42,7 @@ def push_quantifiers(f: Formula) -> Formula:
     if isinstance(f, Or):
         return disj(push_quantifiers(p) for p in f.parts)
     push = _push_exists if isinstance(f, Exists) else _push_forall
-    return push(f.var, f.vtype, push_quantifiers(f.body))
+    return push(f.var, f.vtype, push_quantifiers(f.body), None, {})
 
 
 def atom_key(f: Formula) -> tuple:

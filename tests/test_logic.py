@@ -19,6 +19,8 @@ import pytest
 
 import state_reference as reference
 from bdd_reference import reference_simplify_bdd
+from lexer_reference import ReferenceLexer
+from normalize_reference import _nnf, reference_normalize
 from checker_reference import (
     ReferenceChecker,
     every_grounding,
@@ -53,7 +55,6 @@ from fomdp.logic import (
     Var,
     _GroundDag,
     _ground_plan,
-    _nnf,
     compile_query,
     disjoint_regions,
     eval_in_state,
@@ -75,7 +76,7 @@ from fomdp.logic import (
 )
 from fomdp import logic
 from fomdp.basisgen import BasisGenConfig, generate_basis
-from fomdp.domains import load_fixture
+from fomdp.domains import fixture_path, load_fixture
 from fomdp.unidecomp import make_generic_goal
 
 # ---------------------------------------------------------------------------
@@ -237,6 +238,58 @@ def test_parse_error_position():
         parse_formula("P Q")
 
 
+def lexed(lex, text: str):
+    """The tokens of text, or the syntax error's message and position."""
+    try:
+        return lex(text)
+    except FormulaSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+MALFORMED = [
+    "P(x) $ Q(x)",  # an unexpected character
+    "P(x) & Q(x) # a comment at the end of input",
+    "P(x) #\n# two comments\n& Q(x)#",
+    "P(x) &\r\n  Q(x, y)\r\n| R",  # CRLF line endings
+    "P(x)\t&\tQ(x)\n\t\t| !R -> @",  # tabs, then an error on line 2
+    "exists \u00e9l\u00e9ment. P(\u00e9l\u00e9ment) & \u03a9(x)",  # non-ASCII letters
+    "P(x\u00b2)",  # a digit that is not a letter, inside a word
+    "P(\u00b2x)",  # ... and starting one
+    "1P(x)",
+    "_x = y",
+    "P(x) - Q(x)",
+    "P(x)->Q(x)!=R",
+    "x != y & !!P(x)\u00a0",  # a non-breaking space is no whitespace
+    "",
+    "   \n\n  ",
+    "#",
+]
+
+
+def test_lexer_matches_reference(monkeypatch):
+    texts = list(MALFORMED)
+    real = logic._lex
+
+    def recorded(text):
+        texts.append(text)
+        return real(text)
+
+    monkeypatch.setattr(logic, "_lex", recorded)
+    for name in ("boxworld_mini", "blocksworld_mini", "flip"):
+        load_fixture(name)
+        for suffix in ("domain", "instance"):
+            texts.append(fixture_path(f"{name}.{suffix}").read_text())
+    monkeypatch.undo()
+    texts += [format_formula(f) for f in corpus(60, 4)]
+    assert len(texts) > 100
+    errors = 0
+    for text in texts:
+        want = lexed(lambda t: ReferenceLexer(t).tokens, text)
+        assert lexed(logic._lex, text) == want, text
+        errors += want[0] == "error"
+    assert errors >= 12
+
+
 def test_parse_arity_checks():
     with pytest.raises(ArityError):
         parse_formula("P(x) & P(x, y)")
@@ -305,6 +358,95 @@ def test_normalize_idempotent_on_corpus():
         assert normalize(n1) == n1
         # a fresh copy carries no `_normed` mark, so it is canonicalised again
         assert normalize(fresh_copy(n1)) == n1, format_formula(f)
+
+
+NAMES = ("x", "y", "v1", "v2", "v3", "v1_", "v2_")  # some collide with the fresh names v<depth>
+
+
+def dag_formula(rng: random.Random, rounds: int = 9) -> Formula:
+    """A formula built over a pool of its own subformula objects.
+
+    Each round adds a node over earlier ones, so one object recurs under
+    different binders and polarities; bound and free variables may carry the
+    names that canonical forms give bound variables.
+    """
+    def term():
+        return Var(rng.choice(NAMES)) if rng.random() < 0.8 else Obj(rng.choice(["a", "b"]))
+
+    pool = [Atom("P", (term(),)), Atom("Q", (term(), term())), Eq(term(), term()), Atom("R"), rng.choice([TRUE, FALSE])]
+    for _ in range(rounds):
+        kind = rng.choice(["not", "and", "or", "implies", "exists", "forall"])
+        a, b = rng.choice(pool), rng.choice(pool)
+        if kind == "not":
+            g = Not(a)
+        elif kind in ("and", "or"):
+            parts = (a, b) + ((rng.choice(pool),) if rng.random() < 0.3 else ())
+            g = And(parts) if kind == "and" else Or(parts)
+        elif kind == "implies":
+            g = Implies(a, b)
+        else:
+            cls = Exists if kind == "exists" else Forall
+            g = cls(rng.choice(NAMES), rng.choice([None, "T"]), a)
+        pool.append(g)
+    return pool[-1]
+
+
+def collision_probes() -> list:
+    """A flattened part re-canonicalised under a binder whose name is a fresh one."""
+    x, v1 = Var("x"), Var("v1")
+    part = And((Atom("P", (x,)), Atom("Q", (x, v1))))
+    # the Or collapses to its one distinct part, which joins the enclosing And
+    body = And((Or((part, And((Atom("P", (x,)), Atom("Q", (x, v1)))))), Atom("R", (v1,))))
+    shared = Exists("v1", None, body)
+    # the same junction, with x free, at the same depth under x ↦ v1, once with v1 ↦ v2 beside it
+    x_only = And((Or((And((Atom("P", (x,)), Atom("Q", (x, x)))), And((Atom("P", (x,)), Atom("Q", (x, x)))))), Atom("R")))
+    renamed_twice = Exists("x", None, Exists("v1", None, And((x_only, Atom("P", (v1,))))))
+    renamed_once = Exists("x", None, Exists("y", None, And((x_only, Atom("P", (Var("y"),))))))
+    return [
+        And((renamed_twice, renamed_once)),
+        And((renamed_once, renamed_twice)),
+        Exists("x", None, shared),
+        And((Exists("x", None, shared), Forall("y", None, Exists("x", "T", Not(shared))), shared)),
+        Forall("v2", None, Exists("x", None, Implies(shared, Exists("v1", None, Not(body))))),
+    ]
+
+
+def reference_inputs(seed: int) -> list:
+    rng = random.Random(seed)
+    dags = [dag_formula(rng) for _ in range(300)]
+    return corpus(60, 4) + typed_corpus(seed, 200) + bdd_corpus(seed) + dags + [Not(f) for f in dags[:100]] + collision_probes()
+
+
+def normalize_inputs_of_cold_solves(monkeypatch) -> int:
+    """Check `normalize` against the reference on every input of three cold solves; returns how many."""
+    real, seen = logic.normalize, [0]
+
+    def checked(f):
+        want = reference_normalize(f)  # first: `normalize` marks what it returns
+        got = real(f)
+        assert got == want, format_formula(f)
+        seen[0] += 1
+        return got
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("fomdp") and getattr(mod, "normalize", None) is real:
+            monkeypatch.setattr(mod, "normalize", checked)
+    for fixture, solver in (("boxworld_mini", "foalp"), ("blocksworld_mini", "foapi"), ("boxworld_mini", "foapi")):
+        model = make_generic_goal(load_fixture(fixture)[0])
+        model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+        generate_basis(model, BasisGenConfig(iters=2, solver=solver))
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_normalize_matches_two_walk_reference(monkeypatch):
+    # each side gets its own copy, built alike, so shared objects stay shared
+    # and no `_normed` mark or memo of one side reaches the other
+    formulas, twins = reference_inputs(19), reference_inputs(19)
+    assert any(isinstance(g, Implies) for f in formulas for g in nodes(f))
+    for f, twin in zip(formulas, twins):
+        assert normalize(f) == reference_normalize(twin), format_formula(f)
+    assert normalize_inputs_of_cold_solves(monkeypatch) > 3000
 
 
 def test_normalize_preserves_truth():
@@ -682,23 +824,116 @@ def test_survey_matches_the_three_walks(monkeypatch):
     assert nonmono > 100
 
 
-def test_cold_check_surveys_its_formula_once(monkeypatch):
-    f = normalize(non_monotone_probes()[0])
+def first_visits(f: Formula) -> list:
+    """(id, polarity) of each distinct (subformula, scope, polarity) of f, in depth-first order of first meeting.
+
+    A scope is the binder visit that opened it, so one subformula object met
+    again under the same binder visit and polarity is met once.
+    """
+    out, seen = [], set()
+
+    def walk(g, scope, positive):
+        out.append((id(g), positive))
+        if isinstance(g, (And, Or)):
+            subs = [(p, scope, positive) for p in g.parts]
+        elif isinstance(g, Not):
+            subs = [(g.sub, scope, not positive)]
+        elif isinstance(g, Implies):
+            subs = [(g.lhs, scope, not positive), (g.rhs, scope, positive)]
+        elif isinstance(g, (Exists, Forall)):
+            subs = [(g.body, (id(g), scope, positive), positive)]
+        else:
+            subs = []
+        for sub, inner, pos in subs:
+            if (id(sub), inner, pos) not in seen:
+                seen.add((id(sub), inner, pos))
+                walk(sub, inner, pos)
+
+    walk(f, None, True)
+    return out
+
+
+def surveyed(monkeypatch) -> list:
+    """(subformula, scope, polarity) of each `_survey` call from now on."""
     visits, real = [], logic._survey
 
-    def counted(g, *args):
-        visits.append(g)
-        return real(g, *args)
+    def counted(g, scope, positive, *args):
+        visits.append((g, scope, positive))
+        return real(g, scope, positive, *args)
+
+    monkeypatch.setattr(logic, "_survey", counted)
+    return visits
+
+
+def test_cold_check_surveys_its_formula_once(monkeypatch):
+    f = normalize(non_monotone_probes()[0])
+    visits = surveyed(monkeypatch)
 
     def another_walk(*args):
         raise AssertionError("a second walk before grounding")
 
-    monkeypatch.setattr(logic, "_survey", counted)
     monkeypatch.setattr(logic, "infer_types", another_walk)
     monkeypatch.setattr(logic, "objects_in", another_walk)
     chk = ConsistencyChecker(signature=TYPED_SIG)
     assert chk.check(f) is True and chk.stats.groundings > 1
-    assert [id(g) for g in visits] == [id(g) for g in nodes(f)]
+    # each distinct (subformula, scope, polarity) once, in first-visit order
+    assert [(id(g), pos) for g, _, pos in visits] == first_visits(f)
+    assert len({(id(g), id(scope), pos) for g, scope, pos in visits}) == len(visits)
+
+
+def doubling_chain(k: int, quantified: bool) -> Formula:
+    """φ_k with φ_{i+1} = (φ_i ∧ a_i) ∨ (¬φ_i ∧ ¬a_i): its tree doubles per level, its objects grow by six."""
+    x, y = Var("x"), Var("y")
+    f = And((Atom("P", (x,)), Atom("In", (x, y)))) if quantified else And((Atom("P0"), Atom("Q0")))
+    for i in range(k):
+        a = Atom(f"A{i}", (y,)) if quantified else Atom(f"A{i}")
+        f = Or((And((f, a)), And((Not(f), Not(a)))))
+    return Exists("x", "Box", Forall("y", "City", f)) if quantified else f
+
+
+def distinct_nodes(f: Formula) -> int:
+    return len({id(g): g for g in nodes(f)})
+
+
+def test_passes_visit_each_distinct_subformula_once(monkeypatch):
+    f, tree = doubling_chain(10, True), doubling_chain(10, True)
+    tree = fresh_copy(tree)  # the same formula as a tree: no object recurs
+    size = len(list(nodes(tree)))
+    assert size > 100 * distinct_nodes(f)
+    # canonicalisation: each compound node once per (polarity, renaming, depth)
+    calls, real = [], logic._canon_compound
+
+    def canon(g, neg, env, depth, *args):
+        calls.append((id(g), neg, depth, tuple(sorted(env.items()))) + args[:1])
+        return real(g, neg, env, depth, *args)
+
+    monkeypatch.setattr(logic, "_canon_compound", canon)
+    assert normalize(f) == reference_normalize(tree)
+    assert len(set(calls)) == len(calls) < size // 20
+    monkeypatch.undo()
+    # survey: each (subformula, scope, polarity) once, in first-visit order
+    visits = surveyed(monkeypatch)
+    got = survey(f, TYPED_SIG)
+    want = reference_survey(_nnf(tree, False), TYPED_SIG)
+    assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:]
+    assert [(id(g), pos) for g, _, pos in visits] == first_visits(f)
+    assert len({(id(g), id(scope), pos) for g, scope, pos in visits}) == len(visits) < size // 20
+    monkeypatch.undo()
+    # BDD build: each subformula once per BDD, across the regions that share one
+    prop = doubling_chain(10, False)
+    regions = [prop.parts[0].parts[0], prop.parts[1], prop]
+    built, real_build = [], logic._BddSimplifier._build
+
+    def build(self, g, bdd):
+        built.append((id(bdd), id(g)))
+        return real_build(self, g, bdd)
+
+    monkeypatch.setattr(logic._BddSimplifier, "_build", build)
+    chk = ConsistencyChecker()
+    got = [simplify_bdd(prop, chk), disjoint_regions(regions, chk)]
+    assert len(set(built)) == len(built) < size // 20
+    monkeypatch.undo()
+    assert got == [simplify_bdd(fresh_copy(prop), chk), disjoint_regions([fresh_copy(g) for g in regions], chk)]
 
 
 # hand-written probes whose verdicts hinge on a non-monotone type's small sizes
@@ -1038,6 +1273,16 @@ def test_simplify_pushes_quantifiers_inward():
     g = push_quantifiers(normalize(f))
     # R does not depend on x, so the quantifier splits over the disjunction
     assert normalize(g) == normalize(Or((Exists("x", None, Atom("P", (Var("x"),))), Atom("R"))))
+
+
+def test_push_quantifiers_on_a_shared_subformula():
+    # one object under binders of two types: the typed one-point rule applies under one only
+    x, p = Var("x"), Var("p")
+    shared = Exists("p", "Box", And((Eq(p, x), Atom("P", (p,)))))
+    f = And((Exists("x", "Box", shared), Exists("x", "City", shared)))
+    got = push_quantifiers(f, {})
+    assert got == push_quantifiers(fresh_copy(f), {})
+    assert got.parts[0] == Exists("x", "Box", Atom("P", (x,))) and got.parts[1] == f.parts[1]
 
 
 def test_simplify_preserves_truth_on_corpus():
