@@ -48,16 +48,15 @@ class BasisGenConfig:
     """Growth-loop knobs.
 
     `tau` is the value a region must retain to stay interesting; a basis
-    whose fitted weight magnitude drops below `discard_tau` (defaulting to
-    `tau`) is retired.  `include_constant` seeds an always-on feature so the
-    value-bound LP has a feasible offset.  `api_iters` caps the inner policy
-    iteration when `solver` is "foapi".
+    whose fitted weight magnitude drops below it is retired.
+    `include_constant` seeds an always-on feature so the value-bound LP has
+    a feasible offset.  `api_iters` caps the inner policy iteration when
+    `solver` is "foapi".
     """
 
     iters: int = 7
     tau: float = 0.01
     solver: str = "foalp"
-    discard_tau: Optional[float] = None
     include_constant: bool = True
     api_iters: int = 50
 
@@ -68,13 +67,8 @@ class BasisGenConfig:
             raise BasisGenError(f"policy iteration limit must be at least 1, got {self.api_iters}")
         if self.tau < 0.0:
             raise BasisGenError(f"value threshold must be nonnegative, got {self.tau}")
-        if self.discard_tau is not None and self.discard_tau < 0.0:
-            raise BasisGenError(f"discard threshold must be nonnegative, got {self.discard_tau}")
         if self.solver not in ("foalp", "foapi"):
             raise BasisGenError(f"solver must be 'foalp' or 'foapi', got {self.solver!r}")
-
-    def discard_threshold(self) -> float:
-        return self.tau if self.discard_tau is None else self.discard_tau
 
 
 @dataclass
@@ -257,10 +251,9 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig) -> tuple:
             ) from exc
         for e, w in zip(entries, weights):
             e.weight = float(w)
-        cut = config.discard_threshold()
         keep = []
         for e in entries:
-            if abs(e.weight) < cut:
+            if abs(e.weight) < config.tau:
                 ledger.add(e.head)
                 if e.core is not None:
                     ledger.add(e.core)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -670,7 +669,7 @@ def normalize(f: Formula) -> Formula:
     """
     if f.__dict__.get("_normed", False):
         return f
-    g = _canon(f, False, {}, 0, (), {})
+    g = _canon(f, False, {}, 0, {})
     object.__setattr__(g, "_normed", True)
     if isinstance(g, (And, Or)):
         # direct parts are canonical at depth 0 themselves
@@ -691,19 +690,16 @@ def _complement(f: Formula) -> Formula:
     return f.sub if isinstance(f, Not) else Not(f)
 
 
-def _canon(f: Formula, neg: bool, env: Mapping[str, str], depth: int, clash: tuple, memo: dict) -> Formula:
+def _canon(f: Formula, neg: bool, env: Mapping[str, str], depth: int, memo: dict) -> Formula:
     """Canonical form of f (of ¬f when `neg`) with free variables renamed by env, below `depth` quantifiers.
 
     A node that canonicalises to itself comes back as the same object.  A
     compound node is worked out once per (polarity, depth, renaming of its
-    free variables, `clash`); `memo` holds it, so its id stays its own.
-    `clash` holds env's entries from a name like `v<n>` to another: only
-    through them can a renamed variable be renamed again, when a flattened
-    part is canonicalised once more, so the rest of env does not matter.
+    free variables); `memo` holds it, so its id stays its own.
     """
     kind = type(f)
     if kind is Not:
-        g = _canon(f.sub, not neg, env, depth, clash, memo)
+        g = _canon(f.sub, not neg, env, depth, memo)
         return f if not neg and type(g) is Not and g.sub is f.sub else g
     if kind is Atom:
         args = tuple(_canon_term(a, env) for a in f.args) if env else f.args
@@ -724,61 +720,56 @@ def _canon(f: Formula, neg: bool, env: Mapping[str, str], depth: int, clash: tup
     else:
         if not neg and depth == 0 and f.__dict__.get("_normed", False):
             return f
-        key = (id(f), neg, depth, tuple(map(env.get, free_vars(f))) if env else (), clash)
+        key = (id(f), neg, depth, tuple(map(env.get, free_vars(f))) if env else ())
         got = memo.get(key)
         if got is None:
-            got = memo[key] = (f, _canon_compound(f, neg, env, depth, clash, memo))
+            got = memo[key] = (f, _canon_compound(f, neg, env, depth, memo))
         return got[1]
     if not neg:
         return g
     return (FALSE if g.value else TRUE) if isinstance(g, Bool) else Not(g)
 
 
-def _canon_compound(f: Formula, neg: bool, env: Mapping[str, str], depth: int, clash: tuple, memo: dict) -> Formula:
+def _canon_compound(f: Formula, neg: bool, env: Mapping[str, str], depth: int, memo: dict) -> Formula:
     """`_canon` of a junction, implication or quantifier, worked out."""
     if isinstance(f, (Exists, Forall)):
         body_vars = free_vars(f.body)
         if f.var not in body_vars:
-            return _canon(f.body, neg, env, depth, clash, memo)
+            return _canon(f.body, neg, env, depth, memo)
         fresh = f"v{depth + 1}"
         avoid = {env.get(n, n) for n in body_vars if n != f.var}
         while fresh in avoid:
             fresh += "_"
-        clash = tuple(c for c in clash if c[0] != f.var)
-        if f.var != fresh and f.var[:1] == "v" and f.var[1:].rstrip("_").isdigit():
-            clash += ((f.var, fresh),)
-        body = _canon(f.body, neg, {**env, f.var: fresh}, depth + 1, clash, memo)
+        body = _canon(f.body, neg, {**env, f.var: fresh}, depth + 1, memo)
         if isinstance(body, Bool):
             return body
         if fresh not in free_vars(body):
             # the variable went with the simplified body: bind the rest one level up
-            return _canon(body, False, {}, depth, (), memo)
+            return _canon(body, False, {}, depth, memo)
         if not neg and fresh == f.var and body is f.body:
             return f
         return (Exists if isinstance(f, Exists) != neg else Forall)(fresh, f.vtype, body)
     if isinstance(f, (And, Or)):
         cls = (Or if isinstance(f, And) else And) if neg else type(f)
-        stack = deque(zip(f.parts, itertools.repeat(neg)))
+        pairs = zip(f.parts, itertools.repeat(neg))
     elif isinstance(f, Implies):
         cls = And if neg else Or
-        stack = deque(((f.lhs, not neg), (f.rhs, neg)))
+        pairs = ((f.lhs, not neg), (f.rhs, neg))
     else:
         raise TypeError(f"not a formula: {f!r}")
     identity, absorber = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
     flat: list[Formula] = []
     seen = set()
-    while stack:
-        p = _canon(*stack.popleft(), env, depth, clash, memo)
-        if isinstance(p, cls):
-            # a nested junction's parts are canonicalised once more as they are flattened
-            stack.extendleft(zip(reversed(p.parts), itertools.repeat(False)))
-            continue
-        if p == absorber:
-            return absorber
-        if p == identity or p in seen:
-            continue
-        seen.add(p)
-        flat.append(p)
+    for part, part_neg in pairs:
+        p = _canon(part, part_neg, env, depth, memo)
+        # a nested junction of this class is canonical already: its parts join as they are
+        for q in p.parts if isinstance(p, cls) else (p,):
+            if q == absorber:
+                return absorber
+            if q == identity or q in seen:
+                continue
+            seen.add(q)
+            flat.append(q)
     for p in flat:
         if _complement(p) in seen:
             return absorber
@@ -815,9 +806,6 @@ class Universe:
             merged = sorted({o for _, objs in self.pools for o in objs})
             return tuple(merged)
         raise LogicError(f"no objects declared for type {vtype}")
-
-    def types(self) -> tuple:
-        return tuple(t for t, _ in self.pools)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ class SuccessorStateAxiom:
         """Plan of the fluent's tuples, of `types`, that hold after an action `name` of `arity`.
 
         The action's arguments are the plan's parameters, on placeholders
-        longer than every object name of the body, so none clashes with one.
+        longer than every object name of the body, so none collides with one.
         """
         if (name, arity, types) not in self.plans:
             prefix = "?" * (1 + max(map(len, objects_in(self.body)), default=0))

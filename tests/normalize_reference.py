@@ -2,14 +2,14 @@
 
 `_nnf` pushes negations to the atoms and unfolds implications, rebuilding
 every node it passes; `_canon` then renames bound variables by depth,
-flattens, deduplicates and sorts, walking the formula as a tree.  A
-flattened part is canonicalised again, a quantifier whose variable goes with
-its simplified body is bound again one level up, and a node that
-canonicalises to itself comes back as the same object.  `normalize(f)` must
-equal `reference_normalize(f)` exactly.
+flattens, deduplicates and sorts, walking the formula as a tree.  A nested
+junction of the enclosing class is canonical already, so its parts join the
+enclosing one as they are; a quantifier whose variable goes with its
+simplified body is bound again one level up, and a node that canonicalises
+to itself comes back as the same object.  `normalize(f)` must equal
+`reference_normalize(f)` exactly.
 """
 
-from collections import deque
 from typing import Mapping
 
 from fomdp.logic import (
@@ -107,18 +107,15 @@ def _canon(f: Formula, env: Mapping[str, str], depth: int) -> Formula:
         identity, absorber = (TRUE, FALSE) if is_and else (FALSE, TRUE)
         flat: list = []
         seen = set()
-        stack = deque(f.parts)
-        while stack:
-            p = _canon(stack.popleft(), env, depth)
-            if isinstance(p, type(f)):
-                stack.extendleft(reversed(p.parts))
-                continue
-            if p == absorber:
-                return absorber
-            if p == identity or p in seen:
-                continue
-            seen.add(p)
-            flat.append(p)
+        for part in f.parts:
+            p = _canon(part, env, depth)
+            for q in p.parts if isinstance(p, type(f)) else (p,):
+                if q == absorber:
+                    return absorber
+                if q == identity or q in seen:
+                    continue
+                seen.add(q)
+                flat.append(q)
         for p in flat:
             if _complement(p) in seen:
                 return absorber

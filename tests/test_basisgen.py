@@ -114,12 +114,8 @@ def test_config_validation():
         BasisGenConfig(api_iters=0)
     with pytest.raises(BasisGenError, match="value threshold"):
         BasisGenConfig(tau=-0.1)
-    with pytest.raises(BasisGenError, match="discard threshold"):
-        BasisGenConfig(discard_tau=-1.0)
     with pytest.raises(BasisGenError, match="solver"):
         BasisGenConfig(solver="simplex")
-    assert BasisGenConfig(tau=0.05).discard_threshold() == 0.05
-    assert BasisGenConfig(tau=0.05, discard_tau=0.2).discard_threshold() == 0.2
 
 
 def test_ledger_membership_is_normalized():
@@ -162,7 +158,7 @@ def test_generate_basis_flip_reaches_exact_values():
     assert heads(lvf) == [TRUE, normalize(Atom("P", ()))]
     assert normalize(Not(Atom("P", ()))) in report.ledger
     assert len(report.rows) == 2  # third iteration derives nothing new
-    assert all(abs(w) >= config.discard_threshold() for w in lvf.weights)
+    assert all(abs(w) >= config.tau for w in lvf.weights)
     assert_certified_disjoint(model, lvf, report)
     states = all_fluent_states(model, inst)
     assert max_value_error(model, lvf, states, inst.universe()) <= TOL
@@ -231,30 +227,51 @@ def test_covering_pairs_with_constant_are_unbounded():
         foalp_solve(model, tile)
 
 
-def cold_boxworld_foalp_stats() -> CheckerStats:
-    """Checker counts of a cold boxworld FOALP solve, with a fresh checker as the benchmark has."""
-    model = make_generic_goal(load_fixture("boxworld_mini")[0])
+def cold_solve_stats(fixture: str, solver: str) -> CheckerStats:
+    """Checker counts of a cold `iters=2` solve, with a fresh checker as the benchmark has."""
+    model = make_generic_goal(load_fixture(fixture)[0])
     model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
-    generate_basis(model, BasisGenConfig(iters=2))
+    generate_basis(model, BasisGenConfig(iters=2, solver=solver))
     return model.checker.stats
 
 
 def test_checker_stats_repeat_across_cold_solves():
-    stats = [cold_boxworld_foalp_stats() for _ in range(2)]
+    stats = [cold_solve_stats("boxworld_mini", "foalp") for _ in range(2)]
     assert stats[0] == stats[1]
     s = stats[0]
     assert (s.checks, s.cache_hits, s.lifted_attempts, s.lifted) == (643, 506, 56, 46)
-    assert 0 < s.groundings < 243 and s.skipped > 0 and s.exhausted == 0
+    # grounding every size combination of every type took 243 groundings here
+    assert (s.groundings, s.skipped, s.exhausted) == (135, 238, 0)
     # grounding every size combination of every type by a tree walk cost 240,276
     # units here, and its largest sizes alone 77,725; a repeated expansion is now free
     assert (s.work, s.atoms) == (20_577, 31)
     # the counts do not depend on the hash seed either
-    code = "import dataclasses, json, test_basisgen as t; print(json.dumps(dataclasses.asdict(t.cold_boxworld_foalp_stats())))"
+    code = (
+        "import dataclasses, json, test_basisgen as t;"
+        " print(json.dumps(dataclasses.asdict(t.cold_solve_stats('boxworld_mini', 'foalp'))))"
+    )
     tests = Path(__file__).resolve().parent
     for seed in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert CheckerStats(**json.loads(out.stdout.splitlines()[-1])) == s, seed
+
+
+@pytest.mark.parametrize(
+    "fixture, want",
+    [
+        ("blocksworld_mini", CheckerStats(checks=836, cache_hits=729, groundings=142, work=20_293, atoms=119)),
+        (
+            "boxworld_mini",
+            CheckerStats(
+                checks=846, cache_hits=720, lifted_attempts=53, lifted=22,
+                groundings=292, skipped=464, work=103_711, atoms=167,
+            ),
+        ),
+    ],
+)
+def test_cold_foapi_checker_stats(fixture, want):
+    assert cold_solve_stats(fixture, "foapi") == want
 
 
 def test_no_checker_parameter_has_a_default():

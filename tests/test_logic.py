@@ -55,6 +55,7 @@ from fomdp.logic import (
     Var,
     _GroundDag,
     _ground_plan,
+    all_var_names,
     compile_query,
     disjoint_regions,
     eval_in_state,
@@ -458,6 +459,63 @@ def test_normalize_preserves_truth():
             for combo in itertools.product(pool, repeat=len(fv)):
                 b = dict(zip(fv, combo))
                 assert eval_in_state(f, state, b) == eval_in_state(g, state, b)
+
+
+# renaming the flattened parts x ↦ v1 a second time, by v1 ↦ v2, reads ∃v1. P(v1) ∧ Q(v1, v1) ∧ R(v1)
+DOUBLE_RENAMING = "exists x. exists v1. (P(x) & Q(x, v1) | P(x) & Q(x, v1)) & R(v1)"
+
+
+def disagreements(f: Formula, g: Formula) -> int:
+    """States over two objects where f and g differ under some binding of f's free variables.
+
+    The states range over every ground atom of f's predicates; untyped and
+    `T` variables range over both objects.
+    """
+    pool = ("a", "b")
+    shapes = sorted({(h.pred, len(h.args)) for h in nodes(f) if isinstance(h, Atom)})
+    atoms = [(pred, *args) for pred, n in shapes for args in itertools.product(pool, repeat=n)]
+    variables = [(v, None) for v in sorted(free_vars(f))]
+    plans = compile_query(f, variables), compile_query(g, variables)
+    uni = Universe.of({None: pool, "T": pool})
+    count = 0
+    for bits in itertools.product([False, True], repeat=len(atoms)):
+        index = StateIndex(make_state([a for a, b in zip(atoms, bits) if b], uni))
+        want, got = (plan(index, ()) for plan in plans)
+        count += want != got
+    return count
+
+
+def test_normalize_renames_each_variable_once():
+    found = parse_formula(DOUBLE_RENAMING)
+    want = parse_formula("exists v1. exists v2. P(v1) & Q(v1, v2) & R(v2)")
+    assert normalize(found) == want
+    assert normalize(parse_formula("exists a. exists b. (P(a) & Q(a, b) | P(a) & Q(a, b)) & R(b)")) == want
+    for f in [found] + collision_probes():
+        assert disagreements(f, normalize(f)) == 0, format_formula(f)
+
+
+def v_named(f: Formula) -> Formula:
+    """f with every binder renamed to the first `v<n>` that no other variable of its body uses."""
+    if isinstance(f, (Exists, Forall)):
+        body = v_named(f.body)
+        taken = all_var_names(body) - {f.var}
+        var = next(v for v in (f"v{n}" for n in itertools.count(1)) if v not in taken)
+        return type(f)(var, f.vtype, substitute(body, {f.var: Var(var)}))
+    if isinstance(f, Not):
+        return Not(v_named(f.sub))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(v_named(p) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(v_named(f.lhs), v_named(f.rhs))
+    return f
+
+
+def test_normalize_ignores_binder_names():
+    formulas = corpus(60, 4) + typed_corpus(3, 200) + collision_probes()
+    renamed = [(f, v_named(f)) for f in formulas]
+    assert sum(f != g for f, g in renamed) > 150
+    for f, g in renamed:
+        assert normalize(g) == normalize(f), format_formula(f)
 
 
 def test_normalize_trivial_equalities():
@@ -903,9 +961,9 @@ def test_passes_visit_each_distinct_subformula_once(monkeypatch):
     # canonicalisation: each compound node once per (polarity, renaming, depth)
     calls, real = [], logic._canon_compound
 
-    def canon(g, neg, env, depth, *args):
-        calls.append((id(g), neg, depth, tuple(sorted(env.items()))) + args[:1])
-        return real(g, neg, env, depth, *args)
+    def canon(g, neg, env, depth, memo):
+        calls.append((id(g), neg, depth, tuple(sorted(env.items()))))
+        return real(g, neg, env, depth, memo)
 
     monkeypatch.setattr(logic, "_canon_compound", canon)
     assert normalize(f) == reference_normalize(tree)
@@ -1111,8 +1169,8 @@ def test_query_errors_and_name_clashes():
     state = StateIndex(make_state([("P", "b1")], Universe.of(QUERY_POOLS)))
     empty = StateIndex(make_state([], Universe.of(QUERY_POOLS)))
     # a parameter named like a predicate rebinds only the object
-    clash = compile_query(parse_formula("P(b) & b != P", objects=["P"]), [("b", "Box")], ("P",))
-    assert clash(state, ("b2",)) == [("b1",)]
+    shadowed = compile_query(parse_formula("P(b) & b != P", objects=["P"]), [("b", "Box")], ("P",))
+    assert shadowed(state, ("b2",)) == [("b1",)]
     with pytest.raises(UnboundVariableError):
         compile_query(parse_formula("P(b) & R(c)"), [("b", "Box")])
     one_param = compile_query(parse_formula("P(b)"), [("b", "Box")], ("c1",))
