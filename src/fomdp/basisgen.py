@@ -212,80 +212,81 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig) -> tuple:
     retire bases whose weight magnitude falls below the discard threshold.
     Stops at the iteration limit or as soon as nothing new was added, making
     at most `config.iters` solver calls.  Solver failures surface as
-    BasisGenError carrying the partial result.
+    BasisGenError carrying the partial result.  Its checks share one session.
     """
     chk = model.checker
-    ledger = DiscardLedger()
-    rows: list = []
-    entries = _seed_entries(model, chk, config.include_constant)
-    discarded = 0
+    with chk.session():
+        ledger = DiscardLedger()
+        rows: list = []
+        entries = _seed_entries(model, chk, config.include_constant)
+        discarded = 0
 
-    def current() -> LinearValueFunction:
-        return LinearValueFunction(
-            tuple(e.weight for e in entries), tuple(e.case for e in entries)
-        )
+        def current() -> LinearValueFunction:
+            return LinearValueFunction(
+                tuple(e.weight for e in entries), tuple(e.case for e in entries)
+            )
 
-    def result() -> tuple:
-        cert = tuple(i for i, e in enumerate(entries) if e.certified)
-        return current(), BasisReport(tuple(rows), cert, ledger)
+        def result() -> tuple:
+            cert = tuple(i for i, e in enumerate(entries) if e.certified)
+            return current(), BasisReport(tuple(rows), cert, ledger)
 
-    def fit(iteration: int):
-        nonlocal discarded
-        t0 = time.perf_counter()
-        lvf = current()
-        try:
-            if config.solver == "foalp":
-                weights = foalp_solve(model, lvf)
-                objective = sum(
-                    w * sum(p.value for p in e.case.partitions) / len(e.case.partitions)
-                    for w, e in zip(weights, entries)
+        def fit(iteration: int):
+            nonlocal discarded
+            t0 = time.perf_counter()
+            lvf = current()
+            try:
+                if config.solver == "foalp":
+                    weights = foalp_solve(model, lvf)
+                    objective = sum(
+                        w * sum(p.value for p in e.case.partitions) / len(e.case.partitions)
+                        for w, e in zip(weights, entries)
+                    )
+                else:
+                    report = foapi_solve(model, lvf, config.api_iters)
+                    weights = report.final_weights()
+                    objective = report.phis[-1]
+            except (SolverError, FOLPError, LPNumericalError) as exc:
+                partial, report = result()
+                raise BasisGenError(
+                    f"weight solve failed at iteration {iteration}: {exc}", partial, report
+                ) from exc
+            for e, w in zip(entries, weights):
+                e.weight = float(w)
+            keep = []
+            for e in entries:
+                if abs(e.weight) < config.tau:
+                    ledger.add(e.head)
+                    if e.core is not None:
+                        ledger.add(e.core)
+                    discarded += 1
+                else:
+                    keep.append(e)
+            entries[:] = keep
+            rows.append(
+                BasisRow(
+                    iteration, len(entries), discarded, objective,
+                    (time.perf_counter() - t0) * 1000.0,
                 )
-            else:
-                report = foapi_solve(model, lvf, config.api_iters)
-                weights = report.final_weights()
-                objective = report.phis[-1]
-        except (SolverError, FOLPError, LPNumericalError) as exc:
-            partial, report = result()
-            raise BasisGenError(
-                f"weight solve failed at iteration {iteration}: {exc}", partial, report
-            ) from exc
-        for e, w in zip(entries, weights):
-            e.weight = float(w)
-        keep = []
-        for e in entries:
-            if abs(e.weight) < config.tau:
-                ledger.add(e.head)
-                if e.core is not None:
-                    ledger.add(e.core)
-                discarded += 1
-            else:
-                keep.append(e)
-        entries[:] = keep
-        rows.append(
-            BasisRow(
-                iteration, len(entries), discarded, objective,
-                (time.perf_counter() - t0) * 1000.0,
             )
-        )
 
-    fit(1)
-    for it in range(2, config.iters + 1):
-        added = 0
-        for core in candidate_regressions(model, current(), ledger):
-            family = [e.head for e in entries if e.certified]
-            full = normalize(
-                simplify_bdd(normalize(conj([core] + [Not(h) for h in family])), chk)
-            )
-            disjoint = chk.check(full) is True and all(
-                chk.check(conj((full, h))) is False for h in family
-            )
-            if full in ledger or not disjoint:
-                ledger.add(core)
-                discarded += 1
-                continue
-            entries.append(_Entry(indicator_case(full, 1.0, chk), full, core, True))
-            added += 1
-        if added == 0:
-            break
-        fit(it)
-    return result()
+        fit(1)
+        for it in range(2, config.iters + 1):
+            added = 0
+            for core in candidate_regressions(model, current(), ledger):
+                family = [e.head for e in entries if e.certified]
+                full = normalize(
+                    simplify_bdd(normalize(conj([core] + [Not(h) for h in family])), chk)
+                )
+                disjoint = chk.check(full) is True and all(
+                    chk.check(conj((full, h))) is False for h in family
+                )
+                if full in ledger or not disjoint:
+                    ledger.add(core)
+                    discarded += 1
+                    continue
+                entries.append(_Entry(indicator_case(full, 1.0, chk), full, core, True))
+                added += 1
+            if added == 0:
+                break
+            fit(it)
+        return result()

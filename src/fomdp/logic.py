@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import is_, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -1122,8 +1123,9 @@ class ConsistencyBound:
     `objects_per_type` objects of each type (more if its named objects need
     them).  The work budget counts ground expansions actually performed (a
     subformula met again under the same values of its free variables is a
-    free memo hit) plus search steps, across every size the check grounds,
-    so a verdict never depends on load.
+    free memo hit, and inside a checker session so is a quantifier expanded
+    by an earlier check over the same pools) plus search steps, across every
+    size the check grounds, so a verdict never depends on load.
     """
 
     objects_per_type: int = 3
@@ -1150,9 +1152,10 @@ class CheckerStats:
     lifted: int = 0  # verdicts the lifted pass decided
     groundings: int = 0  # domain size combinations grounded
     skipped: int = 0  # size combinations left ungrounded because their types are monotone
-    work: int = 0  # budget units: ground expansions performed (a memo hit is free) plus search steps
+    work: int = 0  # budget units: ground expansions performed (a memo hit, also across a session, is free) plus search steps
     exhausted: int = 0  # checks that ran out of budget
     atoms: int = 0  # BDD atoms canonicalised: misses of the atom table, by any BDD pass through this checker
+    reused: int = 0  # quantifier expansions read from the memo instead of being performed
 
 
 class ConsistencyChecker:
@@ -1164,6 +1167,7 @@ class ConsistencyChecker:
     Distinct object names always denote distinct objects.  A type in which
     every model can gain an object (a monotone type) is not grounded at
     every size combination; see `_sat`.  Results are cached per canonical formula.
+    The checks of one `session()` share their ground work (`_GroundStore`).
     """
 
     def __init__(
@@ -1177,6 +1181,17 @@ class ConsistencyChecker:
         self._cache: dict = {}
         self._atom_keys: dict = {}  # the BDD passes' tables; see `_BddSimplifier`
         self._duals: dict = {}
+        self._store: Optional[_GroundStore] = None  # the open session's, if any
+
+    @contextmanager
+    def session(self):
+        """Share one `_GroundStore` across the checks inside; re-entrant, and the outermost exit drops it."""
+        outer = self._store
+        self._store = outer or _GroundStore(self.stats)
+        try:
+            yield
+        finally:
+            self._store = outer
 
     # -- public verdicts ----------------------------------------------------
 
@@ -1235,7 +1250,8 @@ class ConsistencyChecker:
         larger at a time go first.  The verdict is the one that every
         combination gives; `stats.skipped` counts the combinations left out.
         The closed formula compiles once into a grounding plan that every
-        combination runs (`_ground_plan`).
+        combination runs (`_ground_plan`), through the session's store or,
+        outside a session, one made for this check.
         """
         types, objects, binders, nonmono = survey(f, self.signature)
         closed = implicit_close(f, types)
@@ -1258,7 +1274,8 @@ class ConsistencyChecker:
         plan += itertools.product(*[r[-1:] if m else r for r, m in zip(ranges, mono)])
         plan = list(dict.fromkeys(plan))
         full = math.prod(map(len, ranges))
-        ground = _ground_plan(closed)
+        store = self._store or _GroundStore(self.stats)
+        ground = _ground_plan(closed, store.ids)
         for step, sizes in enumerate(plan):
             if step == 1:
                 # one or two remaining groundings cost less than a lifted pass
@@ -1283,13 +1300,17 @@ class ConsistencyChecker:
                     untyped |= set(p)
                 pools[None] = tuple(sorted(untyped))
             self.stats.groundings += 1
-            dag = _GroundDag()
-            root = ground(pools, dag, left)
+            root = ground(pools, store, left)
             if root == _G_TRUE:
                 return True
             if root == _G_FALSE:
                 continue
-            if _ground_sat(dag, root, left, {}):
+            made = len(store.dag.kind)
+            try:
+                found = _ground_sat(store.dag, root, left, store.sat)
+            finally:
+                store.drop_since(made)
+            if found:
                 return True
         return False
 
@@ -1308,12 +1329,42 @@ _G_TRUE = 0
 _G_FALSE = 1
 
 
+class _GroundStore:
+    """The ground work that the checks of one checker session share.
+
+    Subformula ids agree across checks.  A quantifier's expansion depends on
+    the quantifier ranges as well as on its free variables' values, so
+    `expanded` is keyed by the pool set first.  The cheap memo of the other
+    subformulas stays per grounding, and the nodes a search makes go when it
+    ends: kept, they would hold most of a long solve's memory.
+    """
+
+    def __init__(self, stats: CheckerStats):
+        self.stats = stats  # the checker's counts
+        self.ids: dict = {}  # formula -> uid
+        self.dag = _GroundDag()
+        self.expanded: dict = {}  # pool set -> (uid, free variables' values) -> node
+        self.sat: dict = {}  # node -> satisfiable
+
+    def drop_since(self, n: int):
+        """Forget the DAG nodes from id n on, which a search made, and what is known of them."""
+        dag = self.dag
+        for nid in range(n, len(dag.kind)):
+            del dag.intern[(dag.kind[nid], dag.data[nid])]
+            self.sat.pop(nid, None)
+        del dag.kind[n:], dag.data[n:], dag.watch[n:]
+        dag.cond_memo.clear()
+
+
 class _GroundDag:
     """Hash-consed propositional graph for grounded formulas.
 
     Nodes fold constants, flatten and deduplicate junctions, and cancel
     complementary literal pairs on construction, so satisfiability search
-    only ever branches on atoms that still matter.
+    only ever branches on atoms that still matter.  A node is a formula over
+    ground atoms named by objects, so one DAG and its satisfiability memo
+    serve a whole session.  Ids grow as nodes are made, so the nodes a
+    search made are the last ones, and dropping them is a truncation.
     """
 
     def __init__(self):
@@ -1409,26 +1460,38 @@ def _spend(left: list):
     left[0] -= 1
 
 
-def _ground_plan(f: Formula) -> Callable:
-    """Closed f compiled into `(pools, dag, left) -> root node`, one call per grounding.
+def _ground_plan(f: Formula, ids: dict) -> Callable:
+    """Closed f compiled into `(pools, store, left) -> root node`, one call per grounding.
 
     The `compile_query` idiom over the ground DAG: each subformula becomes a
     closure over environment slots for its variables and named objects, and
     structurally equal subformulas share one id.  A subformula compiles when
     a grounding first reaches it, so a branch that is never reached costs
-    nothing.  Within one grounding each (id, values of the subformula's free
-    variables) is expanded once and spends one budget unit; a repeat reads
-    the grounding's memo for free.  The tree walk this replaced made no node
-    on a repeat either, so the DAG is the same, node for node.
+    nothing.  `ids` is the store's.  Within one grounding each (id, values of
+    the subformula's free variables) is expanded once and spends one budget
+    unit; a repeat reads the memo for free, and a quantifier's memo is the
+    store's for the pools, which later groundings over them also read.  The
+    tree walk this replaced made no node on a repeat either, so with a fresh
+    store the DAG is the same, node for node.
     """
     init: list = []  # the environment a grounding starts from; compiling appends slots
-    root = _ground_node(f, {}, ({}, {}, init))
-    return lambda pools, dag, left: root(list(init), (pools, dag, left, {}))
+    root = _ground_node(f, {}, ({}, ids, init))
+
+    def ground(pools, store, left):
+        quantified = store.expanded.setdefault(frozenset(pools.items()), {})
+        return root(list(init), (pools, store.dag, left, {}, quantified, store.stats))
+
+    return ground
 
 
 def _ground_node(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Callable:
-    """`(env, run) -> DAG node` for f; ctx is the plan's (fixed, ids, init), run (pools, dag, left, memo)."""
+    """`(env, run) -> DAG node` for f.
+
+    ctx is the plan's (fixed, ids, init); run is (pools, dag, left, memo, quantifier memo, stats).
+    """
     compiled: list = []  # id, key of the free variables' values, expansion: filled when first reached
+    quantifier = isinstance(f, (Exists, Forall))
+    which = 4 if quantifier else 3  # the memo f's expansions go in
 
     def memoised(env, run):
         if not compiled:
@@ -1438,10 +1501,13 @@ def _ground_node(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Callable:
             env.extend(init[len(env) :])
         uid, key, expand = compiled
         k = (uid, key(env))
-        got = run[3].get(k)
+        memo = run[which]
+        got = memo.get(k)
         if got is None:
             _spend(run[2])
-            got = run[3][k] = expand(env, run)
+            got = memo[k] = expand(env, run)
+        elif quantifier:
+            run[5].reused += 1
         return got
 
     return memoised
@@ -1505,7 +1571,9 @@ def _ground_sat(dag: _GroundDag, nid: int, left: list, memo: dict) -> bool:
 
     Unit propagation and branching both preserve satisfiability, so every
     node passed through on the way to a verdict shares it; the memo turns
-    the exponential branch tree into a walk over distinct folded nodes.
+    the exponential branch tree into a walk over distinct folded nodes.  A
+    node means the same in every check, so a session keeps the memo; a
+    search cut short by the budget records nothing.
     """
     chain: list = []
     result = None

@@ -77,21 +77,22 @@ class GenericQSet:
 
 
 def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
-    """One-step lookahead of the solved values, per action template."""
+    """One-step lookahead of the solved values, per action template, in one checker session."""
     ur = model.universal_reward
     if ur is None:
         raise UnidecompError(f"model {model.name} has no universal reward to decompose")
     constants, goal = _generic_parts(ur)
-    if model.rewards != materialize_universal(ur, goal, model.checker):
-        raise UnidecompError(
-            f"model {model.name} does not carry the generic-goal reward; "
-            "apply make_generic_goal before solving"
+    with model.checker.session():
+        if model.rewards != materialize_universal(ur, goal, model.checker):
+            raise UnidecompError(
+                f"model {model.name} does not carry the generic-goal reward; "
+                "apply make_generic_goal before solving"
+            )
+        flat = lvf.flatten(model.checker) if lvf.bases else constant_case(0.0)
+        qcases = tuple(
+            (name, backup_exists(model, flat, model.action(name)))
+            for name in model.action_names()
         )
-    flat = lvf.flatten(model.checker) if lvf.bases else constant_case(0.0)
-    qcases = tuple(
-        (name, backup_exists(model, flat, model.action(name)))
-        for name in model.action_names()
-    )
     return _compiled(ur.variables, constants, goal, qcases, model.discount)
 
 

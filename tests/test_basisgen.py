@@ -1,5 +1,6 @@
 """Basis growth: reachability candidates, certification, weight-based retirement."""
 
+import gc
 import hashlib
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 
 import fomdp
 from conftest import all_fluent_states, ground_value_iteration
-from fomdp import basisgen, solvers
+from fomdp import basisgen, logic, solvers
 from fomdp.basisgen import (
     BasisGenConfig,
     BasisGenError,
@@ -38,10 +40,11 @@ from fomdp.logic import (
     conj,
     format_formula,
     normalize,
+    parse_formula,
 )
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import PolicyCase, _policy_key, foalp_solve
-from fomdp.unidecomp import make_generic_goal
+from fomdp.unidecomp import build_generic_q, make_generic_goal
 from max_case_reference import assert_same_regions, reference_max_case
 
 TOL = 1e-6
@@ -243,8 +246,9 @@ def test_checker_stats_repeat_across_cold_solves():
     # grounding every size combination of every type took 243 groundings here
     assert (s.groundings, s.skipped, s.exhausted) == (135, 238, 0)
     # grounding every size combination of every type by a tree walk cost 240,276
-    # units here, and its largest sizes alone 77,725; a repeated expansion is now free
-    assert (s.work, s.atoms) == (20_577, 31)
+    # units here, and its largest sizes alone 77,725; a repeated expansion is now
+    # free, and with memos that ended with each grounding this took 20,577 units
+    assert (s.work, s.reused, s.atoms) == (12_814, 2_288, 31)
     # the counts do not depend on the hash seed either
     code = (
         "import dataclasses, json, test_basisgen as t;"
@@ -260,12 +264,12 @@ def test_checker_stats_repeat_across_cold_solves():
 @pytest.mark.parametrize(
     "fixture, want",
     [
-        ("blocksworld_mini", CheckerStats(checks=836, cache_hits=729, groundings=142, work=20_293, atoms=119)),
+        ("blocksworld_mini", CheckerStats(checks=836, cache_hits=729, groundings=142, work=5_647, atoms=119, reused=1_649)),
         (
             "boxworld_mini",
             CheckerStats(
                 checks=846, cache_hits=720, lifted_attempts=53, lifted=22,
-                groundings=292, skipped=464, work=103_711, atoms=167,
+                groundings=292, skipped=464, work=39_119, atoms=167, reused=4_686,
             ),
         ),
     ],
@@ -396,6 +400,55 @@ def test_solver_failure_carries_partial_result():
     assert len(exc.value.lvf.bases) == 1
     assert exc.value.report.rows == ()
     assert exc.value.report.certified == (0,)
+
+
+def test_a_ground_store_lives_for_one_session(monkeypatch):
+    made = []  # a weak reference to every store the checker makes
+    real_store = logic._GroundStore
+
+    def store(stats):
+        s = real_store(stats)
+        made.append(weakref.ref(s))
+        return s
+
+    monkeypatch.setattr(logic, "_GroundStore", store)
+
+    def stores(run) -> tuple:
+        """(stores made while `run` ran, stores still alive after it)."""
+        start = len(made)
+        run()
+        gc.collect()
+        return len(made) - start, sum(r() is not None for r in made)
+
+    flip, _ = load_fixture("flip")
+    boxworld = make_generic_goal(load_fixture("boxworld_mini")[0])
+    chk = flip.checker
+    f = parse_formula("exists x, y. Q(x, y) & !Q(y, x)")
+    # a check outside a session grounds through a store of its own and drops it
+    assert stores(lambda: chk.check(f)) == (1, 0)
+
+    def nested():
+        with chk.session():
+            outer = chk._store
+            with chk.session():
+                assert chk._store is outer
+                chk.check(Not(f))
+            assert chk._store is outer
+            chk.check(And((f, parse_formula("forall x. P(x)"))))
+
+    # a nested session keeps the outer store
+    assert stores(nested) == (1, 0)
+    # a solve and a Q set build, a store each, dropped when they return
+    assert stores(lambda: generate_basis(flip, BasisGenConfig(iters=2))) == (1, 0)
+    assert stores(lambda: build_generic_q(boxworld, LinearValueFunction((), ()))) == (1, 0)
+
+    def failing():
+        with pytest.raises(BasisGenError, match="infeasible"):
+            generate_basis(flip, BasisGenConfig(iters=1, include_constant=False))
+
+    # and a solve that raises drops its store too
+    assert stores(failing) == (1, 0)
+    assert chk._store is None and boxworld.checker._store is None
 
 
 def test_zero_reward_retires_everything():

@@ -37,6 +37,7 @@ from fomdp.logic import (
     Atom,
     ActTerm,
     Bool,
+    CheckerStats,
     ConsistencyBound,
     ConsistencyChecker,
     Eq,
@@ -54,9 +55,11 @@ from fomdp.logic import (
     Universe,
     Var,
     _GroundDag,
+    _GroundStore,
     _ground_plan,
     all_var_names,
     compile_query,
+    conj,
     disjoint_regions,
     eval_in_state,
     format_formula,
@@ -1047,6 +1050,33 @@ def test_monotone_grounding_matches_every_combination():
             assert (new.stats.lifted_attempts, new.stats.lifted) == (ref.stats.lifted_attempts, ref.stats.lifted)
 
 
+@pytest.mark.parametrize("make", [ConsistencyChecker, GroundingOnlyChecker])
+def test_session_verdicts_match_fresh_checkers(make):
+    # one session over checks that share subformulas: each formula twice, its
+    # named objects renamed at random each time, so pools of the same sizes
+    # hold other objects, and then its conjunction prefixes; the first two
+    # share a closed quantifier whose one-box pools are (b1) and (b2)
+    rng = random.Random(43)
+    renames = [{}, {"b1": "b2"}, {"c1": "c2", "k1": "k2"}, {"b1": "b3", "o1": "o2"}, {"k1": "b1"}]
+    checks = [parse_formula(f"!P({o}) & (forall x: Box. P(x))", objects=[o]) for o in ("b1", "b2")]
+    for f in typed_corpus(43, 200) + non_monotone_probes():
+        for rename in rng.sample(renames, 2):
+            g = normalize(replace_objects(f, rename))
+            checks.append(g)
+            if isinstance(g, And):
+                checks += [conj(g.parts[:i]) for i in range(1, len(g.parts))]
+    chk, plain = make(signature=TYPED_SIG), make(signature=TYPED_SIG)
+    with chk.session():
+        for f in checks:
+            want = ReferenceChecker(signature=TYPED_SIG).check(f)
+            assert chk.check(f) == make(signature=TYPED_SIG).check(f) == want, format_formula(f)
+            assert plain.check(f) == want
+    # the session read back expansions of earlier checks, and only the work fell
+    assert chk.stats.reused > plain.stats.reused and chk.stats.work < plain.stats.work
+    assert replace(chk.stats, work=0, reused=0) == replace(plain.stats, work=0, reused=0)
+    assert chk.stats.exhausted == 0
+
+
 @pytest.mark.parametrize(
     "text, groundings, skipped",
     [
@@ -1067,18 +1097,20 @@ def test_checker_grounds_each_size_combination_once(text, groundings, skipped):
 
 
 def test_ground_plan_builds_the_reference_dag():
-    # one plan per formula, run at every size combination: the same root and the
-    # same DAG, node for node, as the tree walk, for no more budget units
+    # one plan per formula, run at every size combination through a fresh store:
+    # the same root and the same DAG, node for node, as the tree walk, for no
+    # more budget units
     formulas = typed_corpus(37, 160) + non_monotone_probes() + corpus()
     walked = planned = 0
     for f in formulas + [normalize(f) for f in formulas]:
         _, closed, groundings = every_grounding(f, TYPED_SIG, 3)
-        ground = _ground_plan(closed)
+        ground = _ground_plan(closed, {})
         for pools in groundings:
-            want, got = _GroundDag(), _GroundDag()
+            want, store = _GroundDag(), _GroundStore(CheckerStats())
             left_want, left_got = [10**9], [10**9]
             root = reference_ground_expand(closed, pools, {}, want, left_want)
-            assert ground(pools, got, left_got) == root, format_formula(f)
+            assert ground(pools, store, left_got) == root, format_formula(f)
+            got = store.dag
             assert (got.kind, got.data, got.watch) == (want.kind, want.data, want.watch), format_formula(f)
             assert left_got[0] >= left_want[0]
             walked += 10**9 - left_want[0]
