@@ -30,9 +30,10 @@ from .logic import (
     Not,
     Obj,
     Or,
+    StateIndex,
     TRUE,
+    compile_program,
     disjoint_regions,
-    eval_in_state,
     exists_chain,
     format_formula,
     implicit_close,
@@ -272,10 +273,12 @@ def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
     return CaseStatement(c1.partitions + c2.partitions, False)
 
 
-def _holds(f: Formula, state: GroundState, binding, signature) -> bool:
-    """f in state under binding, its other free variables read existentially."""
-    g = substitute(f, {v: Obj(o) for v, o in (binding or {}).items()})
-    return eval_in_state(implicit_close(g, infer_types(f, signature or {})), state)
+def _holding(c: CaseStatement, state: GroundState, binding, signature) -> list:
+    """Per partition, whether it holds under binding, other free variables read existentially; one program."""
+    sub = {v: Obj(o) for v, o in (binding or {}).items()}
+    closed = [implicit_close(substitute(p.formula, sub), infer_types(p.formula, signature or {})) for p in c.partitions]
+    index, memo = StateIndex(state), {}
+    return [bool(plan(index, (), memo)) for plan in compile_program([(f, ()) for f in closed])]
 
 
 def eval_case(
@@ -292,7 +295,7 @@ def eval_case(
     """
     if not c.partitioned:
         raise CaseError("eval_case requires a partitioned case")
-    hits = [i for i, p in enumerate(c.partitions) if _holds(p.formula, state, binding, signature)]
+    hits = [i for i, held in enumerate(_holding(c, state, binding, signature)) if held]
     if len(hits) != 1:
         shown = ", ".join(format_formula(c.partitions[i].formula) for i in hits) or "none"
         raise PartitionViolation(
@@ -308,13 +311,10 @@ def eval_max(
     signature: Optional[Mapping[str, Sequence]] = None,
 ) -> float:
     """Maximum value over satisfied partitions (union semantics)."""
-    best = None
-    for p in c.partitions:
-        if _holds(p.formula, state, binding, signature) and (best is None or p.value > best):
-            best = p.value
-    if best is None:
+    values = [p.value for p, held in zip(c.partitions, _holding(c, state, binding, signature)) if held]
+    if not values:
         raise PartitionViolation("no partition satisfied", ())
-    return best
+    return max(values)
 
 
 def verify_partitioned(c: CaseStatement, checker: ConsistencyChecker) -> bool:

@@ -17,8 +17,9 @@ per context in a call, through memos keyed by object id that end with it.
 Ground states have one evaluator, the index-join plans of `compile_query`,
 generated as Python source and compiled once; callers keep them, and
 `eval_in_state` and `satisfying_bindings` compile one per call, for one-off
-use.  An unbound variable or an action term raises when the formula
-compiles, whatever the state.
+use.  `compile_program` compiles several, sharing a memo cell per closed
+quantified subformula for one (index, args).  An unbound variable or an
+action term raises when the formula compiles, whatever the state.
 """
 
 from __future__ import annotations
@@ -881,7 +882,7 @@ _MAX_NESTING = 40  # parentheses in one generated expression; the parser fails n
 
 
 def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -> Callable:
-    """Plan `(index, args) -> list of tuples` of the `variables` satisfying f.
+    """Plan `(index, args, memo) -> list of tuples` of the `variables` satisfying f.
 
     The package's one evaluator of formulas in ground states, generated as
     Python source and compiled once.  `params` names objects of f that each
@@ -895,12 +896,22 @@ def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -
     A free variable outside `variables` raises UnboundVariableError, and an
     action term LogicError, here; a wrong number of `args` raises
     LogicError, and an undeclared quantifier type when a call reaches it.
+    A one-plan `compile_program`; see there for `memo`.
     """
-    variables, params = tuple(variables), tuple(params)
-    names = [n for n, _ in variables]
-    if len(set(names)) != len(names):
-        raise LogicError(f"query variables {names} repeat a name")
-    return _QueryWriter(variables, params).plan(f)
+    return compile_program([(f, variables)], params)[0]
+
+
+def compile_program(queries: Sequence[tuple], params: Sequence = ()) -> tuple:
+    """One `compile_query` plan per (formula, variables) of `queries`, from one `compile()`.
+
+    A closed quantified subformula (no free variable; `params` are objects)
+    that a call may reach twice, in a loop or in several plans, gets a cell
+    shared by equal subformulas: the first evaluation stores its truth in
+    the plan's `memo` dict for every plan to read; a raise stores nothing.
+    Its truth depends only on the index and the args, so pass a fresh memo
+    per program, index and args (a plan given none makes its own).
+    """
+    return _QueryWriter(tuple(params)).program(queries)
 
 
 def _literal(name: Optional[str]) -> str:
@@ -915,30 +926,42 @@ def _tuple(items: list) -> str:
 
 
 class _QueryWriter:
-    """Writes one `compile_query` plan as the source of a factory of functions.
+    """Writes the plans of one `compile_program` as the source of a factory of functions.
 
     Names from the formula enter the source only as string literals, so
-    none runs as code; variables, parameters and helpers get generated
-    identifiers (`v`, `a`, `q`, `h` and a number).  Helpers are closures of
-    the factory, which is dropped once it has made the plan, so the plan
-    holds no reference cycle.
+    none runs as code; plans, variables, parameters and helpers get generated
+    identifiers (`p`, `v`, `a`, `q`, `h`, `c` and a number).  Helper `c<k>`
+    evaluates the closed quantifier of cell k, read through the memo `m`
+    that every helper receives.  Helpers are closures of the factory, which
+    is dropped once it has made the plans, so no plan holds a reference cycle.
     """
 
-    def __init__(self, variables: tuple, params: tuple):
-        self.variables = variables
-        self.where = {n: i for i, (n, _) in enumerate(variables)}
-        self.top = {n: f"v{i}" for n, i in self.where.items()}
+    def __init__(self, params: tuple):
         self.args = [f"a{i}" for i in range(len(params))]
         self.params = dict(zip(params, self.args))  # a repeated name takes its last slot
         self.lines: list = []  # source of the factory's functions
         self.fresh = itertools.count()
+        self.cells, self.reads = {}, 0  # closed quantified subformula -> cell number; cell reads written
+        self.helper_args = ", ".join(["atoms", "pools", *self.args, "m"])  # what every helper takes
 
-    def plan(self, f: Formula) -> Callable:
-        hoisted, levels = [], [[None, []] for _ in self.variables]  # per variable: binder, filters
+    def program(self, queries: Sequence[tuple]) -> tuple:
+        self.shared = len(queries) > 1
+        names = [self.plan(f, tuple(variables)) for f, variables in queries]
+        source = "\n".join(["def make():", *self.lines, f"    return {_tuple(names)}"])
+        exec(compile(source, "<query>", "exec"), namespace := {"LogicError": LogicError})
+        return namespace.pop("make")()
+
+    def plan(self, f: Formula, variables: tuple) -> str:
+        self.variables, self.where = variables, {n: i for i, (n, _) in enumerate(variables)}
+        if len(self.where) != len(variables):
+            raise LogicError(f"query variables {[n for n, _ in variables]} repeat a name")
+        self.top = {n: f"v{i}" for n, i in self.where.items()}
+        reads = self.reads
+        hoisted, levels = [], [[None, []] for _ in variables]  # per variable: binder, filters
         for c in _conjuncts(f):
             last = max((self.where[v] for v in free_vars(c) if v in self.where), default=None)
-            if last is None:
-                hoisted.append(self.expr(c, self.top)[0])
+            if last is None:  # evaluated once per call: an empty scope
+                hoisted.append(self.expr(c, {})[0])
             elif levels[last][0] is None and (bind := self.binder(c, last)):
                 levels[last][0] = bind
             else:
@@ -949,19 +972,18 @@ class _QueryWriter:
                 loops.append(f"for s{i} in [{bind}]")
                 filters = [f"v{i} in s{i}", *filters]
             loops += [f"for v{i} in t{i}", f"if {' and '.join(filters)}"] if filters else [f"for v{i} in t{i}"]
-        m = len(self.args)
-        body = [f"if len(args) != {m}:"]
-        body.append(f"    raise LogicError('query takes {m} parameters, got %d' % len(args))")
-        body += [f"{', '.join(self.args)}, = args"] if m else []
+        n = len(self.args)
+        body = [f"if len(args) != {n}:", f"    raise LogicError('query takes {n} parameters, got %d' % len(args))"]
+        body += [f"{', '.join(self.args)}, = args"] if n else []
+        body += ["m = {} if m is None else m"] if self.reads > reads else []
         body.append("atoms, pools, column = ix.atoms, ix.pools, ix.column")
         # every variable's pool first: an undeclared type raises even when nothing matches
-        body += [f"t{i} = pools[{_literal(vtype)}]" for i, (_, vtype) in enumerate(self.variables)]
+        body += [f"t{i} = pools[{_literal(vtype)}]" for i, (_, vtype) in enumerate(variables)]
         body += [f"if not ({' and '.join(hoisted)}):", "    return []"] if hoisted else []
         body.append(f"return [{_tuple([f'v{i}' for i in range(len(levels))])} {' '.join(loops)}]")
-        self.lines += ["    def plan(ix, args=()):", *(f"        {line}" for line in body)]
-        namespace = {"LogicError": LogicError}
-        exec(compile("\n".join(["def make():", *self.lines, "    return plan"]), "<query>", "exec"), namespace)
-        return namespace.pop("make")()
+        name = f"p{next(self.fresh)}"
+        self.lines += [f"    def {name}(ix, args=(), m=None):", *(f"        {line}" for line in body)]
+        return name
 
     def binder(self, c: Formula, i: int) -> Optional[str]:
         """Objects for variable i that make atom c true once earlier variables are bound."""
@@ -1001,16 +1023,23 @@ class _QueryWriter:
             src = "(" + (" and " if isinstance(g, And) else " or ").join(s for s, _ in parts) + ")"
             depth = max(d for _, d in parts)
         elif isinstance(g, (Exists, Forall)):
-            q = f"q{next(self.fresh)}"
-            body, depth = self.expr(g.body, {**scope, g.var: q})
-            src = f"{'any' if isinstance(g, Exists) else 'all'}({body} for {q} in pools[{_literal(g.vtype)}])"
+            cell = bool(scope or self.shared) and not free_vars(g)  # closed, and may run twice per call
+            if not cell or g not in self.cells:
+                q = f"q{next(self.fresh)}"
+                body, depth = self.expr(g.body, {**scope, g.var: q})
+                src = f"{'any' if isinstance(g, Exists) else 'all'}({body} for {q} in pools[{_literal(g.vtype)}])"
+            if cell:  # cell k of the memo, filled by helper c<k>, in which nesting starts over
+                if g not in self.cells:
+                    k = self.cells[g] = len(self.cells)
+                    self.lines += [f"    def c{k}({self.helper_args}):", f"        return {src}"]
+                self.reads, k = self.reads + 1, self.cells[g]
+                return f"(m[{k}] if {k} in m else m.setdefault({k}, c{k}({self.helper_args})))", 3
         else:
             raise TypeError(f"not a formula: {g!r}")
         if depth < _MAX_NESTING:
             return src, depth + 1
         # a helper function of g's free variables, in which nesting starts over
-        names = ["atoms", "pools", *self.args, *sorted(scope[v] for v in free_vars(g))]
-        call = f"h{next(self.fresh)}({', '.join(names)})"
+        call = f"h{next(self.fresh)}({', '.join([self.helper_args, *sorted(scope[v] for v in free_vars(g))])})"
         self.lines += [f"    def {call}:", f"        return {src}"]
         return call, 1
 

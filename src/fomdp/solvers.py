@@ -20,7 +20,7 @@ from .folp import (
     affine_case,
     solve_first_order_lp,
 )
-from .logic import TRUE, ConsistencyChecker, StateIndex, compile_query, conj, normalize
+from .logic import TRUE, ConsistencyChecker, StateIndex, compile_program, conj, normalize
 from .model import FOMDPModel, LinearValueFunction, backup_linear
 
 
@@ -51,9 +51,9 @@ class PolicyCase:
     Every partition names its action template in the tag and keeps the open
     formula over the action parameters whose witnesses realize the region's
     value; `cell_exprs` maps (tag, witness body) back to the affine backup
-    expression the region came from.  Regions and witness bodies compile on
-    the first decision: solvers build many policies, decide with none, and a
-    region can take milliseconds to compile.
+    expression the region came from.  Regions and witness bodies compile to
+    one program on the first decision: solvers build many policies, decide
+    with none, and a region can take milliseconds to compile.
     """
 
     case: CaseStatement
@@ -77,15 +77,14 @@ class PolicyCase:
         """
         if not self.plans:
             parts = self.case.partitions
-            self.plans.extend(
-                [(p.tag, compile_query(p.formula), compile_query(p.bind_body, p.bind_vars)) for p in parts]
-            )
-        index = StateIndex(state)
-        hits = [(tag, witness) for tag, region, witness in self.plans if region(index)]
+            plans = compile_program([(p.formula, ()) for p in parts] + [(p.bind_body, p.bind_vars) for p in parts])
+            self.plans.extend(zip([p.tag for p in parts], plans, plans[len(parts) :]))
+        index, memo = StateIndex(state), {}
+        hits = [(tag, witness) for tag, region, witness in self.plans if region(index, (), memo)]
         if len(hits) != 1:
             raise SolverError(f"{len(hits)} policy regions hold at the state (expected 1)")
         tag, witness = hits[0]
-        witnesses = witness(index)
+        witnesses = witness(index, (), memo)
         if not witnesses:
             raise SolverError("satisfied policy region has no parameter witness")
         return tag, witnesses[0]

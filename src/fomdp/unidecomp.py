@@ -4,11 +4,11 @@ A universal reward pays out only when every ground goal holds, which makes
 the exact value function grow with the goal count.  The decomposition
 solves one model whose reward names a single generic goal on fresh
 constants (`b_star`, `c_star`) and backs the solved values up into
-per-template Q cases.  Each Q partition's witness body, and the goal
-itself, is compiled once into a query in which the generic constants are
-parameters.  At runtime a ground goal is just the arguments of those
-queries: ground actions are scored by the average of their Q values across
-the instance's unsatisfied goals, with no formula rewritten per decision.
+per-template Q cases.  The Q partitions' witness bodies and the goal
+compile into one program per Q set, whose parameters are the generic
+constants.  At runtime a ground goal is just the arguments of its plans:
+ground actions are scored by the average of their Q values across the
+instance's unsatisfied goals, with no formula rewritten per decision.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,7 +22,7 @@ from .logic import (
     Obj,
     StateIndex,
     Universe,
-    compile_query,
+    compile_program,
     normalize,
     replace_objects,
     substitute,
@@ -60,8 +60,8 @@ class GenericQSet:
 
     Partitions keep their open pre-quantification bodies so ground
     parameter bindings can be enumerated against a concrete state.  Those
-    bodies and the goal are compiled into queries whose parameters are the
-    `constants`; a ground goal binds them without renaming any formula.
+    bodies and the goal are compiled into one program whose parameters are
+    the `constants`; a ground goal binds them without renaming any formula.
     Make one with `build_generic_q` or `substitute_goal`.
     """
 
@@ -97,16 +97,13 @@ def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
 
 
 def _compiled(variables, constants, goal, qcases, discount) -> GenericQSet:
-    """The Q set with its goal and witness bodies compiled over `constants`."""
-    plans = []
-    for name, q in qcases:
-        if any(p.bind_body is None for p in q.partitions):
-            raise UnidecompError("Q partitions must carry open binding bodies")
-        ranked = sorted(q.partitions, key=lambda p: -p.value)
-        parts = [(p.value, compile_query(p.bind_body, p.bind_vars, constants)) for p in ranked]
-        plans.append((name, tuple(parts)))
-    goal_query = compile_query(goal, (), constants)
-    return GenericQSet(variables, constants, goal, qcases, discount, goal_query, tuple(plans))
+    """The Q set with its goal and witness bodies compiled over `constants` as one program."""
+    if any(p.bind_body is None for _, q in qcases for p in q.partitions):
+        raise UnidecompError("Q partitions must carry open binding bodies")
+    ranked = [(name, sorted(q.partitions, key=lambda p: -p.value)) for name, q in qcases]
+    it = iter(compile_program([*((p.bind_body, p.bind_vars) for _, ps in ranked for p in ps), (goal, ())], constants))
+    plans = tuple((name, tuple((p.value, next(it)) for p in parts)) for name, parts in ranked)
+    return GenericQSet(variables, constants, goal, qcases, discount, next(it), plans)
 
 
 def _binding_map(qset: GenericQSet, binding, universe=None) -> dict:
@@ -155,9 +152,9 @@ def goal_satisfied(qset: GenericQSet, binding, state) -> bool:
     return _goal_holds(qset, binding, StateIndex(state))
 
 
-def _goal_holds(qset: GenericQSet, binding, index: StateIndex) -> bool:
+def _goal_holds(qset: GenericQSet, binding, index: StateIndex, memo: dict = None) -> bool:
     _binding_map(qset, binding, index.universe)
-    return bool(qset.goal_query(index, tuple(binding)))
+    return bool(qset.goal_query(index, tuple(binding), memo))
 
 
 def score_actions(qset: GenericQSet, goals, state) -> dict:
@@ -167,19 +164,19 @@ def score_actions(qset: GenericQSet, goals, state) -> dict:
     so they are dropped before averaging.  Per goal and template a ground
     binding takes the best Q partition it satisfies; summing all satisfied
     partitions would double-count overlapping existential regions.  One
-    state index serves the goal tests and every query.
+    state index serves every plan, and one memo a goal's plans.
     """
     index = StateIndex(state)
-    unsat = [tuple(g) for g in goals if not _goal_holds(qset, g, index)]
+    unsat = [(g, memo) for g, memo in ((tuple(g), {}) for g in goals) if not _goal_holds(qset, g, index, memo)]
     if not unsat:
         raise UnidecompError("every goal is already satisfied")
     n = len(unsat)
     scores: dict = {}
-    for g in unsat:
+    for g, memo in unsat:
         for name, parts in qset.plans:
             claimed = set()
             for value, query in parts:
-                for combo in query(index, g):
+                for combo in query(index, g, memo):
                     if combo in claimed:
                         continue
                     claimed.add(combo)

@@ -14,6 +14,8 @@ import random
 import sys
 import time
 from dataclasses import replace
+from functools import reduce
+from typing import Sequence
 
 import pytest
 
@@ -54,10 +56,13 @@ from fomdp.logic import (
     UnboundVariableError,
     Universe,
     Var,
+    _MAX_NESTING,
     _GroundDag,
     _GroundStore,
+    _QueryWriter,
     _ground_plan,
     all_var_names,
+    compile_program,
     compile_query,
     conj,
     disjoint_regions,
@@ -1247,6 +1252,85 @@ def test_deep_formulas_match_reference():
     finally:
         sys.setrecursionlimit(limit)
     assert 0 < sum(bool(got) for _, _, got in cases) < 12
+
+
+def closed_quantifier(rng: random.Random, depth: int = 2, inner: Sequence = ()) -> Formula:
+    """An ∃ or ∀ with no free variable; it may name QUERY_PARAMS.
+
+    A depth past `_MAX_NESTING` alternates And/Or per level and splices the
+    `inner` closed quantifiers among the levels.
+    """
+    vtype = rng.choice(TYPES + (None,))
+    body = typed_formula(rng, min(depth, 2), (("y", vtype),))
+    for i in range(depth - 2):
+        part = rng.choice(inner) if inner and i % 15 == 7 else typed_formula(rng, 0, (("y", vtype),))
+        body = (And if i % 2 else Or)((part, body))
+    return implicit_close((Exists if rng.random() < 0.5 else Forall)("y", vtype, body), dict(QUERY_VARS))
+
+
+def spliced(rng: random.Random, f: Formula, closed: Sequence) -> Formula:
+    """f beside closed quantifiers, each under an Or with a part that depends on the query variables."""
+    parts = [f]
+    for c in rng.sample(list(closed), 2):
+        guard = typed_formula(rng, 1)
+        parts.append(rng.choice([Or((guard, c)), Or((Not(guard), c)), Or((c, guard))]))
+    return And(tuple(parts))
+
+
+def test_programs_match_plans_compiled_alone():
+    """Plans sharing closed-quantifier cells, evaluated with one memo per (index, args)."""
+    rng = random.Random(1982)
+    shallow = [closed_quantifier(rng) for _ in range(5)]
+    closed = shallow + [closed_quantifier(rng, 3 * _MAX_NESTING, shallow)]
+    found = 0
+    for start in range(0, 48, 8):
+        queries = []
+        for f in typed_corpus(start + 1, 8):
+            g = spliced(rng, f, closed)
+            variables = [v for v in QUERY_VARS if v[0] in free_vars(g)]
+            rng.shuffle(variables)
+            queries.append((g, variables))
+        deep = reduce(lambda acc, i: (And if i % 2 else Or)((typed_formula(rng, 0), acc)), range(120), closed[0])
+        queries.append((Or((deep, rng.choice(closed))), [v for v in QUERY_VARS if v[0] in free_vars(deep)]))
+        writer = _QueryWriter(QUERY_PARAMS)
+        plans = writer.program(queries)
+        assert len(writer.cells) < writer.reads  # equal subformulas share one cell
+        alone = [compile_query(g, variables, QUERY_PARAMS) for g, variables in queries]
+        for _ in range(4):
+            state = query_state(rng)
+            args = (rng.choice(QUERY_POOLS["Box"]), rng.choice(QUERY_POOLS["City"]))
+            index, memo = StateIndex(state), {}
+            order = list(range(len(queries)))
+            rng.shuffle(order)
+            got = {i: plans[i](index, args, memo) for i in order}
+            assert memo and set(memo) <= set(range(len(writer.cells)))
+            assert [plan(index, args, memo) for plan in plans] == [got[i] for i in range(len(plans))]
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(limit, 5000))  # the reference interpreter recurses per level
+            try:
+                for i, (g, variables) in enumerate(queries):
+                    renamed = replace_objects(g, dict(zip(QUERY_PARAMS, args)))
+                    want = reference.satisfying_bindings(renamed, state, variables)
+                    assert got[i] == alone[i](index, args) == [tuple(b[n] for n, _ in variables) for b in want]
+                    found += bool(want)
+            finally:
+                sys.setrecursionlimit(limit)
+    assert found >= 40 and 6 * 4 * 9 - found >= 40
+
+
+def test_cells_fill_lazily():
+    """A closed quantifier of an undeclared type raises only once reached, and a raise stores nothing."""
+    ship = parse_formula("exists s: Ship. P(s)")
+    per_box = And((Atom("P", (Var("b"),)), Or((Eq(Var("b"), Obj("b2")), ship))))
+    plans = compile_program([(Or((Not(Atom("P", (Obj("b1"),))), ship)), ()), (per_box, [("b", "Box")])])
+    empty = StateIndex(make_state([], Universe.of(QUERY_POOLS)))
+    memo = {}
+    assert plans[0](empty, (), memo) == [()] and plans[1](empty, (), memo) == [] and memo == {}
+    held = StateIndex(make_state([("P", "b1")], Universe.of(QUERY_POOLS)))
+    for plan in plans:
+        with pytest.raises(LogicError):
+            plan(held, (), memo)
+        assert memo == {}
 
 
 def test_query_with_many_variables():

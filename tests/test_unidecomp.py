@@ -1,11 +1,13 @@
 """Decomposed universal-goal decisions against the per-goal renaming path."""
 
+import builtins
 import random
 from dataclasses import replace
 
 import pytest
 
 import serve_reference
+from fomdp import logic, unidecomp
 from fomdp.basisgen import BasisGenConfig, generate_basis
 from fomdp.domains import load_fixture
 from fomdp.logic import ActTerm, ConsistencyChecker, Obj, Universe, make_state
@@ -22,11 +24,18 @@ from fomdp.unidecomp import (
 
 
 @pytest.fixture(scope="module")
-def served():
-    """Generic-goal boxworld, solved cold with FOAPI (iters=2), and its Q cases."""
+def solved():
+    """Generic-goal boxworld and its value function, solved cold with FOAPI (iters=2)."""
     model = make_generic_goal(load_fixture("boxworld_mini")[0])
     model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
     lvf, _ = generate_basis(model, BasisGenConfig(iters=2, solver="foapi"))
+    return model, lvf
+
+
+@pytest.fixture(scope="module")
+def served(solved):
+    """The solved model and its Q cases."""
+    model, lvf = solved
     return model, build_generic_q(model, lvf)
 
 
@@ -91,6 +100,27 @@ def test_scores_match_renaming_reference(served):
         assert select_action(qset, goals, state) == serve_reference.best_action(want)
         decided += 1
     assert decided >= 200 and some_satisfied >= 100
+
+
+def test_q_set_compiles_as_one_program(solved, monkeypatch):
+    """The goal and every witness body share one program and one `compile()`."""
+    model, lvf = solved
+    programs, compiles = [], []
+
+    def program(queries, params=()):
+        programs.append(len(queries))
+        return logic.compile_program(queries, params)
+
+    def counted(*args, **kwargs):
+        compiles.append(args[1])  # the file name
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(unidecomp, "compile_program", program)
+    monkeypatch.setattr(logic, "compile", counted, raising=False)
+    qset = build_generic_q(model, lvf)
+    witnesses = sum(len(parts) for _, parts in qset.plans)
+    assert programs == [1 + witnesses] and witnesses >= 10
+    assert compiles == ["<query>"]
 
 
 def test_substituted_qset_scores_its_own_goal(served):
