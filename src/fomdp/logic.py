@@ -3,7 +3,8 @@
 Formulas describe properties of relational states.  Terms are variables,
 named objects, or action function terms (the latter only appear on one side
 of an equality inside effect axioms and are compiled away by regression).
-The module provides a parser and printer for a small text syntax, a
+The module provides a parser and printer for a small text syntax (whose
+`a -> b` is sugar: the parser and `Implies` build `!a | b`), a
 canonical normal form used as the identity of a formula everywhere else in
 the package, closed-world evaluation against ground states, and a
 bounded-domain satisfiability check that the case algebra uses to prune
@@ -138,10 +139,15 @@ class Or(Formula):
     parts: tuple
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    """Implication as sugar: `Implies(a, b)` returns `Or((Not(a), b))`.
+
+    No instance exists.  The name stays a class, so `isinstance(f, Implies)`
+    is legal, and always false.
+    """
+
+    def __new__(cls, lhs: Formula, rhs: Formula) -> Formula:
+        return Or((Not(lhs), rhs))
 
 
 @dataclass(frozen=True)
@@ -173,7 +179,7 @@ def _attach_hash_cache(cls):
     cls.__hash__ = cached
 
 
-for _cls in (Var, Obj, ActTerm, Bool, Atom, Eq, Not, And, Or, Implies, Exists, Forall):
+for _cls in (Var, Obj, ActTerm, Bool, Atom, Eq, Not, And, Or, Exists, Forall):
     _attach_hash_cache(_cls)
 
 
@@ -229,8 +235,6 @@ def _sort_key_of(f: Formula) -> tuple:
         return (4, "", tuple(sort_key(p) for p in f.parts))
     if isinstance(f, Or):
         return (5, "", tuple(sort_key(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return (6, "", (sort_key(f.lhs), sort_key(f.rhs)))
     if isinstance(f, Exists):
         return (7, f.vtype or "", (sort_key(f.body),))
     if isinstance(f, Forall):
@@ -261,8 +265,6 @@ def nodes(f: Formula) -> Iterator[Formula]:
             stack.append(g.sub)
         elif isinstance(g, (And, Or)):
             stack.extend(reversed(g.parts))
-        elif isinstance(g, Implies):
-            stack += (g.rhs, g.lhs)
         elif isinstance(g, (Exists, Forall)):
             stack.append(g.body)
 
@@ -290,8 +292,6 @@ def _free_vars_of(f: Formula) -> frozenset:
         for p in f.parts:
             out |= free_vars(p)
         return frozenset(out)
-    if isinstance(f, Implies):
-        return free_vars(f.lhs) | free_vars(f.rhs)
     if isinstance(f, (Exists, Forall)):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
@@ -339,8 +339,6 @@ def map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
         return Not(map_leaves(f.sub, leaf))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(map_leaves(p, leaf) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(map_leaves(f.lhs, leaf), map_leaves(f.rhs, leaf))
     if isinstance(f, (Exists, Forall)):
         return type(f)(f.var, f.vtype, map_leaves(f.body, leaf))
     raise TypeError(f"not a formula: {f!r}")
@@ -360,8 +358,6 @@ def substitute(f: Formula, sub: Mapping[str, Term]) -> Formula:
         return And(tuple(substitute(p, sub) for p in f.parts))
     if isinstance(f, Or):
         return Or(tuple(substitute(p, sub) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.lhs, sub), substitute(f.rhs, sub))
     if isinstance(f, (Exists, Forall)):
         inner = {k: v for k, v in sub.items() if k != f.var}
         if not inner:
@@ -406,11 +402,9 @@ def collect_predicates(f: Formula) -> dict:
 # printing
 
 
-_PREC_IMPLIES = 0
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_NOT = 3
-_PREC_ATOM = 4
 
 
 def format_term(t: Term) -> str:
@@ -420,7 +414,7 @@ def format_term(t: Term) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Round-trippable text form."""
+    """Round-trippable text form; a parsed `a -> b` prints as `!a | b`, which parses back equal."""
     return _fmt(f, 0)
 
 
@@ -443,9 +437,6 @@ def _fmt(f: Formula, ctx: int) -> str:
     if isinstance(f, Or):
         s = " | ".join(_fmt(p, _PREC_OR + 1) for p in f.parts)
         return f"({s})" if ctx > _PREC_OR else s
-    if isinstance(f, Implies):
-        s = f"{_fmt(f.lhs, _PREC_IMPLIES + 1)} -> {_fmt(f.rhs, _PREC_IMPLIES)}"
-        return f"({s})" if ctx > _PREC_IMPLIES else s
     if isinstance(f, (Exists, Forall)):
         kw = "exists" if isinstance(f, Exists) else "forall"
         v = f"{f.var}:{f.vtype}" if f.vtype else f.var
@@ -661,11 +652,11 @@ def parse_formula(
 def normalize(f: Formula) -> Formula:
     """Canonical negation normal form.
 
-    Implications are unfolded, negations pushed to atoms, nested
-    conjunctions/disjunctions flattened, duplicate and trivial parts removed,
-    parts sorted under a fixed total order, and bound variables renamed by
-    quantifier depth.  Alpha-equivalent formulas normalize identically and
-    the map is idempotent.  Outputs are marked so renormalizing one is free.
+    Negations are pushed to atoms, nested conjunctions/disjunctions
+    flattened, duplicate and trivial parts removed, parts sorted under a
+    fixed total order, and bound variables renamed by quantifier depth.
+    Alpha-equivalent formulas normalize identically and the map is
+    idempotent.  Outputs are marked so renormalizing one is free.
     One walk does it all, working out each distinct compound subformula once
     per (polarity, renaming of its free variables, depth).
     """
@@ -733,7 +724,7 @@ def _canon(f: Formula, neg: bool, env: Mapping[str, str], depth: int, memo: dict
 
 
 def _canon_compound(f: Formula, neg: bool, env: Mapping[str, str], depth: int, memo: dict) -> Formula:
-    """`_canon` of a junction, implication or quantifier, worked out."""
+    """`_canon` of a junction or quantifier, worked out."""
     if isinstance(f, (Exists, Forall)):
         body_vars = free_vars(f.body)
         if f.var not in body_vars:
@@ -754,9 +745,6 @@ def _canon_compound(f: Formula, neg: bool, env: Mapping[str, str], depth: int, m
     if isinstance(f, (And, Or)):
         cls = (Or if isinstance(f, And) else And) if neg else type(f)
         pairs = zip(f.parts, itertools.repeat(neg))
-    elif isinstance(f, Implies):
-        cls = And if neg else Or
-        pairs = ((f.lhs, not neg), (f.rhs, neg))
     else:
         raise TypeError(f"not a formula: {f!r}")
     identity, absorber = (TRUE, FALSE) if cls is And else (FALSE, TRUE)
@@ -1013,8 +1001,6 @@ class _QueryWriter:
             return f"{_tuple([_literal(g.pred), *(self.term(a, scope) for a in g.args)])} in atoms", 1
         if isinstance(g, Eq):
             return f"{self.term(g.left, scope)} == {self.term(g.right, scope)}", 0
-        if isinstance(g, Implies):
-            g = Or((Not(g.lhs), g.rhs))
         if isinstance(g, Not):
             sub, depth = self.expr(g.sub, scope)
             src = f"(not {sub})"
@@ -1118,8 +1104,6 @@ def _survey(f: Formula, scope: dict, positive: bool, signature: Mapping[str, Seq
     elif isinstance(f, (Exists, Forall)):
         acc[2].add(f.vtype)
         subs = [(f.body, {**scope, f.var: (isinstance(f, Forall) == positive, f.vtype)}, positive)]
-    elif isinstance(f, Implies):
-        subs = [(f.lhs, scope, not positive), (f.rhs, scope, positive)]
     for g, inner, pos in subs:
         key = (id(g), id(inner), pos)
         if key not in seen:
@@ -1558,8 +1542,6 @@ def _ground_expansion(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Calla
     if isinstance(f, Not):
         sub = _ground_node(f.sub, scope, ctx)
         return lambda env, run: run[1].neg(sub(env, run))
-    if isinstance(f, Implies):
-        return _ground_expansion(Or((Not(f.lhs), f.rhs)), scope, ctx)
     if isinstance(f, (And, Or)):
         parts = [_ground_node(p, scope, ctx) for p in f.parts]
         kind, absorber = ("and", _G_FALSE) if isinstance(f, And) else ("or", _G_TRUE)

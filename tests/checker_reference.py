@@ -26,7 +26,6 @@ from fomdp.logic import (
     Exists,
     Forall,
     Formula,
-    Implies,
     LogicError,
     Not,
     Obj,
@@ -62,9 +61,6 @@ def reference_infer_types(f: Formula, signature, env=None, acc=None) -> dict:
     elif isinstance(f, (And, Or)):
         for p in f.parts:
             reference_infer_types(p, signature, env, acc)
-    elif isinstance(f, Implies):
-        reference_infer_types(f.lhs, signature, env, acc)
-        reference_infer_types(f.rhs, signature, env, acc)
     elif isinstance(f, (Exists, Forall)):
         reference_infer_types(f.body, signature, {**env, f.var: f.vtype}, acc)
     return acc
@@ -97,8 +93,6 @@ def reference_objects_in(f: Formula) -> set:
         for p in f.parts:
             out |= reference_objects_in(p)
         return out
-    if isinstance(f, Implies):
-        return reference_objects_in(f.lhs) | reference_objects_in(f.rhs)
     if isinstance(f, (Exists, Forall)):
         return reference_objects_in(f.body)
     return set()
@@ -169,8 +163,6 @@ def reference_ground_expand(f: Formula, pools, binding: dict, dag: _GroundDag, l
                 return absorber
             ids.append(g)
         return dag.junction(kind, ids)
-    if isinstance(f, Implies):
-        return reference_ground_expand(Or((Not(f.lhs), f.rhs)), pools, binding, dag, left)
     if isinstance(f, (Exists, Forall)):
         pool = pools.get(f.vtype)
         if pool is None:
@@ -197,9 +189,6 @@ def binder_types(f: Formula) -> dict:
     elif isinstance(f, (And, Or)):
         for p in f.parts:
             acc.update(binder_types(p))
-    elif isinstance(f, Implies):
-        acc.update(binder_types(f.lhs))
-        acc.update(binder_types(f.rhs))
     return acc
 
 

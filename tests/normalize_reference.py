@@ -23,7 +23,6 @@ from fomdp.logic import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     Obj,
     Or,
@@ -54,8 +53,6 @@ def _nnf(f: Formula, neg: bool) -> Formula:
     if isinstance(f, Or):
         parts = tuple(_nnf(p, neg) for p in f.parts)
         return And(parts) if neg else Or(parts)
-    if isinstance(f, Implies):
-        return _nnf(Or((Not(f.lhs), f.rhs)), neg)
     if isinstance(f, Exists):
         cls = Forall if neg else Exists
         return cls(f.var, f.vtype, _nnf(f.body, neg))

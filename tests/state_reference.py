@@ -18,7 +18,6 @@ from fomdp.logic import (
     Forall,
     Formula,
     GroundState,
-    Implies,
     LogicError,
     Not,
     Obj,
@@ -54,8 +53,6 @@ def eval_in_state(f: Formula, state: GroundState, binding: Optional[Mapping[str,
         return all(eval_in_state(p, state, b) for p in f.parts)
     if isinstance(f, Or):
         return any(eval_in_state(p, state, b) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not eval_in_state(f.lhs, state, b)) or eval_in_state(f.rhs, state, b)
     if isinstance(f, Exists):
         return any(eval_in_state(f.body, state, {**b, f.var: o}) for o in state.universe.pool(f.vtype))
     if isinstance(f, Forall):

@@ -211,6 +211,7 @@ def test_parse_examples():
 def test_parse_precedence():
     f = parse_formula("!P & Q | R -> S")
     assert f == Implies(Or((And((Not(Atom("P")), Atom("Q"))), Atom("R"))), Atom("S"))
+    assert f == Or((Not(Or((And((Not(Atom("P")), Atom("Q"))), Atom("R")))), Atom("S")))
 
 
 def test_parse_quantifier_scope_maximal():
@@ -221,6 +222,7 @@ def test_parse_quantifier_scope_maximal():
 def test_parse_typed_and_multi_binders():
     f = parse_formula("forall b:Box, c:City. P(b) -> Q(b, c)")
     assert f == Forall("b", "Box", Forall("c", "City", Implies(Atom("P", (Var("b"),)), Atom("Q", (Var("b"), Var("c"))))))
+    assert f == Forall("b", "Box", Forall("c", "City", Or((Not(Atom("P", (Var("b"),))), Atom("Q", (Var("b"), Var("c")))))))
 
 
 def test_parse_neq_sugar():
@@ -315,6 +317,21 @@ def test_roundtrip_corpus():
         assert g == f, text
 
 
+def test_roundtrip_parsed_implications():
+    # `a -> b` parses to `!a | b`, which prints without an arrow and parses back equal
+    for text in (
+        "P -> Q",
+        "!P & Q | R -> S",
+        "P -> Q -> R",
+        "(P -> Q) -> !(R -> S)",
+        "forall b:Box, c:City. P(b) -> Q(b, c)",
+        "exists x. (P(x) -> forall y. Q(x, y) -> x = y) & R(x)",
+    ):
+        f = parse_formula(text)
+        assert "->" not in format_formula(f)
+        assert parse_formula(format_formula(f)) == f, text
+
+
 def test_roundtrip_action_terms():
     f = Eq(ActTerm("drive", (Var("t"), Obj("c1"))), ActTerm("noop"))
     text = format_formula(f)
@@ -352,8 +369,6 @@ def fresh_copy(f: Formula) -> Formula:
         return Not(fresh_copy(f.sub))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(fresh_copy(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(fresh_copy(f.lhs), fresh_copy(f.rhs))
     return type(f)(f.var, f.vtype, fresh_copy(f.body))
 
 
@@ -452,7 +467,6 @@ def test_normalize_matches_two_walk_reference(monkeypatch):
     # each side gets its own copy, built alike, so shared objects stay shared
     # and no `_normed` mark or memo of one side reaches the other
     formulas, twins = reference_inputs(19), reference_inputs(19)
-    assert any(isinstance(g, Implies) for f in formulas for g in nodes(f))
     for f, twin in zip(formulas, twins):
         assert normalize(f) == reference_normalize(twin), format_formula(f)
     assert normalize_inputs_of_cold_solves(monkeypatch) > 3000
@@ -513,8 +527,6 @@ def v_named(f: Formula) -> Formula:
         return Not(v_named(f.sub))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(v_named(p) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(v_named(f.lhs), v_named(f.rhs))
     return f
 
 
@@ -904,8 +916,6 @@ def first_visits(f: Formula) -> list:
             subs = [(p, scope, positive) for p in g.parts]
         elif isinstance(g, Not):
             subs = [(g.sub, scope, not positive)]
-        elif isinstance(g, Implies):
-            subs = [(g.lhs, scope, not positive), (g.rhs, scope, positive)]
         elif isinstance(g, (Exists, Forall)):
             subs = [(g.body, (id(g), scope, positive), positive)]
         else:
@@ -1502,8 +1512,6 @@ def alpha_variant(f: Formula, tag: str = "r") -> Formula:
         return Not(alpha_variant(f.sub, tag))
     if isinstance(f, (And, Or)):
         return type(f)(tuple(alpha_variant(p, tag) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(alpha_variant(f.lhs, tag), alpha_variant(f.rhs, tag))
     return f
 
 
