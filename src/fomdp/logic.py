@@ -19,8 +19,12 @@ Ground states have one evaluator, the index-join plans of `compile_query`,
 generated as Python source and compiled once; callers keep them, and
 `eval_in_state` and `satisfying_bindings` compile one per call, for one-off
 use.  `compile_program` compiles several, sharing a memo cell per closed
-quantified subformula for one (index, args).  An unbound variable or an
-action term raises when the formula compiles, whatever the state.
+quantified subformula and its dual for one (index, args).  A plan whose first
+variable f names only in equalities with objects evaluates the rest of f once
+per class of objects that f cannot tell apart, worked out on the class's first
+member, after `fold_constants`, which decides no equality of distinct names.
+An unbound variable or an action term raises when the formula compiles,
+whatever the state.
 """
 
 from __future__ import annotations
@@ -385,6 +389,37 @@ def replace_objects(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Rename objects throughout f (used for goal instantiation)."""
     sub = {name: Obj(new) for name, new in mapping.items()}
     return map_leaves(f, lambda g: _replace_terms(g, Obj, sub))
+
+
+def negation(f: Formula) -> Formula:
+    """¬f with the negation pushed to the atoms and equalities; names and the order of parts stay."""
+    if isinstance(f, (And, Or)):
+        return (Or if isinstance(f, And) else And)(tuple(map(negation, f.parts)))
+    if isinstance(f, (Exists, Forall)):
+        return (Forall if isinstance(f, Exists) else Exists)(f.var, f.vtype, negation(f.body))
+    return f.sub if isinstance(f, Not) else Bool(not f.value) if isinstance(f, Bool) else Not(f)
+
+
+def fold_constants(f: Formula) -> Formula:
+    """f with truth constants folded through ¬/∧/∨, repeated and complementary parts of junctions too.
+
+    `t = t` is true, but unlike in `normalize` no equality of two distinct
+    names is decided: parameters may denote the same object at run time.
+    The junctions it folds list their parts in `sort_key` order, as `normalize` does.
+    """
+    if isinstance(f, Eq):
+        return TRUE if f.left == f.right else f
+    if isinstance(f, Not):
+        return negation(fold_constants(f.sub))
+    if isinstance(f, (And, Or)):
+        absorber = Bool(isinstance(f, Or))
+        parts = set(map(fold_constants, f.parts)) - {negation(absorber)}
+        if absorber in parts or any(negation(p) in parts for p in parts):
+            return absorber
+        return (conj if isinstance(f, And) else disj)(sorted(parts, key=sort_key))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, f.vtype, fold_constants(f.body))
+    return f
 
 
 def collect_predicates(f: Formula) -> dict:
@@ -880,10 +915,18 @@ def compile_query(f: Formula, variables: Sequence = (), params: Sequence = ()) -
     candidates from its pool, through a `StateIndex.column` of a top-level
     atom whose other arguments are bound, and every other conjunct filters
     at the first variable that binds all of its own, as one inline boolean
-    expression.  Tuples come in lexicographic order of the variables' pools.
+    expression.  When the first variable x occurs only in equalities with
+    objects t1..tk (parameters among them) and no binder reuses its name, f
+    cannot tell apart objects outside {t1..tk}: the rest of f is evaluated
+    once per class, x := tj for each j and every `x = tj` false for the
+    others, each folded by `fold_constants`, which decides no equality of
+    two distinct names since parameters may alias.  A class's rows are
+    worked out on its first member, so a class without one evaluates
+    nothing.  Tuples come in lexicographic order of the variables' pools.
     A free variable outside `variables` raises UnboundVariableError, and an
     action term LogicError, here; a wrong number of `args` raises
-    LogicError, and an undeclared quantifier type when a call reaches it.
+    LogicError, and an undeclared quantifier type when a call reaches it
+    (a part that folding decides is not reached).
     A one-plan `compile_program`; see there for `memo`.
     """
     return compile_program([(f, variables)], params)[0]
@@ -894,8 +937,10 @@ def compile_program(queries: Sequence[tuple], params: Sequence = ()) -> tuple:
 
     A closed quantified subformula (no free variable; `params` are objects)
     that a call may reach twice, in a loop or in several plans, gets a cell
-    shared by equal subformulas: the first evaluation stores its truth in
-    the plan's `memo` dict for every plan to read; a raise stores nothing.
+    shared by equal subformulas and by its dual: `forall v. φ` reads the cell
+    of `exists v. ¬φ` (the `negation` pushed inward), negated.
+    The first evaluation stores its truth in the plan's `memo` dict for
+    every plan to read; a raise stores nothing.
     Its truth depends only on the index and the args, so pass a fresh memo
     per program, index and args (a plan given none makes its own).
     """
@@ -918,7 +963,8 @@ class _QueryWriter:
 
     Names from the formula enter the source only as string literals, so
     none runs as code; plans, variables, parameters and helpers get generated
-    identifiers (`p`, `v`, `a`, `q`, `h`, `c` and a number).  Helper `c<k>`
+    identifiers (`p`, `v`, `a`, `q`, `h`, `c` and a number; `w` and `r` for
+    the rows and classes of a split plan).  Helper `c<k>`
     evaluates the closed quantifier of cell k, read through the memo `m`
     that every helper receives.  Helpers are closures of the factory, which
     is dropped once it has made the plans, so no plan holds a reference cycle.
@@ -945,21 +991,7 @@ class _QueryWriter:
             raise LogicError(f"query variables {[n for n, _ in variables]} repeat a name")
         self.top = {n: f"v{i}" for n, i in self.where.items()}
         reads = self.reads
-        hoisted, levels = [], [[None, []] for _ in variables]  # per variable: binder, filters
-        for c in _conjuncts(f):
-            last = max((self.where[v] for v in free_vars(c) if v in self.where), default=None)
-            if last is None:  # evaluated once per call: an empty scope
-                hoisted.append(self.expr(c, {})[0])
-            elif levels[last][0] is None and (bind := self.binder(c, last)):
-                levels[last][0] = bind
-            else:
-                levels[last][1].append(self.expr(c, self.top)[0])
-        loops = []  # clauses of one comprehension, which nests any number of loops
-        for i, (bind, filters) in enumerate(levels):
-            if bind:
-                loops.append(f"for s{i} in [{bind}]")
-                filters = [f"v{i} in s{i}", *filters]
-            loops += [f"for v{i} in t{i}", f"if {' and '.join(filters)}"] if filters else [f"for v{i} in t{i}"]
+        rows = self.rows(_conjuncts(f), 0)
         n = len(self.args)
         body = [f"if len(args) != {n}:", f"    raise LogicError('query takes {n} parameters, got %d' % len(args))"]
         body += [f"{', '.join(self.args)}, = args"] if n else []
@@ -967,11 +999,63 @@ class _QueryWriter:
         body.append("atoms, pools, column = ix.atoms, ix.pools, ix.column")
         # every variable's pool first: an undeclared type raises even when nothing matches
         body += [f"t{i} = pools[{_literal(vtype)}]" for i, (_, vtype) in enumerate(variables)]
-        body += [f"if not ({' and '.join(hoisted)}):", "    return []"] if hoisted else []
-        body.append(f"return [{_tuple([f'v{i}' for i in range(len(levels))])} {' '.join(loops)}]")
+        body.append(f"return {rows}")
         name = f"p{next(self.fresh)}"
         self.lines += [f"    def {name}(ix, args=(), m=None):", *(f"        {line}" for line in body)]
         return name
+
+    def rows(self, conjuncts: list, start: int) -> str:
+        """Comprehension of the variables from `start` on satisfying the conjuncts, which name none before it.
+
+        Conjuncts without a variable are tested first, once.  Then the plan
+        is split by `classes` if it can be, else it loops over each variable.
+        """
+        tests = [self.expr(c, {})[0] for c in conjuncts if not self.where.keys() & free_vars(c)]
+        conjuncts = [c for c in conjuncts if self.where.keys() & free_vars(c)]
+        loops = ["for _ in [0]", f"if {' and '.join(tests)}"] if tests else []  # the comprehension's first clause
+        if start == 0 and (split := self.classes(conj(conjuncts))):
+            return f"[(v0, *w) {' '.join(loops)} for r in [{{}}] for v0 in t0 for w in ({split})]"
+        levels = [[None, []] for _ in self.variables]  # per variable: binder, filters
+        for c in conjuncts:
+            last = max(self.where[v] for v in free_vars(c) if v in self.where)
+            if levels[last][0] is None and (bind := self.binder(c, last)):
+                levels[last][0] = bind
+            else:
+                levels[last][1].append(self.expr(c, self.top)[0])
+        for i, (bind, filters) in enumerate(levels[start:], start):
+            if bind:
+                loops.append(f"for s{i} in [{bind}]")
+                filters = [f"v{i} in s{i}", *filters]
+            loops += [f"for v{i} in t{i}", f"if {' and '.join(filters)}"] if filters else [f"for v{i} in t{i}"]
+        return f"[{_tuple([f'v{i}' for i in range(start, len(levels))])} {' '.join(loops)}]"
+
+    def classes(self, f: Formula) -> Optional[str]:
+        """Rows of f per value of its first variable x, worked out per class; None unless f names x only in `x = t`.
+
+        Each t must be an object (a parameter among them), no binder may be
+        named x, and f may have no unbound variable or action term, which
+        raise as it compiles.  f cannot tell apart two objects of a class:
+        x := t for each t, and every `x = t` false for the other objects.
+        The dict `r` gets a class's rows on its first member, so a class
+        without one evaluates nothing.
+        """
+        if not self.variables or not free_vars(f) <= self.where.keys():
+            return None
+        x, partners, src = Var(self.variables[0][0]), {}, []
+        for g in nodes(f):
+            terms = g.args if isinstance(g, Atom) else (g.left, g.right) if isinstance(g, Eq) else ()
+            if isinstance(g, (Exists, Forall)) and g.var == x.name or any(isinstance(t, ActTerm) for t in terms):
+                return None
+            if x in terms:  # in an atom, or in an equality whose other side must be an object
+                t = (g.left, g.right)[g.left == x] if isinstance(g, Eq) else x
+                if not isinstance(t, Obj):
+                    return None
+                partners[t] = None  # in order of first use
+        other = map_leaves(f, lambda g: FALSE if isinstance(g, Eq) and x in (g.left, g.right) else g)
+        for k, g in enumerate(map(fold_constants, [*(substitute(f, {x.name: t}) for t in partners), other])):
+            rows = self.rows([] if g == TRUE else _conjuncts(g), 1)
+            src.append("()" if g == FALSE else f"(r[{k}] if {k} in r else r.setdefault({k}, {rows}))")
+        return "".join(f"{s} if v0 == {self.term(t, {})} else " for s, t in zip(src, partners)) + src[-1]
 
     def binder(self, c: Formula, i: int) -> Optional[str]:
         """Objects for variable i that make atom c true once earlier variables are bound."""
@@ -1010,6 +1094,8 @@ class _QueryWriter:
             depth = max(d for _, d in parts)
         elif isinstance(g, (Exists, Forall)):
             cell = bool(scope or self.shared) and not free_vars(g)  # closed, and may run twice per call
+            if cell and isinstance(g, Forall):  # ∀v. φ reads the cell of its ∃ dual, negated
+                return self.expr(Not(negation(g)), scope)
             if not cell or g not in self.cells:
                 q = f"q{next(self.fresh)}"
                 body, depth = self.expr(g.body, {**scope, g.var: q})

@@ -17,12 +17,22 @@ from typing import Callable
 from .cases import CaseStatement, constant_case
 from .domains import materialize_universal
 from .logic import (
+    FALSE,
+    TRUE,
     ActTerm,
+    And,
+    Atom,
+    Eq,
     Formula,
+    Not,
     Obj,
     StateIndex,
     Universe,
     compile_program,
+    fold_constants,
+    free_vars,
+    map_leaves,
+    negation,
     normalize,
     replace_objects,
     substitute,
@@ -62,6 +72,11 @@ class GenericQSet:
     parameter bindings can be enumerated against a concrete state.  Those
     bodies and the goal are compiled into one program whose parameters are
     the `constants`; a ground goal binds them without renaming any formula.
+    `plans` answer only for goals whose goal query is false, the only goals
+    that `score_actions` scores: where the negated goal is a conjunction of
+    ground literals, each witness body is compiled with those literals'
+    atoms fixed to the values they take then, and a body that folds to
+    false has no plan.  The `qcases` stay as solved.
     Make one with `build_generic_q` or `substitute_goal`.
     """
 
@@ -100,21 +115,31 @@ def _compiled(variables, constants, goal, qcases, discount) -> GenericQSet:
     """The Q set with its goal and witness bodies compiled over `constants` as one program."""
     if any(p.bind_body is None for _, q in qcases for p in q.partitions):
         raise UnidecompError("Q partitions must carry open binding bodies")
-    ranked = [(name, sorted(q.partitions, key=lambda p: -p.value)) for name, q in qcases]
-    it = iter(compile_program([*((p.bind_body, p.bind_vars) for _, ps in ranked for p in ps), (goal, ())], constants))
-    plans = tuple((name, tuple((p.value, next(it)) for p in parts)) for name, parts in ranked)
+    # ¬goal without `normalize`, which decides equalities between constants that may alias
+    neg = fold_constants(negation(goal))
+    lits = neg.parts if isinstance(neg, And) else (neg,)
+    ground = all(isinstance(lit.sub if isinstance(lit, Not) else lit, (Atom, Eq)) and not free_vars(lit) for lit in lits)
+    forced = {k: v for lit in lits for k, v in ((lit, TRUE), (negation(lit), FALSE))}  # what a false goal fixes
+    ranked = []
+    for name, q in qcases:
+        parts = [(p.value, p.bind_body, p.bind_vars) for p in sorted(q.partitions, key=lambda p: -p.value)]
+        if ground:
+            parts = [(v, fold_constants(map_leaves(body, lambda g: forced.get(g, g))), bv) for v, body, bv in parts]
+        ranked.append((name, [part for part in parts if part[1] != FALSE]))
+    it = iter(compile_program([*((body, bvars) for _, ps in ranked for _, body, bvars in ps), (goal, ())], constants))
+    plans = tuple((name, tuple((value, next(it)) for value, _, _ in parts)) for name, parts in ranked)
     return GenericQSet(variables, constants, goal, qcases, discount, next(it), plans)
 
 
-def _binding_map(qset: GenericQSet, binding, universe=None) -> dict:
+def _binding_map(qset: GenericQSet, binding, pool=None) -> dict:
     objs = tuple(binding)
     if len(objs) != len(qset.constants):
         raise UnidecompError(
             f"goal binding {objs} has {len(objs)} objects for {len(qset.constants)} goal variables"
         )
-    if universe is not None:
+    if pool is not None:
         for (name, vtype), o in zip(qset.variables, objs):
-            if o not in universe.pool(vtype):
+            if o not in pool(vtype):
                 raise UnidecompError(f"object {o} is not a {vtype} (goal variable {name})")
     return dict(zip(qset.constants, objs))
 
@@ -137,7 +162,7 @@ def substitute_goal(qset: GenericQSet, binding, universe: Universe = None) -> Ge
     Decisions do not need this: they pass a goal's objects to the compiled
     queries as parameters.  It remains the explicit renaming of the Q cases.
     """
-    mapping = _binding_map(qset, binding, universe)
+    mapping = _binding_map(qset, binding, None if universe is None else universe.pool)
     return _compiled(
         qset.variables,
         tuple(binding),
@@ -153,7 +178,7 @@ def goal_satisfied(qset: GenericQSet, binding, state) -> bool:
 
 
 def _goal_holds(qset: GenericQSet, binding, index: StateIndex, memo: dict = None) -> bool:
-    _binding_map(qset, binding, index.universe)
+    _binding_map(qset, binding, index.pools.__getitem__)  # cached per index
     return bool(qset.goal_query(index, tuple(binding), memo))
 
 

@@ -67,6 +67,7 @@ from fomdp.logic import (
     conj,
     disjoint_regions,
     eval_in_state,
+    fold_constants,
     format_formula,
     free_vars,
     implicit_close,
@@ -1414,6 +1415,116 @@ def test_hostile_names_evaluate_as_data():
             found += bool(want)
     assert not hasattr(builtins, "HOSTILE_RAN")
     assert 60 <= found <= 180
+
+
+# objects that a split variable x is compared with: the parameters, b3 (a Box), k1 (a Truck) and o9 (in no pool)
+SPLIT_PARTNERS = (Obj("b1"), Obj("c1"), Obj("b3"), Obj("k1"), Obj("o9"))
+
+
+def split_formula(rng: random.Random, partners: Sequence, depth: int = 3) -> Formula:
+    """A formula over the QUERY_VARS in which x occurs only in equalities with `partners`."""
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.45:
+            t = rng.choice(partners)
+            return rng.choice([Eq(Var("x"), t), Eq(t, Var("x"))])
+        return typed_formula(rng, 1)
+    kind = rng.choice(["not", "and", "or", "and", "or", "quantifier"])
+    if kind == "not":
+        return Not(split_formula(rng, partners, depth - 1))
+    if kind == "quantifier":
+        vtype = rng.choice(TYPES)
+        body = (And, Or)[rng.random() < 0.5]((split_formula(rng, partners, depth - 1), typed_formula(rng, 0, (("x0", vtype),))))
+        return rng.choice([Exists, Forall])("x0", vtype, body)
+    return (And if kind == "and" else Or)(tuple(split_formula(rng, partners, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def test_class_split_matches_reference():
+    """Plans split by the classes of a variable met only in equalities, against the interpreter."""
+    rng = random.Random(2003)
+    objects = sorted({o for pool in QUERY_POOLS.values() for o in pool} | {"o9"})
+    seen = {"split": 0, "one partner": 0, "several partners": 0, "partner outside": 0, "aliased": 0, "rebound": 0}
+    for i in range(160):
+        partners = rng.sample(SPLIT_PARTNERS, rng.randint(1, 3)) if i % 3 else list(SPLIT_PARTNERS[:2])
+        f = split_formula(rng, partners)
+        rebound = i % 8 == 0  # a binder reuses x's name beside a query variable: no split
+        if rebound:
+            f = And((f, Or((Atom("R", (Var("c"),)), Exists("x", "Box", Atom("P", (Var("x"),)))))))
+        xtype = rng.choice(("Box", "City", None))
+        rest = [v for v in QUERY_VARS if v[0] in free_vars(f)]
+        rng.shuffle(rest)
+        variables = [("x", xtype), *rest]
+        writer = _QueryWriter(QUERY_PARAMS)
+        (query,) = writer.program([(f, variables)])
+        split = any("for r in [{}]" in line for line in writer.lines)
+        named = {t for g in nodes(f) if isinstance(g, Eq) and Var("x") in (g.left, g.right) for t in (g.left, g.right)}
+        named.discard(Var("x"))
+        assert split == (not rebound), format_formula(f)
+        seen["split"] += split
+        seen["rebound"] += rebound
+        seen["one partner" if len(named) == 1 else "several partners"] += split and bool(named)
+        pool = Universe.of(QUERY_POOLS).pool(xtype)
+        for _ in range(4):
+            state = query_state(rng)
+            args = (rng.choice(pool),) * 2 if rng.random() < 0.4 else (rng.choice(objects), rng.choice(objects))
+            renamed = dict(zip(QUERY_PARAMS, args))
+            want = reference.satisfying_bindings(replace_objects(f, renamed), state, variables)
+            assert query(StateIndex(state), args) == [tuple(b[n] for n, _ in variables) for b in want], format_formula(f)
+            objs = {renamed.get(t.name, t.name) for t in named}
+            seen["partner outside"] += split and bool(objs - set(pool))
+            seen["aliased"] += split and args[0] == args[1] and {Obj("b1"), Obj("c1")} <= named and args[0] in pool
+    assert seen["rebound"] == 20 and seen["split"] == 140, seen
+    assert min(seen.values()) >= 15, seen
+
+
+def test_split_class_reaches_an_undeclared_type_only_with_members():
+    """Class rows are worked out only for a class that has a member."""
+    ship = Exists("s", "Ship", Atom("P", (Var("s"),)))
+    f = Or((And((Eq(Var("x"), Obj("b1")), ship)), Atom("R", (Var("c"),))))
+    variables = [("x", "Box"), ("c", "City")]
+    plan = compile_query(f, variables, QUERY_PARAMS)
+    state = make_state([("R", "c2")], Universe.of(QUERY_POOLS))
+    for args in (("k1", "c1"), ("c2", "c2")):  # no Box equals b1's object: its class is empty
+        want = reference.satisfying_bindings(replace_objects(f, dict(zip(QUERY_PARAMS, args))), state, variables)
+        assert plan(StateIndex(state), args) == [(b["x"], b["c"]) for b in want] == [(b, "c2") for b in QUERY_POOLS["Box"]]
+    with pytest.raises(LogicError):
+        reference.satisfying_bindings(replace_objects(f, {"b1": "b2", "c1": "c1"}), state, variables)
+    with pytest.raises(LogicError):
+        plan(StateIndex(state), ("b2", "c1"))
+
+
+def test_fold_constants_decides_no_equality_of_distinct_names():
+    rng = random.Random(1993)
+    assert fold_constants(parse_formula("b1 = c1 & (P(b1) | b1 = b1)", objects=["b1", "c1"])) == parse_formula("b1 = c1", objects=["b1", "c1"])
+    objects = sorted({o for pool in QUERY_POOLS.values() for o in pool})
+    for f in typed_corpus(93, 120) + [split_formula(rng, SPLIT_PARTNERS) for _ in range(120)]:
+        g = fold_constants(f)
+        variables = [v for v in (("x", "Box"), *QUERY_VARS) if v[0] in free_vars(f)]
+        for _ in range(3):
+            state = query_state(rng)
+            args = (rng.choice(objects),) * 2 if rng.random() < 0.5 else (rng.choice(objects), rng.choice(objects))
+            renamed = dict(zip(QUERY_PARAMS, args))
+            binding = {n: rng.choice(state.universe.pool(t)) for n, t in variables}
+            truth = reference.eval_in_state(replace_objects(f, renamed), state, binding)
+            assert reference.eval_in_state(replace_objects(g, renamed), state, binding) is truth, format_formula(f)
+
+
+def test_forall_reads_the_cell_of_its_exists_dual():
+    """∀v. φ reads the cell of its ∃ dual, negated."""
+    found = parse_formula("exists y: Truck. K(y) & In(b1, c1)", objects=["b1", "c1"])
+    none = parse_formula("forall y: Truck. !K(y) | !In(b1, c1)", objects=["b1", "c1"])
+    queries = [(Or((Atom("P", (Var("b"),)), g)), [("b", "Box")]) for g in (found, none, none)]
+    writer = _QueryWriter(QUERY_PARAMS)
+    plans = writer.program(queries)
+    assert len(writer.cells) == 1 and writer.reads == 3
+    rng = random.Random(17)
+    for _ in range(20):
+        state = query_state(rng)
+        args = (rng.choice(QUERY_POOLS["Box"]), rng.choice(QUERY_POOLS["City"]))
+        memo, index = {}, StateIndex(state)
+        for plan, (g, variables) in zip(plans, queries):
+            want = reference.satisfying_bindings(replace_objects(g, dict(zip(QUERY_PARAMS, args))), state, variables)
+            assert plan(index, args, memo) == [(b["b"],) for b in want]
+        assert list(memo) == [0]
 
 
 # ---------------------------------------------------------------------------

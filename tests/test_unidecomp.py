@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import serve_reference
+import state_reference
 from fomdp import logic, unidecomp
 from fomdp.basisgen import BasisGenConfig, generate_basis
 from fomdp.domains import load_fixture
@@ -151,3 +152,79 @@ def test_bad_goal_raises_typed_error(served, bad, message):
     # next to a valid goal it is not dropped from the average either
     with pytest.raises(UnidecompError, match=message):
         score_actions(qset, (("box1", "city2"), bad), state)
+
+
+def captured_program(model, lvf, monkeypatch, base=None, goal=None):
+    """A Q set with its program's (queries, source): build_generic_q's, or base's Q cases compiled for `goal`."""
+    calls = []
+
+    def program(queries, params=()):
+        calls.append(list(queries))
+        return logic.compile_program(queries, params)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])  # the source
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(unidecomp, "compile_program", program)
+    monkeypatch.setattr(logic, "compile", counted, raising=False)
+    if base is None:
+        qset = build_generic_q(model, lvf)
+    else:
+        qset = unidecomp._compiled(base.variables, base.constants, goal, base.qcases, base.discount)
+    monkeypatch.undo()
+    queries, source = calls
+    return qset, queries, source
+
+
+# per template, the ranks (by descending value) of the partitions that a false goal rules out
+RULED_OUT = {"drive": [0], "load": [0, 1], "noop": [0], "unload": [0]}
+
+
+def test_plans_answer_only_where_the_goal_is_false(solved, monkeypatch):
+    """¬goal is Dst(b_star, c_star) & !BIn(b_star, c_star): 5 of 20 partitions fold to false and get no plan."""
+    model, lvf = solved
+    qset, queries, source = captured_program(model, lvf, monkeypatch)
+    assert logic.format_formula(logic.fold_constants(logic.negation(qset.goal))) == "Dst(b_star, c_star) & !BIn(b_star, c_star)"
+    ranked = {name: sorted(q.partitions, key=lambda p: -p.value) for name, q in qset.qcases}
+    assert sum(map(len, ranked.values())) == 20 and len(queries) == 1 + 15
+    kept = {name: [p for i, p in enumerate(ps) if i not in RULED_OUT[name]] for name, ps in ranked.items()}
+    assert {name: [v for v, _ in parts] for name, parts in qset.plans} == {n: [p.value for p in ps] for n, ps in kept.items()}
+    # witness bodies are specialised, in the order of the plans; the goal query is not
+    assert [vs for _, vs in queries[:-1]] == [p.bind_vars for _, ps in kept.items() for p in ps]
+    assert all(body != p.bind_body for (body, _), p in zip(queries, (p for ps in kept.values() for p in ps)))
+    assert queries[-1] == (qset.goal, ())
+    # one closed-quantifier cell: the truck scan and its ∀ dual share it
+    assert source.count("\n    def c") == 1 and source.count("\n    def p") == 16 and len(source) <= 18136
+    # a ruled-out body has no binding in any state where the goal is false
+    rng = random.Random(20)
+    ruled_out = [p for name, ps in ranked.items() for i, p in enumerate(ps) if i in RULED_OUT[name]]
+    false_goals = 0
+    for _ in range(40):
+        state, goals = random_instance(rng)
+        state = random_walk(model, state, rng, rng.randint(0, 3))
+        for g in goals:
+            if serve_reference.goal_satisfied(qset, g, state):
+                continue
+            false_goals += 1
+            renamed = dict(zip(qset.constants, g))
+            for p in ruled_out:
+                assert not state_reference.satisfying_bindings(logic.replace_objects(p.bind_body, renamed), state, p.bind_vars)
+    assert false_goals >= 100
+
+
+def test_goal_not_a_conjunction_of_literals_compiles_bodies_as_solved(served, monkeypatch):
+    model, base = served
+    goal = logic.And((base.goal, logic.Atom("snow", (Obj("c_star"),))))  # ¬goal is a disjunction
+    qset, queries, _ = captured_program(model, None, monkeypatch, base, goal)
+    ranked = [p for _, q in qset.qcases for p in sorted(q.partitions, key=lambda p: -p.value)]
+    assert len(queries) == 1 + 20 and queries[-1] == (goal, ())
+    assert all(body is p.bind_body and vs == p.bind_vars for (body, vs), p in zip(queries, ranked))
+    assert [len(parts) for _, parts in qset.plans] == [len(q.partitions) for _, q in qset.qcases]
+    rng, scored = random.Random(21), 0
+    for _ in range(12):
+        state, goals = random_instance(rng)
+        if not all(serve_reference.goal_satisfied(qset, g, state) for g in goals):
+            assert score_actions(qset, goals, state) == serve_reference.score_actions(qset, goals, state)
+            scored += 1
+    assert scored >= 10
