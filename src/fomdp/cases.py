@@ -30,9 +30,7 @@ from .logic import (
     Not,
     Obj,
     Or,
-    StateIndex,
     TRUE,
-    compile_program,
     disjoint_regions,
     exists_chain,
     format_formula,
@@ -44,6 +42,7 @@ from .logic import (
     sort_key,
     substitute,
 )
+from .query import StateIndex, compile_program
 from .sitcalc import SuccessorStateAxiom, regress
 
 

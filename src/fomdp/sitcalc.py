@@ -27,9 +27,7 @@ from .logic import (
     GroundState,
     LogicError,
     Obj,
-    StateIndex,
     Var,
-    compile_query,
     conj,
     make_state,
     map_leaves,
@@ -40,6 +38,7 @@ from .logic import (
     substitute,
     term_names,
 )
+from .query import StateIndex, compile_query
 
 
 class RegressionError(LogicError):

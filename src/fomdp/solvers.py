@@ -20,8 +20,9 @@ from .folp import (
     affine_case,
     solve_first_order_lp,
 )
-from .logic import TRUE, ConsistencyChecker, StateIndex, compile_program, conj, normalize
+from .logic import TRUE, ConsistencyChecker, conj, normalize
 from .model import FOMDPModel, LinearValueFunction, backup_linear
+from .query import StateIndex, compile_program
 
 
 class SolverError(Exception):

@@ -26,9 +26,7 @@ from .logic import (
     Formula,
     Not,
     Obj,
-    StateIndex,
     Universe,
-    compile_program,
     fold_constants,
     free_vars,
     map_leaves,
@@ -38,6 +36,7 @@ from .logic import (
     substitute,
 )
 from .model import FOMDPModel, LinearValueFunction, backup_exists
+from .query import StateIndex, compile_program
 
 
 class UnidecompError(Exception):
@@ -215,5 +214,6 @@ def select_action(qset: GenericQSet, goals, state):
     scores = score_actions(qset, goals, state)
     if not scores:
         raise UnidecompError("no ground action scored")
-    best = min(scores, key=lambda k: (-scores[k], k))
+    top = max(scores.values())
+    best = min(k for k, v in scores.items() if v == top)
     return ActTerm(best[0], tuple(Obj(o) for o in best[1])), scores[best]

@@ -16,15 +16,14 @@ from fomdp.logic import (
     ConsistencyChecker,
     Obj,
     Or,
-    StateIndex,
     Universe,
-    compile_query,
     eval_in_state,
     make_state,
     parse_formula,
     satisfying_bindings,
 )
 from fomdp.model import LinearValueFunction
+from fomdp.query import StateIndex, compile_query
 from fomdp.sitcalc import apply_action
 from fomdp.unidecomp import build_generic_q, make_generic_goal, score_actions
 

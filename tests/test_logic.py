@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import builtins
 import itertools
+import os
 import random
+import subprocess
 import sys
 import time
 from dataclasses import replace
 from functools import reduce
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -52,18 +55,13 @@ from fomdp.logic import (
     Not,
     Obj,
     Or,
-    StateIndex,
     UnboundVariableError,
     Universe,
     Var,
-    _MAX_NESTING,
     _GroundDag,
     _GroundStore,
-    _QueryWriter,
     _ground_plan,
     all_var_names,
-    compile_program,
-    compile_query,
     conj,
     disjoint_regions,
     eval_in_state,
@@ -87,6 +85,7 @@ from fomdp.logic import (
 from fomdp import logic
 from fomdp.basisgen import BasisGenConfig, generate_basis
 from fomdp.domains import fixture_path, load_fixture
+from fomdp.query import _MAX_NESTING, StateIndex, _QueryWriter, compile_program, compile_query
 from fomdp.unidecomp import make_generic_goal
 
 # ---------------------------------------------------------------------------
@@ -1525,6 +1524,120 @@ def test_forall_reads_the_cell_of_its_exists_dual():
             want = reference.satisfying_bindings(replace_objects(g, dict(zip(QUERY_PARAMS, args))), state, variables)
             assert plan(index, args, memo) == [(b["b"],) for b in want]
         assert list(memo) == [0]
+
+
+# a three-place predicate, so that a guard can name the scanned variable at each position
+SCAN_SIG = {**TYPED_SIG, "L": ("Box", "Truck", "City")}
+SCAN_KEYS = {"Box": (Obj("b1"), Obj("b3")), "City": (Obj("c1"), Obj("c2")), "Truck": (Obj("k1"), Obj("k2"))}
+SCAN_GROUND = [("L", *args) for args in itertools.product(*(QUERY_POOLS[t] for t in SCAN_SIG["L"]))]
+# ill-typed atoms, whose column entries hold objects outside the scanned pool
+SCAN_NOISE = [("K", "b2"), ("P", "o9"), ("R", "k1"), ("In", "b1", "k2"), ("In", "o9", "c1"), ("L", "b3", "c2", "c1")]
+
+
+def scan_formula(rng: random.Random) -> tuple:
+    """(f, whether q's guard can bind y, guard): f holds one quantifier q, an open ∃ or ∀ over y with a guard atom."""
+    pos = rng.randrange(3)
+    pred = rng.choice(sorted(p for p, types in SCAN_SIG.items() if len(types) > pos))
+    objects = rng.random() < 0.85  # else the key may hold a query variable, and the pool scan stays
+    key = [rng.choice(SCAN_KEYS[t]) if objects else typed_term(rng, t, ()) for t in SCAN_SIG[pred]]
+    key[pos] = Var("y")
+    guard, scope = Atom(pred, tuple(key)), (("y", SCAN_SIG[pred][pos]),)
+    rest = rng.choice([And, Or])((Atom("R", (Var("c"),)), typed_formula(rng, 0, scope), typed_formula(rng, 0, scope)))
+    first = rng.random() < 0.8  # else the guard is the body's second part, and the pool scan stays
+    if rng.random() < 0.5:
+        q = Exists("y", SCAN_SIG[pred][pos], And((guard, rest) if first else (rest, guard)))
+    else:
+        q = Forall("y", SCAN_SIG[pred][pos], Or((Not(guard), rest) if first else (rest, Not(guard))))
+    f = rng.choice([q, And((typed_formula(rng, 0), q)), Or((typed_formula(rng, 0), q))])
+    return f, first and all(isinstance(t, Obj) for t in key if t != Var("y")), guard
+
+
+def test_column_scans_match_reference():
+    """Quantifiers that loop over a guard's column candidates, against the interpreter."""
+    rng = random.Random(1979)
+    objects = sorted({o for pool in QUERY_POOLS.values() for o in pool})
+    seen = {f"{kind} at {pos}": 0 for kind in "∃∀" for pos in range(3)}
+    seen.update({k: 0 for k in ("pool scan", "object key", "parameter key", "aliased", "empty", "non-empty")})
+    for _ in range(300):
+        f, bound, guard = scan_formula(rng)
+        variables = [v for v in QUERY_VARS if v[0] in free_vars(f)]
+        rng.shuffle(variables)
+        writer = _QueryWriter(QUERY_PARAMS)
+        (query,) = writer.program([(f, variables)])
+        source = "\n".join(writer.lines)
+        scanned = "fill(m, " in source
+        q = next(g for g in nodes(f) if isinstance(g, (Exists, Forall)))
+        if "for r in [{}]" not in source:  # a class split folds q's body per class
+            assert scanned == bound, format_formula(f)
+        if not scanned:
+            seen["pool scan"] += 1
+        key = {t.name for t in guard.args if isinstance(t, Obj)}
+        for _ in range(4):
+            state = query_state(rng)
+            state = make_state(state.atoms | {a for a in SCAN_GROUND + SCAN_NOISE if rng.random() < 0.3}, state.universe)
+            args = (rng.choice(objects),) * 2 if rng.random() < 0.3 else (rng.choice(objects), rng.choice(objects))
+            renamed = dict(zip(QUERY_PARAMS, args))
+            want = reference.satisfying_bindings(replace_objects(f, renamed), state, variables)
+            assert query(StateIndex(state), args) == [tuple(b[n] for n, _ in variables) for b in want], format_formula(f)
+            if scanned:
+                pool = state.universe.pool(q.vtype)
+                cands = [o for o in pool if reference.eval_in_state(replace_objects(guard, renamed), state, {"y": o})]
+                seen["empty" if not cands else "non-empty"] += 1
+                seen["aliased"] += args[0] == args[1] and bool(key & set(QUERY_PARAMS))
+        if scanned:
+            seen[f"{'∃' if isinstance(q, Exists) else '∀'} at {guard.args.index(Var('y'))}"] += 1
+            seen["parameter key"] += bool(key & set(QUERY_PARAMS))
+            seen["object key"] += bool(key - set(QUERY_PARAMS))
+    assert min(seen.values()) >= 25, seen
+
+
+def test_column_scan_reaches_an_undeclared_type_where_the_pool_scan_did():
+    """Candidates read `pools[T]` when the quantifier is reached, empty or not; a raise stores nothing."""
+    guard = Atom("In", (Obj("b1"), Var("s")))
+    for q in (Exists("s", "Ship", And((guard, Atom("R", (Var("c"),))))), Forall("s", "Ship", Or((Not(guard), Atom("R", (Var("c"),)))))):
+        f = And((Atom("P", (Var("b"),)), q))
+        variables = [("b", "Box"), ("c", "City")]
+        writer = _QueryWriter(QUERY_PARAMS)
+        (plan,) = writer.program([(f, variables)])
+        assert "fill(m, " in "\n".join(writer.lines)
+        for atoms in ([], [("P", "b2")], [("P", "b2"), ("In", "b1", "c2")], [("In", "b1", "c2")]):
+            state = make_state(atoms, Universe.of(QUERY_POOLS))
+            memo = {}
+            try:
+                want = reference.satisfying_bindings(f, state, variables)
+            except LogicError:
+                with pytest.raises(LogicError):
+                    plan(StateIndex(state), ("b1", "c1"), memo)
+                assert memo == {} and ("P", "b2") in atoms
+            else:
+                assert plan(StateIndex(state), ("b1", "c1"), memo) == [(b["b"], b["c"]) for b in want] == []
+
+
+def test_column_scans_share_a_cell_only_within_one_pool():
+    """Two scans of one column entry over different pools get a cell each."""
+    f = parse_formula("(exists y. K(y) & !P(y)) & (forall y: Truck. !K(y) | y != b2 | R(c))", objects=["b2"])
+    writer = _QueryWriter(())
+    (plan,) = writer.program([(f, [("c", "City")])])
+    assert "\n".join(writer.lines).count("fill(m, ") == 2 and len(writer.cells) == 2
+    for atoms in ([("K", "k1"), ("R", "c2")], [("K", "b2"), ("K", "k1"), ("R", "c1")], [("K", "b2"), ("R", "c2")]):
+        state = make_state(atoms, Universe.of(QUERY_POOLS))
+        want = reference.satisfying_bindings(f, state, [("c", "City")])
+        assert plan(StateIndex(state)) == [(b["c"],) for b in want]
+
+
+@pytest.mark.parametrize("first", ["fomdp.query", "fomdp.logic"])
+def test_query_and_logic_import_in_either_order(first):
+    """`logic` reaches `query` only inside its one-off evaluators, so neither import order meets a cycle."""
+    code = (
+        f"import {first}\n"
+        "from fomdp import logic\n"
+        "state = logic.make_state([('P', 'b1')], logic.Universe.of({'Box': ['b1', 'b2']}))\n"
+        "print(logic.eval_in_state(logic.parse_formula('exists b: Box. P(b)'), state))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "True\n"
 
 
 # ---------------------------------------------------------------------------

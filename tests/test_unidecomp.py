@@ -2,13 +2,14 @@
 
 import builtins
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 import serve_reference
 import state_reference
-from fomdp import logic, unidecomp
+from fomdp import logic, query, unidecomp
 from fomdp.basisgen import BasisGenConfig, generate_basis
 from fomdp.domains import load_fixture
 from fomdp.logic import ActTerm, ConsistencyChecker, Obj, Universe, make_state
@@ -110,14 +111,14 @@ def test_q_set_compiles_as_one_program(solved, monkeypatch):
 
     def program(queries, params=()):
         programs.append(len(queries))
-        return logic.compile_program(queries, params)
+        return query.compile_program(queries, params)
 
     def counted(*args, **kwargs):
         compiles.append(args[1])  # the file name
         return builtins.compile(*args, **kwargs)
 
     monkeypatch.setattr(unidecomp, "compile_program", program)
-    monkeypatch.setattr(logic, "compile", counted, raising=False)
+    monkeypatch.setattr(query, "compile", counted, raising=False)
     qset = build_generic_q(model, lvf)
     witnesses = sum(len(parts) for _, parts in qset.plans)
     assert programs == [1 + witnesses] and witnesses >= 10
@@ -160,14 +161,14 @@ def captured_program(model, lvf, monkeypatch, base=None, goal=None):
 
     def program(queries, params=()):
         calls.append(list(queries))
-        return logic.compile_program(queries, params)
+        return query.compile_program(queries, params)
 
     def counted(*args, **kwargs):
         calls.append(args[0])  # the source
         return builtins.compile(*args, **kwargs)
 
     monkeypatch.setattr(unidecomp, "compile_program", program)
-    monkeypatch.setattr(logic, "compile", counted, raising=False)
+    monkeypatch.setattr(query, "compile", counted, raising=False)
     if base is None:
         qset = build_generic_q(model, lvf)
     else:
@@ -211,6 +212,20 @@ def test_plans_answer_only_where_the_goal_is_false(solved, monkeypatch):
             for p in ruled_out:
                 assert not state_reference.satisfying_bindings(logic.replace_objects(p.bind_body, renamed), state, p.bind_vars)
     assert false_goals >= 100
+
+
+def test_truck_quantifiers_loop_over_column_candidates(solved, monkeypatch):
+    """Truck quantifiers scan the column of their guard, `On(b_star, q)` or `TAt(q, c_star)`, not the pool.
+
+    The one exception is the closed cell, which runs once per memo.
+    """
+    model, lvf = solved
+    _, _, source = captured_program(model, lvf, monkeypatch)
+    pool_scans = {f.split("(")[0]: len(re.findall(r"for q\d+ in pools\['Truck'\]\)", f)) for f in source.split("\n    def ")[1:]}
+    assert {name: n for name, n in pool_scans.items() if n} == {"c0": 1}
+    assert source.count("pools['Truck'], column('On', 1).get((a0,), ()))") == 15
+    assert source.count("pools['Truck'], column('TAt', 0).get((a1,), ()))") == 3
+    assert source.count("fill(m, ") == 18
 
 
 def test_goal_not_a_conjunction_of_literals_compiles_bodies_as_solved(served, monkeypatch):
