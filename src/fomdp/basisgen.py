@@ -48,16 +48,13 @@ class BasisGenConfig:
     """Growth-loop knobs.
 
     `tau` is the value a region must retain to stay interesting; a basis
-    whose fitted weight magnitude drops below it is retired.
-    `include_constant` seeds an always-on feature so the value-bound LP has
-    a feasible offset.  `api_iters` caps the inner policy iteration when
-    `solver` is "foapi".
+    whose fitted weight magnitude drops below it is retired.  `api_iters`
+    caps the inner policy iteration when `solver` is "foapi".
     """
 
     iters: int = 7
     tau: float = 0.01
     solver: str = "foalp"
-    include_constant: bool = True
     api_iters: int = 50
 
     def __post_init__(self):
@@ -181,11 +178,9 @@ class _Entry:
     weight: float = 0.0
 
 
-def _seed_entries(model: FOMDPModel, chk: ConsistencyChecker, include_constant: bool) -> list:
-    """Indicator pairs for the reward's positive regions, plus the offset."""
-    entries: list = []
-    if include_constant:
-        entries.append(_Entry(constant_case(1.0), TRUE, None, False))
+def _seed_entries(model: FOMDPModel, chk: ConsistencyChecker) -> list:
+    """The always-on offset that keeps the value-bound LP feasible, then the reward's positive regions."""
+    entries = [_Entry(constant_case(1.0), TRUE, None, False)]
     seen: list = []
     family: list = []
     for key in sorted(model.rewards):
@@ -218,7 +213,7 @@ def generate_basis(model: FOMDPModel, config: BasisGenConfig) -> tuple:
     with chk.session():
         ledger = DiscardLedger()
         rows: list = []
-        entries = _seed_entries(model, chk, config.include_constant)
+        entries = _seed_entries(model, chk)
         discarded = 0
 
         def current() -> LinearValueFunction:

@@ -35,12 +35,12 @@ from .logic import (
     exists_chain,
     format_formula,
     implicit_close,
-    infer_types,
     normalize,
     parse_formula,
     simplify_bdd,
     sort_key,
     substitute,
+    survey,
 )
 from .query import StateIndex, compile_program
 from .sitcalc import SuccessorStateAxiom, regress
@@ -180,7 +180,7 @@ def scale_case(c: CaseStatement, k: float) -> CaseStatement:
 
 
 def merge_equal_values(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
-    """Disjoin adjacent-in-sort partitions sharing value, tag, and bindings.
+    """Disjoin the partitions of each (value, tag, bindings) key, keys in first-seen order.
 
     Sound for both partitioned and union semantics; used to control growth
     in long ⊕ chains.  The merged formulas are simplified through
@@ -260,26 +260,6 @@ def max_case(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
     return build_case((replace(p, formula=f) for p, f in regions), checker, covers, simplify=False)
 
 
-def union_case(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
-    """Concatenation under union semantics; the flag is cleared.
-
-    Union with an empty case is the identity and preserves the operand as-is.
-    """
-    if not c2.partitions:
-        return c1
-    if not c1.partitions:
-        return c2
-    return CaseStatement(c1.partitions + c2.partitions, False)
-
-
-def _holding(c: CaseStatement, state: GroundState, binding, signature) -> list:
-    """Per partition, whether it holds under binding, other free variables read existentially; one program."""
-    sub = {v: Obj(o) for v, o in (binding or {}).items()}
-    closed = [implicit_close(substitute(p.formula, sub), infer_types(p.formula, signature or {})) for p in c.partitions]
-    index, memo = StateIndex(state), {}
-    return [bool(plan(index, (), memo)) for plan in compile_program([(f, ()) for f in closed])]
-
-
 def eval_case(
     c: CaseStatement,
     state: GroundState,
@@ -289,31 +269,22 @@ def eval_case(
     """Value of the unique satisfied partition of a partitioned case.
 
     Remaining free variables are read existentially (types inferred from the
-    signature when available).  Zero or multiple satisfied partitions raise
-    PartitionViolation naming the offenders.
+    signature when available), all partitions in one compiled program.  Zero
+    or multiple satisfied partitions raise PartitionViolation naming the
+    offenders.
     """
     if not c.partitioned:
         raise CaseError("eval_case requires a partitioned case")
-    hits = [i for i, held in enumerate(_holding(c, state, binding, signature)) if held]
+    sub = {v: Obj(o) for v, o in (binding or {}).items()}
+    closed = [implicit_close(substitute(p.formula, sub), survey(p.formula, signature or {})[0]) for p in c.partitions]
+    index, memo = StateIndex(state), {}
+    hits = [i for i, plan in enumerate(compile_program([(f, ()) for f in closed])) if plan(index, (), memo)]
     if len(hits) != 1:
         shown = ", ".join(format_formula(c.partitions[i].formula) for i in hits) or "none"
         raise PartitionViolation(
             f"{len(hits)} partitions satisfied (expected exactly 1): {shown}", tuple(hits)
         )
     return c.partitions[hits[0]].value
-
-
-def eval_max(
-    c: CaseStatement,
-    state: GroundState,
-    binding: Optional[Mapping[str, str]] = None,
-    signature: Optional[Mapping[str, Sequence]] = None,
-) -> float:
-    """Maximum value over satisfied partitions (union semantics)."""
-    values = [p.value for p, held in zip(c.partitions, _holding(c, state, binding, signature)) if held]
-    if not values:
-        raise PartitionViolation("no partition satisfied", ())
-    return max(values)
 
 
 def verify_partitioned(c: CaseStatement, checker: ConsistencyChecker) -> bool:

@@ -50,9 +50,6 @@ class LinExpr:
         )
         return LinExpr(items, float(const))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def evaluate(self, weights: Mapping[str, float]) -> float:
         return self.const + sum(k * weights[v] for v, k in self.coeffs)
 

@@ -916,11 +916,6 @@ def _survey(f: Formula, scope: dict, positive: bool, signature: Mapping[str, Seq
             _survey(g, inner, pos, signature, acc, seen)
 
 
-def infer_types(f: Formula, signature: Mapping[str, Sequence]) -> dict:
-    """Best-effort types for free variables and objects from atom positions; see `survey`."""
-    return survey(f, signature)[0]
-
-
 def implicit_close(f: Formula, var_types: Optional[Mapping[str, Optional[str]]] = None) -> Formula:
     """Existentially close the free variables of f (sorted by name)."""
     types = dict(var_types or {})

@@ -3,8 +3,9 @@
 A model bundles predicate declarations, stochastic action templates with
 their nature's-choice distributions, successor-state axioms, per-action
 reward cases, and a discount factor.  Decision-theoretic regression (`fodtr`)
-and the three backup operators defined on top of it turn a symbolic value
-function into symbolic Q-functions without ever enumerating states.  A
+and the two backup operators defined on top of it (`backup_param`, and
+`backup_exists`, its ∃-closure over the action parameters) turn a symbolic
+value function into symbolic Q-functions without ever enumerating states.  A
 linear value function keeps its basis structure through backup
 (`backup_linear`), which is what the LP solvers rely on to stay compact.
 """
@@ -12,17 +13,14 @@ linear value function keeps its basis structure through backup
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .cases import (
     CaseStatement,
-    Partition,
-    build_case,
     combine,
     constant_case,
     cross_sum,
     exists_case,
-    max_case,
     merge_equal_values,
     regress_case,
     scale_case,
@@ -119,15 +117,6 @@ class FOMDPModel:
     def fluent_names(self) -> tuple:
         return tuple(sorted(n for n, p in self.predicates.items() if not p.static))
 
-    def static_names(self) -> tuple:
-        return tuple(sorted(n for n, p in self.predicates.items() if p.static))
-
-    def choice_names(self) -> tuple:
-        out = [NOOP_CHOICE]
-        for a in self.actions.values():
-            out.extend(ch.name for ch in a.choices)
-        return tuple(sorted(out))
-
     def action_names(self) -> tuple:
         """Every template the agent can pick, the implicit noop included."""
         names = set(self.actions) | {NOOP}
@@ -216,9 +205,6 @@ class LinearValueFunction:
             if not b.partitioned:
                 raise ModelError("basis cases must be partitioned")
 
-    def with_weights(self, weights: Sequence[float]) -> "LinearValueFunction":
-        return LinearValueFunction(tuple(float(w) for w in weights), self.bases)
-
     def flatten(self, checker: ConsistencyChecker) -> CaseStatement:
         """⊕_i w_i · bCase_i as one partitioned case."""
         scaled = [scale_case(b, w) for w, b in zip(self.weights, self.bases)]
@@ -229,26 +215,14 @@ class LinearValueFunction:
 class BackedUpLinear:
     """Backup of a linear value function, kept in unflattened form.
 
-    Holds the reward case and one decision-theoretic regression per basis;
-    the weighted flattening reproduces the monolithic backup exactly, but
-    solvers can reuse the per-basis parts across weight changes.
+    Holds the reward case and one decision-theoretic regression per basis.
+    Under any weights w, rCase ⊕ ⊕_i w_i·fodtrs_i is the monolithic backup,
+    so solvers reuse the per-basis parts across weight changes.
     """
 
     action: ActionTemplate
     reward: CaseStatement
     fodtrs: tuple  # FODTR(bCase_i, A(x⃗)), γ already applied
-    weights: tuple
-
-    def flatten(
-        self,
-        checker: ConsistencyChecker,
-        weights: Optional[Sequence[float]] = None,
-    ) -> CaseStatement:
-        w = tuple(weights) if weights is not None else self.weights
-        if len(w) != len(self.fodtrs):
-            raise ModelError("weight count mismatch in backed-up flatten")
-        parts = [self.reward] + [scale_case(f, wi) for wi, f in zip(w, self.fodtrs)]
-        return merge_equal_values(cross_sum(parts, checker), checker)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +257,6 @@ def backup_exists(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -
     return exists_case(action.params, tagged, model.checker)
 
 
-def backup_max(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseStatement:
-    """Pointwise-best instantiation of the action: max over ∃x⃗ partitions."""
-    return max_case(backup_exists(model, v, action), model.checker)
-
-
 def backup_linear(
     model: FOMDPModel, lvf: LinearValueFunction, action: ActionTemplate
 ) -> BackedUpLinear:
@@ -298,4 +267,4 @@ def backup_linear(
     constraint search actually needs specific regions.
     """
     fs = tuple(fodtr(model, b, action) for b in lvf.bases)
-    return BackedUpLinear(action, model.reward_for(action.name), fs, lvf.weights)
+    return BackedUpLinear(action, model.reward_for(action.name), fs)

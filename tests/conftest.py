@@ -49,7 +49,8 @@ def all_fluent_states(model, inst):
     """Every truth assignment to ground fluent atoms; statics come from init."""
     uni = inst.universe()
     sig = model.signature()
-    statics = {a for a in inst.init_atoms if a[0] in model.static_names()}
+    static = {n for n, p in model.predicates.items() if p.static}
+    statics = {a for a in inst.init_atoms if a[0] in static}
     atoms = []
     for f in model.fluent_names():
         pools = [uni.pool(t or None) for t in sig[f]]

@@ -393,13 +393,18 @@ def test_foapi_policy_extraction_matches_per_region_reference(fixture):
         assert_same_regions(got, reference_max_case(c, model.checker), model.checker)
 
 
-def test_solver_failure_carries_partial_result():
+def infeasible(*args):
+    raise FOLPError("generated LP is infeasible")
+
+
+def test_solver_failure_carries_partial_result(monkeypatch):
     model, _ = load_fixture("flip")
+    monkeypatch.setattr(basisgen, "foalp_solve", infeasible)
     with pytest.raises(BasisGenError, match="infeasible") as exc:
-        generate_basis(model, BasisGenConfig(iters=1, include_constant=False))
-    assert len(exc.value.lvf.bases) == 1
+        generate_basis(model, BasisGenConfig(iters=1))
+    assert len(exc.value.lvf.bases) == 2
     assert exc.value.report.rows == ()
-    assert exc.value.report.certified == (0,)
+    assert exc.value.report.certified == (1,)
 
 
 def test_a_ground_store_lives_for_one_session(monkeypatch):
@@ -443,8 +448,9 @@ def test_a_ground_store_lives_for_one_session(monkeypatch):
     assert stores(lambda: build_generic_q(boxworld, LinearValueFunction((), ()))) == (1, 0)
 
     def failing():
+        monkeypatch.setattr(basisgen, "foalp_solve", infeasible)
         with pytest.raises(BasisGenError, match="infeasible"):
-            generate_basis(flip, BasisGenConfig(iters=1, include_constant=False))
+            generate_basis(flip, BasisGenConfig(iters=1))
 
     # and a solve that raises drops its store too
     assert stores(failing) == (1, 0)

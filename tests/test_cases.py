@@ -26,14 +26,12 @@ from fomdp.cases import (
     constant_case,
     cross_sum,
     eval_case,
-    eval_max,
     exists_case,
     max_case,
     merge_equal_values,
     parse_case,
     regress_case,
     scale_case,
-    union_case,
     verify_partitioned,
 )
 from fomdp.logic import (
@@ -51,12 +49,13 @@ from fomdp.logic import (
     TRUE,
     Universe,
     Var,
-    infer_types,
     make_state,
     normalize,
     parse_formula,
+    survey,
 )
 from fomdp.sitcalc import SuccessorStateAxiom
+from case_reference import eval_max
 from max_case_reference import assert_same_regions, reference_max_case
 from test_logic import TYPED_SIG, typed_corpus
 
@@ -87,6 +86,11 @@ def random_partitioned(rng: random.Random) -> CaseStatement:
     for r in regions:
         parts.append(Partition(r, rng.randint(-5, 20)))
     return build_case(parts, ConsistencyChecker(), partitioned=True)
+
+
+def union(c1: CaseStatement, c2: CaseStatement) -> CaseStatement:
+    """Both cases' partitions under union semantics."""
+    return CaseStatement(c1.partitions + c2.partitions, False)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +219,7 @@ def test_regress_case_flip():
 def test_max_case_definition():
     a, b = Atom("A"), Atom("B")
     got = max_case(
-        union_case(
+        union(
             case_of([(a, 7)], ConsistencyChecker(), partitioned=False),
             case_of([(b, 5)], ConsistencyChecker(), partitioned=False),
         ),
@@ -229,7 +233,7 @@ def test_max_case_definition():
 def test_max_case_eval_overlap():
     uni = Universe.of({None: ["o1"]})
     s = make_state([("A",), ("B",)], uni)
-    c = union_case(
+    c = union(
         case_of([(Atom("A"), 7)], ConsistencyChecker(), partitioned=False),
         case_of([(Atom("B"), 5)], ConsistencyChecker(), partitioned=False),
     )
@@ -251,7 +255,7 @@ def test_max_case_matches_pointwise_max():
     rng = random.Random(31)
     for _ in range(15):
         c1, c2 = random_partitioned(rng), random_partitioned(rng)
-        u = union_case(c1, c2)
+        u = union(c1, c2)
         m = max_case(u, ConsistencyChecker())
         assert m.partitioned  # union of two covers still covers
         for s in PROP_STATES:
@@ -265,14 +269,14 @@ def test_max_case_pairwise_inconsistent():
 
     chk = ConsistencyChecker()
     for _ in range(10):
-        m = max_case(union_case(random_partitioned(rng), random_partitioned(rng)), ConsistencyChecker())
+        m = max_case(union(random_partitioned(rng), random_partitioned(rng)), ConsistencyChecker())
         for i, p in enumerate(m.partitions):
             for q in m.partitions[i + 1 :]:
                 assert chk.check(And((p.formula, q.formula))) is False
 
 
 def test_max_case_tie_break_deterministic():
-    c = union_case(
+    c = union(
         case_of([(Q, 5)], ConsistencyChecker(), partitioned=False),
         case_of([(P, 5)], ConsistencyChecker(), partitioned=False),
     )
@@ -289,7 +293,7 @@ def one_point_sound(f, scope: tuple = (), free: Optional[dict] = None) -> bool:
     typed domains; elsewhere the per-region path and the shared BDD may
     misread a region in different ways.
     """
-    free = infer_types(f, TYPED_SIG) if free is None else free
+    free = survey(f, TYPED_SIG)[0] if free is None else free
     if isinstance(f, Eq):
         env = dict(scope)
         def vtype(t):
@@ -348,17 +352,6 @@ def test_max_case_past_the_bdd_limits_matches_reference_exactly():
     assert got.partitions[0].formula == normalize(wide)
 
 
-def test_union_case_bookkeeping():
-    c1 = CaseStatement((Partition(P, 1.0, tag="drive"),), True)
-    c2 = CaseStatement((Partition(Q, 2.0, tag="unload"),), True)
-    u = union_case(c1, c2)
-    assert len(u) == 2 and not u.partitioned
-    assert [p.tag for p in u.partitions] == ["drive", "unload"]
-    empty = CaseStatement((), False)
-    assert union_case(c1, empty) == c1
-    assert union_case(empty, c2) == c2
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -410,6 +403,18 @@ def test_eval_case_free_vars_existential():
 def test_build_prunes_inconsistent():
     c = build_case([Partition(And((P, Not(P))), 9.0), Partition(P, 1.0)], ConsistencyChecker(), partitioned=False)
     assert c.formulas() == (P,)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item F: the BDD pass applies the untyped one-point rule, so x = y over "
+    "disjoint types simplifies to true instead of false",
+)
+def test_build_prunes_an_equality_of_disjoint_types():
+    sig = {"P": ("Box",), "Q": ("City",)}
+    f = parse_formula("exists x: Box. exists y: City. x = y")
+    assert ConsistencyChecker(signature=sig).check(f) is False
+    assert build_case([Partition(f, 1.0)], ConsistencyChecker(signature=sig), True).partitions == ()
 
 
 def test_merge_equal_values():

@@ -183,7 +183,7 @@ def test_model_validation():
 def test_linexpr_arithmetic():
     e = LinExpr.of({"a": 2.0, "b": -1.0}, 3.0)
     f = e + LinExpr.of({"b": 1.0}, 1.0)
-    assert f.as_dict() == {"a": 2.0}
+    assert dict(f.coeffs) == {"a": 2.0}
     assert f.const == 4.0
     g = 2.0 * e - 1.0
     assert g.evaluate({"a": 1.0, "b": 0.0}) == pytest.approx(9.0)

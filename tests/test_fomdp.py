@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import pytest
 
+from case_reference import eval_max
 from conftest import all_fluent_states, ground_bindings, ground_q, reachable_states
 from fomdp.cases import (
     case_of,
     constant_case,
+    cross_sum,
     eval_case,
-    eval_max,
+    max_case,
+    merge_equal_values,
     parse_case,
+    scale_case,
     verify_partitioned,
 )
 from fomdp.domains import load_fixture
@@ -26,7 +30,6 @@ from fomdp.model import (
     PredicateDecl,
     backup_exists,
     backup_linear,
-    backup_max,
     backup_param,
     fodtr,
 )
@@ -122,7 +125,7 @@ def check_backups_against_ground(model, inst, v, states):
     for name in model.action_names():
         tpl = model.action(name)
         q_case = backup_param(model, v, tpl)
-        m_case = backup_max(model, v, tpl)
+        m_case = max_case(backup_exists(model, v, tpl), model.checker)
         bindings = ground_bindings(tpl, uni)
         for s in states:
             best = None
@@ -165,6 +168,12 @@ def lvf_for(model, goal_case, spare_text):
     return LinearValueFunction((1.3, -0.7, 2.1), (b0, goal_case, b2))
 
 
+def flatten_backup(structured, weights, checker):
+    """reward ⊕ ⊕_i w_i·fodtr_i as one partitioned case."""
+    parts = [structured.reward] + [scale_case(f, w) for w, f in zip(weights, structured.fodtrs)]
+    return merge_equal_values(cross_sum(parts, checker), checker)
+
+
 def check_linear_identity(model, inst, lvf, states):
     uni = inst.universe()
     sig = model.signature()
@@ -173,7 +182,7 @@ def check_linear_identity(model, inst, lvf, states):
         tpl = model.action(name)
         direct = backup_param(model, flat, tpl)
         structured = backup_linear(model, lvf, tpl)
-        rebuilt = structured.flatten(checker=model.checker)
+        rebuilt = flatten_backup(structured, lvf.weights, model.checker)
         for s in states:
             for objs in ground_bindings(tpl, uni):
                 binding = {n: o for (n, _), o in zip(tpl.params, objs)}
@@ -214,18 +223,10 @@ def test_reweighted_linear_backup_matches_direct():
     lvf = lvf_for(model, flip_v(), "{ !P : 1 ; P : 0 }")
     structured = backup_linear(model, lvf, model.action("flip"))
     w2 = (0.25, 4.0, -1.5)
-    direct = backup_param(model, lvf.with_weights(w2).flatten(model.checker), model.action("flip"))
-    rebuilt = structured.flatten(model.checker, w2)
+    direct = backup_param(model, LinearValueFunction(w2, lvf.bases).flatten(model.checker), model.action("flip"))
+    rebuilt = flatten_backup(structured, w2, model.checker)
     for s in reachable_states(model, inst):
         assert eval_case(rebuilt, s) == pytest.approx(eval_case(direct, s), abs=TOL)
-
-
-def test_backed_up_weight_count_checked():
-    model, _ = flip()
-    lvf = lvf_for(model, flip_v(), "{ !P : 1 ; P : 0 }")
-    structured = backup_linear(model, lvf, model.action("flip"))
-    with pytest.raises(ModelError):
-        structured.flatten(ConsistencyChecker(), (1.0,))
 
 
 # -- degenerate parameters ------------------------------------------------------
@@ -271,13 +272,6 @@ def test_action_names_include_implicit_noop():
     noop = model.action(NOOP)
     assert noop.params == () and len(noop.choices) == 1
     assert eval_case(noop.choices[0].pcase, flip()[1].init_state()) == 1.0
-
-
-def test_choice_names_are_globally_unique():
-    model, _ = boxworld()
-    names = model.choice_names()
-    assert len(names) == len(set(names))
-    assert "noopEff" in names and "driveS" in names
 
 
 def test_reward_lookup_precedence():
@@ -379,6 +373,5 @@ def test_linear_value_function_shape_checks():
     with pytest.raises(ModelError):
         LinearValueFunction((1.0,), (case_of([(parse_formula("P"), 1.0)], ConsistencyChecker(), partitioned=False),))
     lvf = LinearValueFunction((2.0,), (constant_case(1.0),))
-    assert lvf.with_weights([3.0]).weights == (3.0,)
     flat = lvf.flatten(ConsistencyChecker())
     assert flat.partitions[0].value == 2.0 and verify_partitioned(flat, ConsistencyChecker())

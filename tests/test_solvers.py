@@ -67,7 +67,7 @@ def ground_argmax(model, v, state, universe):
 
 
 def assert_value_bound(model, weights, lvf, states):
-    v = lvf.with_weights(weights).flatten(model.checker)
+    v = LinearValueFunction(tuple(weights), lvf.bases).flatten(model.checker)
     sig = model.signature()
     uni = states[0].universe
     for s in states:
@@ -136,7 +136,7 @@ def test_extract_policy_matches_ground_argmax():
     for fixture in (flip, boxworld, blocksworld):
         model, inst = fixture()
         solved = indicator_lvf(model)
-        solved = solved.with_weights(foalp_solve(model, solved))
+        solved = LinearValueFunction(tuple(foalp_solve(model, solved)), solved.bases)
         pol = extract_policy(model, solved)
         assert pol.case.partitioned
         v = solved.flatten(model.checker)
@@ -155,7 +155,7 @@ def test_extract_policy_matches_ground_argmax():
 def test_policy_prefers_first_template_and_least_binding():
     model, inst = boxworld()
     lvf = indicator_lvf(model)
-    pol = extract_policy(model, lvf.with_weights(foalp_solve(model, lvf)))
+    pol = extract_policy(model, LinearValueFunction(tuple(foalp_solve(model, lvf)), lvf.bases))
     # both boxes on the truck, destination city already reached: every
     # non-noop action has equal backup, so the tie falls to drive and to
     # the alphabetically least parameter witness

@@ -1,0 +1,91 @@
+"""The package's public surface: nothing public that only tests reach.
+
+Every public top-level function and public method in `src/fomdp` must be
+named somewhere in `src/fomdp` or `perfbench` outside its own body (as a
+name, an attribute or an import), be a layer that `perfbench/tracer.py`
+wraps, or stand on the allowlist below with the reason a user needs it.
+The sources are only parsed, never imported.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fomdp"
+PERFBENCH = ROOT / "perfbench"
+
+ALLOWED = {
+    "cases.eval_case": "how a caller reads a value function or Q case in a ground state",
+    "cases.case_of": "builds a case from (formula, value) pairs",
+    "cases.parse_case": "builds a case from its text form",
+    "cases.CaseStatement.pretty": "prints a case",
+    "solvers.extract_policy": "turns fitted weights into the greedy policy",
+    "solvers.PolicyCase.decide": "runs a policy in a ground state",
+    "basisgen.BasisReport.csv_lines": "reports a basis growth",
+    "solvers.SolveReport.csv_lines": "reports a FOAPI solve",
+    "domains.load_instance": "loads an instance file",
+    "domains.load_fixture": "loads a bundled domain and instance",
+    "domains.FOMDPInstance.init_state": "the instance's initial ground state, where a policy starts",
+    "query.StateIndex.column": "called by generated plan source, which names it in a string",
+}
+
+
+def _parsed(directory: Path) -> dict:
+    return {path: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each identifier occurs as a name, an attribute or an imported name."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+    return out
+
+
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, def node) of each public top-level function and public method."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _traced_layers() -> set:
+    """The `Layer("module.function", ...)` names in the tracer's `LAYERS`."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Layer"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_public_surface_has_callers():
+    package = _parsed(PACKAGE)
+    used = Counter()
+    for tree in [*package.values(), *_parsed(PERFBENCH).values()]:
+        used += _names(tree)
+    traced = _traced_layers()
+    defined, orphans = set(), []
+    for path, tree in package.items():
+        for qualname, node in _public_definitions(path.stem, tree):
+            defined.add(qualname)
+            name = qualname.rpartition(".")[2]
+            if used[name] > _names(node)[name] or qualname in traced or qualname in ALLOWED:
+                continue
+            orphans.append(qualname)
+    assert not orphans, "public, yet only tests reach it: " + ", ".join(orphans)
+    assert set(ALLOWED) <= defined, "an allowlisted definition is gone: drop it from the list"
