@@ -140,7 +140,6 @@ class LPSolution:
     assignment: Optional[dict] = None
     objective: Optional[float] = None
     ray: Optional[dict] = None  # improving direction when unbounded
-    duals: Optional[tuple] = None  # per original constraint, when optimal
 
 
 def _flip(rel: str) -> str:
@@ -221,7 +220,6 @@ def solve_lp(m: LPModel) -> LPSolution:
         cx[vidx[v]] += k
 
     rows = []
-    flips = []
     for con in m.constraints:
         a = np.zeros(n)
         for v, k in con.coeffs:
@@ -229,9 +227,6 @@ def solve_lp(m: LPModel) -> LPSolution:
         rel, rhs = con.relation, float(con.rhs)
         if rhs < 0.0:
             a, rhs, rel = -a, -rhs, _flip(rel)
-            flips.append(-1.0)
-        else:
-            flips.append(1.0)
         rows.append((a, rel, rhs))
 
     mr = len(rows)
@@ -262,7 +257,6 @@ def solve_lp(m: LPModel) -> LPSolution:
         basis[i] = art
         art_cols.append(art)
         art += 1
-    T0 = T.copy()
 
     tab = _Tableau(T, b, basis)
     if art_cols:
@@ -298,7 +292,7 @@ def solve_lp(m: LPModel) -> LPSolution:
     x = y[:n] - y[n : 2 * n]
     assignment = {v: float(x[i]) for v, i in vidx.items()}
 
-    for con, flip in zip(m.constraints, flips):
+    for con in m.constraints:
         lhs = sum(k * assignment[v] for v, k in con.coeffs)
         slack = con.rhs - lhs
         bad = (
@@ -309,16 +303,8 @@ def solve_lp(m: LPModel) -> LPSolution:
         if bad:
             raise LPNumericalError(f"solution violates {con} by {slack}")
 
-    duals: Optional[tuple] = None
-    if mr:
-        try:
-            B = T0[:, tab.basis]
-            yd = np.linalg.solve(B.T, cost2[tab.basis])
-            duals = tuple(float(f * d) for f, d in zip(flips, yd))
-        except np.linalg.LinAlgError:
-            duals = None
     objective = float(cx @ x)
-    return LPSolution(status="optimal", assignment=assignment, objective=objective, duals=duals)
+    return LPSolution(status="optimal", assignment=assignment, objective=objective)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +317,10 @@ class ConstraintSchema:
 
     `certified` lists indices of orthogonal indicator cases: exactly two
     partitions, the positive formula first, positives pairwise disjoint at
-    the bound.  The violation search visits each positive partition with all
-    other certified cases negative (plus the all-negative selection) instead
-    of the full cross product.
+    the bound.  `_selections` walks the cross product: the seed row tries each
+    certified case's negative partition first, and the violation search visits
+    each positive with all other certified cases negative (plus the all-negative
+    selection) instead of the full cross product.
     """
 
     schema_id: str
@@ -369,31 +356,29 @@ class ViolatedConstraint:
     violation: float
 
 
-def _search_cases(
-    case_order: Sequence[int],
+def _selections(
     schema: ConstraintSchema,
-    weights: Mapping[str, float],
     checker: ConsistencyChecker,
-    prefix_sel: dict,
-    prefix_formulas: tuple,
-    prefix_expr: LinExpr,
-    best: list,
+    levels: Sequence,
+    sel: list,
+    formulas: tuple,
+    expr: LinExpr,
 ):
-    """Depth-first cross-product with consistency pruning; updates best in place."""
-    if not case_order:
-        value = prefix_expr.evaluate(weights)
-        if best[0] is None or value > best[0] + 1e-15:
-            sel = tuple(prefix_sel[i] for i in range(len(schema.cases)))
-            best[0], best[1] = value, (sel, prefix_expr)
+    """Consistent completions of a partial selection, depth first, with their summed exprs.
+
+    `levels` lists the (case index, partition order) pairs still to choose.  Each
+    choice is written into `sel` in place, so read it before resuming the walk.
+    """
+    if not levels:
+        yield expr
         return
-    idx, rest = case_order[0], case_order[1:]
-    for pi, p in enumerate(schema.cases[idx].partitions):
-        formulas = prefix_formulas + (p.formula,)
-        if not checker.is_consistent(conj(formulas)):
-            continue
-        prefix_sel[idx] = pi
-        _search_cases(rest, schema, weights, checker, prefix_sel, formulas, prefix_expr + _as_expr(p.value), best)
-        del prefix_sel[idx]
+    (i, order), rest = levels[0], levels[1:]
+    parts = schema.cases[i].partitions
+    for pi in order:
+        fs = formulas + (parts[pi].formula,)
+        if checker.is_consistent(conj(fs)):
+            sel[i] = pi
+            yield from _selections(schema, checker, rest, sel, fs, expr + _as_expr(parts[pi].value))
 
 
 def search_schema(
@@ -401,31 +386,26 @@ def search_schema(
     weights: Mapping[str, float],
     checker: ConsistencyChecker,
 ) -> Optional[ViolatedConstraint]:
-    """Most-violated consistent selection of one schema, or None within `VIOLATION_TOL`."""
+    """Most-violated selection of one schema from `_selections`, or None within `VIOLATION_TOL`."""
     cert = tuple(schema.certified)
-    others = [i for i in range(len(schema.cases)) if i not in set(cert)]
-    best: list = [None, None]
-    if cert:
-        # all-negative, then each positive in turn: the only consistent patterns
-        candidates = [dict.fromkeys(cert, 1)]
+    others = tuple((i, range(len(c.partitions))) for i, c in enumerate(schema.cases) if i not in cert)
+    best = None
+    # all-negative, then each positive in turn: the only consistent certified
+    # patterns, each checked as one conjunction before the walk extends it
+    for positive in (None,) + cert:
+        sel = [None] * len(schema.cases)
         for i in cert:
-            sel = dict.fromkeys(cert, 1)
-            sel[i] = 0
-            candidates.append(sel)
-    else:
-        candidates = [{}]
-    for cand in candidates:
-        formulas = tuple(schema.cases[i].partitions[pi].formula for i, pi in cand.items())
+            sel[i] = 0 if i == positive else 1
+        prefix = [schema.cases[i].partitions[sel[i]] for i in cert]
+        formulas = tuple(p.formula for p in prefix)
         if formulas and not checker.is_consistent(conj(formulas)):
             continue
-        expr = LinExpr()
-        for i, pi in cand.items():
-            expr = expr + _as_expr(schema.cases[i].partitions[pi].value)
-        _search_cases(others, schema, weights, checker, dict(cand), formulas, expr, best)
-    if best[0] is None or best[0] <= VIOLATION_TOL:
-        return None
-    sel, expr = best[1]
-    return ViolatedConstraint(schema.schema_id, sel, expr, best[0])
+        expr = sum((_as_expr(p.value) for p in prefix), LinExpr())
+        for full in _selections(schema, checker, others, sel, formulas, expr):
+            value = full.evaluate(weights)
+            if best is None or value > best.violation + 1e-15:
+                best = ViolatedConstraint(schema.schema_id, tuple(sel), full, value)
+    return None if best is None or best.violation <= VIOLATION_TOL else best
 
 
 def search_schemata(
@@ -469,37 +449,18 @@ def _expr_row(expr: LinExpr) -> LinearConstraint:
     return LinearConstraint(expr.coeffs, "<=", -expr.const)
 
 
-def _seed_selection(
-    schema: ConstraintSchema,
-    checker: ConsistencyChecker,
-    sel: tuple = (),
-    formulas: tuple = (),
-    expr: LinExpr = LinExpr(),
-):
-    """First consistent selection extending `sel`, preferring each certified case's negative."""
-    k = len(sel)
-    if k == len(schema.cases):
-        return sel, expr
-    parts = schema.cases[k].partitions
-    prefer = range(len(parts) - 1, -1, -1) if k in schema.certified else range(len(parts))
-    for pi in prefer:
-        fs = formulas + (parts[pi].formula,)
-        if not checker.is_consistent(conj(fs)):
-            continue
-        got = _seed_selection(schema, checker, sel + (pi,), fs, expr + _as_expr(parts[pi].value))
-        if got is not None:
-            return got
-    return None
-
-
 def seed_rows(folp: FirstOrderLP, checker: ConsistencyChecker) -> tuple:
-    """(schema_id, selection, expr) for each schema's first consistent selection."""
+    """(schema_id, selection, expr): each schema's first selection from `_selections`."""
     out = []
     for schema in folp.schemata:
-        got = _seed_selection(schema, checker)
-        if got is not None:
-            sel, expr = got
-            out.append((schema.schema_id, sel, expr))
+        levels = tuple(
+            (i, range(len(c.partitions))[:: -1 if i in schema.certified else 1])
+            for i, c in enumerate(schema.cases)
+        )
+        sel = [None] * len(schema.cases)
+        expr = next(_selections(schema, checker, levels, sel, (), LinExpr()), None)
+        if expr is not None:
+            out.append((schema.schema_id, tuple(sel), expr))
     return tuple(out)
 
 

@@ -109,8 +109,9 @@ def _certified_indices(bases: Sequence[CaseStatement], checker: ConsistencyCheck
 
     A basis qualifies with exactly two partitions, nonzero-value positive
     first, zero-value complement second, and a positive region provably
-    disjoint from every already-accepted one; a timed-out disjointness check
-    disqualifies, since the shortcut must never be assumed.
+    disjoint from every already-accepted one; a disjointness check that
+    exhausts its work budget (verdict None) disqualifies, since the shortcut
+    must never be assumed.
     """
     kept: list = []
     for i, b in enumerate(bases):

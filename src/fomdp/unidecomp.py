@@ -83,7 +83,6 @@ class GenericQSet:
     constants: tuple  # object names currently standing in for them
     goal: Formula  # goal body on those constants
     qcases: tuple  # (template name, case statement), sorted by name
-    discount: float
     # compiled from the fields above: the goal query, and per template the
     # (value, witness query) pairs in descending value order
     goal_query: Callable = field(compare=False, repr=False)
@@ -107,10 +106,10 @@ def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
             (name, backup_exists(model, flat, model.action(name)))
             for name in model.action_names()
         )
-    return _compiled(ur.variables, constants, goal, qcases, model.discount)
+    return _compiled(ur.variables, constants, goal, qcases)
 
 
-def _compiled(variables, constants, goal, qcases, discount) -> GenericQSet:
+def _compiled(variables, constants, goal, qcases) -> GenericQSet:
     """The Q set with its goal and witness bodies compiled over `constants` as one program."""
     if any(p.bind_body is None for _, q in qcases for p in q.partitions):
         raise UnidecompError("Q partitions must carry open binding bodies")
@@ -127,7 +126,7 @@ def _compiled(variables, constants, goal, qcases, discount) -> GenericQSet:
         ranked.append((name, [part for part in parts if part[1] != FALSE]))
     it = iter(compile_program([*((body, bvars) for _, ps in ranked for _, body, bvars in ps), (goal, ())], constants))
     plans = tuple((name, tuple((value, next(it)) for value, _, _ in parts)) for name, parts in ranked)
-    return GenericQSet(variables, constants, goal, qcases, discount, next(it), plans)
+    return GenericQSet(variables, constants, goal, qcases, next(it), plans)
 
 
 def _binding_map(qset: GenericQSet, binding, pool=None) -> dict:
@@ -167,7 +166,6 @@ def substitute_goal(qset: GenericQSet, binding, universe: Universe = None) -> Ge
         tuple(binding),
         replace_objects(qset.goal, mapping),
         tuple((n, _rename_case(q, mapping)) for n, q in qset.qcases),
-        qset.discount,
     )
 
 

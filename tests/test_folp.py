@@ -1,8 +1,8 @@
 """LP layer against independent oracles.
 
 The simplex is checked against vertex enumeration on random bounded
-polyhedra, and the certified violation search against a dumb cross-product
-enumeration of every partition selection.
+polyhedra, and the certified violation search and the seed rows against a
+dumb cross-product enumeration of every partition selection.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from fomdp.folp import (
     LinearConstraint,
     affine_case,
     search_schema,
+    seed_rows,
     solve_first_order_lp,
     solve_lp,
 )
@@ -133,23 +134,6 @@ def test_degenerate_cycling_example_terminates():
     sol = solve_lp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
-
-
-def test_duals_certify_optimality():
-    rng = random.Random(99)
-    for _ in range(30):
-        n = rng.randrange(1, 11)
-        rows, c = bounded_instance(rng, n)
-        m = lp_from_rows(rows, c)
-        sol = solve_lp(m)
-        assert sol.status == "optimal"
-        assert sol.duals is not None
-        strong = sum(d * con.rhs for d, con in zip(sol.duals, m.constraints))
-        assert strong == pytest.approx(sol.objective, abs=1e-6)
-        for d, con in zip(sol.duals, m.constraints):
-            if abs(d) > 1e-9:
-                lhs = sum(k * sol.assignment[v] for v, k in con.coeffs)
-                assert lhs == pytest.approx(con.rhs, abs=1e-6)
 
 
 def test_solve_lp_is_deterministic():
@@ -292,6 +276,32 @@ def test_certified_search_matches_brute_force():
             )
             assert chk.is_consistent(conj(fs))
             assert got.expr.evaluate(weights) == pytest.approx(expect, abs=1e-9)
+
+
+def test_seed_rows_match_brute_force():
+    # the seed row is the first consistent selection of the cross product in
+    # which each certified case lists its negative partition first
+    rng = random.Random(20261020)
+    chk = ConsistencyChecker()
+    for trial in range(60):
+        n = rng.choice((2, 4, 8)) if trial % 3 == 0 else rng.randrange(1, 13)
+        schema = _random_orthogonal_schema(rng, n)
+        if trial % 2:  # the uncertified case first, as in FOALP schemata
+            schema = ConstraintSchema(
+                schema.schema_id, schema.cases[-1:] + schema.cases[:-1], tuple(i + 1 for i in schema.certified)
+            )
+        orders = [
+            range(len(c.partitions))[::-1] if i in schema.certified else range(len(c.partitions))
+            for i, c in enumerate(schema.cases)
+        ]
+        expect = next(
+            sel
+            for sel in itertools.product(*orders)
+            if chk.is_consistent(conj(tuple(schema.cases[i].partitions[pi].formula for i, pi in enumerate(sel))))
+        )
+        values = (schema.cases[i].partitions[pi].value for i, pi in enumerate(expect))
+        got = seed_rows(FirstOrderLP((), (), (schema,)), chk)
+        assert got == ((schema.schema_id, expect, sum(values, LinExpr())),)
 
 
 def test_schema_validation():

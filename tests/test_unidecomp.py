@@ -172,7 +172,7 @@ def captured_program(model, lvf, monkeypatch, base=None, goal=None):
     if base is None:
         qset = build_generic_q(model, lvf)
     else:
-        qset = unidecomp._compiled(base.variables, base.constants, goal, base.qcases, base.discount)
+        qset = unidecomp._compiled(base.variables, base.constants, goal, base.qcases)
     monkeypatch.undo()
     queries, source = calls
     return qset, queries, source
