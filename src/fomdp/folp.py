@@ -1,19 +1,18 @@
 """Linear programming over first-order constraint schemata.
 
-An embedded two-phase simplex handles the ground LPs; constraint schemata
-pair case statements whose values are affine expressions in the LP
-variables, and constraint generation walks consistent cross-partitions to
-find maximally violated ground inequalities instead of enumerating the
-whole cross product.
+A two-phase simplex in plain Python solves the ground LPs, whose rows all
+read `coeffs · x <= rhs`; constraint schemata pair case statements whose
+values are affine expressions in the LP variables, and constraint generation
+walks consistent cross-partitions to find maximally violated ground
+inequalities instead of enumerating the whole cross product.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .cases import CaseStatement
 from .logic import ConsistencyChecker, conj
@@ -99,17 +98,16 @@ def affine_case(c: CaseStatement, var: Optional[str], scale: float = 1.0) -> Cas
 
 @dataclass(frozen=True)
 class LinearConstraint:
+    """One row `coeffs · x <= rhs`."""
+
     coeffs: tuple  # ((var, coeff), ...)
-    relation: str  # "<=", ">=", or "="
     rhs: float
 
     def __post_init__(self):
-        if self.relation not in ("<=", ">=", "="):
-            raise FOLPError(f"unknown relation {self.relation!r}")
         for _, k in self.coeffs:
-            if not np.isfinite(k):
+            if not math.isfinite(k):
                 raise FOLPError("non-finite constraint coefficient")
-        if not np.isfinite(self.rhs):
+        if not math.isfinite(self.rhs):
             raise FOLPError("non-finite right-hand side")
 
 
@@ -126,7 +124,7 @@ class LPModel:
         for v, k in self.objective:
             if v not in declared:
                 raise FOLPError(f"objective references undeclared variable {v}")
-            if not np.isfinite(k):
+            if not math.isfinite(k):
                 raise FOLPError("non-finite objective coefficient")
         for con in self.constraints:
             for v, _ in con.coeffs:
@@ -142,26 +140,31 @@ class LPSolution:
     ray: Optional[dict] = None  # improving direction when unbounded
 
 
-def _flip(rel: str) -> str:
-    return {"<=": ">=", ">=": "<=", "=": "="}[rel]
+def _dot(xs, ys) -> float:
+    """Sum of products, left to right (`sum` compensates from Python 3.12 on)."""
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc += x * y
+    return acc
 
 
 class _Tableau:
-    """Dense full-tableau simplex with Dantzig/Bland pivoting."""
+    """Dense full-tableau simplex with Dantzig/Bland pivoting, rows as lists."""
 
-    def __init__(self, T: np.ndarray, b: np.ndarray, basis: list):
+    def __init__(self, T: list, b: list, basis: list):
         self.T = T
         self.b = b
         self.basis = basis
         self.degenerate = 0
 
-    def run(self, cost: np.ndarray, banned: frozenset) -> Optional[int]:
+    def run(self, cost: list, banned: frozenset) -> Optional[int]:
         """Minimize cost over the tableau; returns entering column if unbounded."""
         while True:
-            cb = cost[self.basis]
-            red = cb @ self.T - cost
-            if banned:
-                red[list(banned)] = -np.inf
+            cb = [cost[i] for i in self.basis]
+            columns = zip(*self.T) if self.T else [()] * len(cost)
+            red = [_dot(cb, col) - c for col, c in zip(columns, cost)]
+            for j in banned:
+                red[j] = -math.inf
             bland = self.degenerate >= 50
             j = self._entering(red, bland)
             if j is None:
@@ -175,22 +178,21 @@ class _Tableau:
                 self.degenerate = 0
             self._pivot(r, j)
 
-    def _entering(self, red: np.ndarray, bland: bool) -> Optional[int]:
+    def _entering(self, red: list, bland: bool) -> Optional[int]:
         if bland:
             for j, v in enumerate(red):
                 if v > _PIVOT_TOL:
                     return j
             return None
-        j = int(np.argmax(red))
+        j = max(range(len(red)), key=red.__getitem__)  # the first maximum
         return j if red[j] > _PIVOT_TOL else None
 
     def _leaving(self, j: int, bland: bool) -> Optional[int]:
         best = None
         best_ratio = None
-        col = self.T[:, j]
-        for i in range(len(self.b)):
-            if col[i] > _PIVOT_TOL:
-                ratio = self.b[i] / col[i]
+        for i, row in enumerate(self.T):
+            if row[j] > _PIVOT_TOL:
+                ratio = self.b[i] / row[j]
                 if best_ratio is None or ratio < best_ratio - 1e-12:
                     best, best_ratio = i, ratio
                 elif abs(ratio - best_ratio) <= 1e-12:
@@ -199,112 +201,98 @@ class _Tableau:
         return best
 
     def _pivot(self, r: int, j: int):
-        piv = self.T[r, j]
-        self.T[r] /= piv
+        piv = self.T[r][j]
+        pivot_row = self.T[r] = [x / piv for x in self.T[r]]
         self.b[r] /= piv
-        for i in range(len(self.b)):
+        for i, row in enumerate(self.T):
             if i != r:
-                f = self.T[i, j]
+                f = row[j]
                 if f != 0.0:
-                    self.T[i] -= f * self.T[r]
+                    self.T[i] = [x - f * y for x, y in zip(row, pivot_row)]
                     self.b[i] -= f * self.b[r]
         self.basis[r] = j
 
 
 def solve_lp(m: LPModel) -> LPSolution:
-    """Two-phase dense simplex; deterministic, feasibility tolerance 1e-7."""
+    """Two-phase dense simplex over `<=` rows; deterministic, feasibility tolerance 1e-7.
+
+    A row with a negative right-hand side is negated into a surplus row, which
+    starts phase 1 with an artificial basic variable.
+    """
     n = len(m.variables)
     vidx = {v: i for i, v in enumerate(m.variables)}
-    cx = np.zeros(n)
+    cx = [0.0] * n
     for v, k in m.objective:
         cx[vidx[v]] += k
 
     rows = []
     for con in m.constraints:
-        a = np.zeros(n)
+        a = [0.0] * n
         for v, k in con.coeffs:
             a[vidx[v]] += k
-        rel, rhs = con.relation, float(con.rhs)
-        if rhs < 0.0:
-            a, rhs, rel = -a, -rhs, _flip(rel)
-        rows.append((a, rel, rhs))
+        rhs = float(con.rhs)
+        surplus = rhs < 0.0
+        if surplus:
+            a, rhs = [-k for k in a], -rhs
+        rows.append((a, surplus, rhs))
 
     mr = len(rows)
-    # columns: x+ (n), x- (n), one slack/surplus per inequality, artificials
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    width = 2 * n + n_slack
-    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
+    # columns: x+ (n), x- (n), one slack/surplus per row, artificials
+    width = 2 * n + mr
+    art_rows = [i for i, (_, surplus, _) in enumerate(rows) if surplus]
     total = width + len(art_rows)
-    T = np.zeros((mr, total))
-    b = np.zeros(mr)
-    basis = [-1] * mr
-    sl = 2 * n
-    for i, (a, rel, rhs) in enumerate(rows):
-        T[i, :n] = a
-        T[i, n : 2 * n] = -a
-        b[i] = rhs
-        if rel == "<=":
-            T[i, sl] = 1.0
-            basis[i] = sl
-            sl += 1
-        elif rel == ">=":
-            T[i, sl] = -1.0
-            sl += 1
-    art = width
-    art_cols = []
-    for i in art_rows:
-        T[i, art] = 1.0
+    T = []
+    b = []
+    basis = []
+    for i, (a, surplus, rhs) in enumerate(rows):
+        row = a + [-k for k in a] + [0.0] * (total - 2 * n)
+        row[2 * n + i] = -1.0 if surplus else 1.0
+        T.append(row)
+        b.append(rhs)
+        basis.append(-1 if surplus else 2 * n + i)
+    art_cols = list(range(width, total))
+    for i, art in zip(art_rows, art_cols):
+        T[i][art] = 1.0
         basis[i] = art
-        art_cols.append(art)
-        art += 1
 
     tab = _Tableau(T, b, basis)
     if art_cols:
-        cost1 = np.zeros(total)
-        cost1[art_cols] = 1.0
+        cost1 = [0.0] * width + [1.0] * len(art_cols)
         tab.run(cost1, frozenset())
-        if cost1[tab.basis] @ tab.b > FEASIBILITY_TOL:
+        if _dot([cost1[i] for i in tab.basis], tab.b) > FEASIBILITY_TOL:
             return LPSolution(status="infeasible")
         # drive leftover zero-level artificials out of the basis
         for r in range(mr):
             if tab.basis[r] in art_cols:
                 for j in range(width):
-                    if abs(tab.T[r, j]) > _PIVOT_TOL:
+                    if abs(tab.T[r][j]) > _PIVOT_TOL:
                         tab._pivot(r, j)
                         break
 
-    cost2 = np.zeros(total)
-    cost2[:n] = cx
-    cost2[n : 2 * n] = -cx
+    cost2 = cx + [-k for k in cx] + [0.0] * (total - 2 * n)
     entering = tab.run(cost2, frozenset(art_cols))
     if entering is not None:
-        direction = np.zeros(total)
+        direction = [0.0] * total
         direction[entering] = 1.0
         for i, bi in enumerate(tab.basis):
-            direction[bi] = -tab.T[i, entering]
-        dx = direction[:n] - direction[n : 2 * n]
-        ray = {v: float(dx[i]) for v, i in vidx.items() if abs(dx[i]) > 1e-12}
+            direction[bi] = -tab.T[i][entering]
+        dx = [direction[i] - direction[n + i] for i in range(n)]
+        ray = {v: dx[i] for v, i in vidx.items() if abs(dx[i]) > 1e-12}
         return LPSolution(status="unbounded", ray=ray)
 
-    y = np.zeros(total)
+    y = [0.0] * total
     for i, bi in enumerate(tab.basis):
         y[bi] = tab.b[i]
-    x = y[:n] - y[n : 2 * n]
-    assignment = {v: float(x[i]) for v, i in vidx.items()}
+    x = [y[i] - y[n + i] for i in range(n)]
+    assignment = {v: x[i] for v, i in vidx.items()}
 
     for con in m.constraints:
         lhs = sum(k * assignment[v] for v, k in con.coeffs)
         slack = con.rhs - lhs
-        bad = (
-            (con.relation == "<=" and slack < -FEASIBILITY_TOL * (1 + abs(con.rhs)))
-            or (con.relation == ">=" and slack > FEASIBILITY_TOL * (1 + abs(con.rhs)))
-            or (con.relation == "=" and abs(slack) > FEASIBILITY_TOL * (1 + abs(con.rhs)))
-        )
-        if bad:
+        if slack < -FEASIBILITY_TOL * (1 + abs(con.rhs)):
             raise LPNumericalError(f"solution violates {con} by {slack}")
 
-    objective = float(cx @ x)
-    return LPSolution(status="optimal", assignment=assignment, objective=objective)
+    return LPSolution(status="optimal", assignment=assignment, objective=_dot(cx, x))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +434,7 @@ class FOLPResult:
 
 
 def _expr_row(expr: LinExpr) -> LinearConstraint:
-    return LinearConstraint(expr.coeffs, "<=", -expr.const)
+    return LinearConstraint(expr.coeffs, -expr.const)
 
 
 def seed_rows(folp: FirstOrderLP, checker: ConsistencyChecker) -> tuple:

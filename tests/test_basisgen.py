@@ -278,6 +278,33 @@ def test_cold_foapi_checker_stats(fixture, want):
     assert cold_solve_stats(fixture, "foapi") == want
 
 
+@pytest.mark.parametrize(
+    "fixture, solver, weights, objective",
+    [
+        ("boxworld_mini", "foalp", ("0x1.640b40b40b40cp+6", "0x1.5fa5fa5fa5fa6p+3"), "0x1.7a05a05a05a06p+6"),
+        (
+            "blocksworld_mini",
+            "foapi",
+            ("0x1.4070870870872p+5", "0x1.3e3de3de3de40p+4", "0x1.1cd5cd5cd5cd8p+3"),
+            "0x1.005a05a05a05bp+2",
+        ),
+        (
+            "boxworld_mini",
+            "foapi",
+            ("0x1.3ceb12355b996p+5", "0x1.4c53b72a919b0p+4", "0x1.390173f57d3bbp+3"),
+            "0x1.fb11b6bbc5c20p+1",
+        ),
+    ],
+)
+def test_cold_solve_weights_are_bit_exact(fixture, solver, weights, objective):
+    # the benchmark's three cold solves, to the last bit on every supported Python
+    model = make_generic_goal(load_fixture(fixture)[0])
+    model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+    lvf, report = generate_basis(model, BasisGenConfig(iters=2, solver=solver))
+    assert tuple(float(w).hex() for w in lvf.weights) == weights
+    assert float(report.rows[-1].solver_objective).hex() == objective
+
+
 def test_no_checker_parameter_has_a_default():
     takers = []
     for info in pkgutil.iter_modules(fomdp.__path__):

@@ -19,6 +19,7 @@ from fomdp.folp import (
     LPModel,
     LinExpr,
     LinearConstraint,
+    _Tableau,
     affine_case,
     search_schema,
     seed_rows,
@@ -33,9 +34,7 @@ def lp_from_rows(rows, c):
     n = len(c)
     variables = tuple(f"x{i}" for i in range(n))
     cons = tuple(
-        LinearConstraint(
-            tuple((f"x{i}", float(a[i])) for i in range(n) if a[i] != 0.0), "<=", float(rhs)
-        )
+        LinearConstraint(tuple((f"x{i}", float(a[i])) for i in range(n) if a[i] != 0.0), float(rhs))
         for a, rhs in rows
     )
     objective = tuple((f"x{i}", float(c[i])) for i in range(n) if c[i] != 0.0)
@@ -82,7 +81,7 @@ def test_unbounded_verdicts_agree():
 
 
 def test_minimum_with_lower_bound():
-    m = LPModel(("x",), (("x", 1.0),), (LinearConstraint((("x", 1.0),), ">=", 3.0),))
+    m = LPModel(("x",), (("x", 1.0),), (LinearConstraint((("x", -1.0),), -3.0),))
     sol = solve_lp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -94,21 +93,23 @@ def test_contradictory_bounds_infeasible():
         ("x",),
         (("x", 1.0),),
         (
-            LinearConstraint((("x", 1.0),), ">=", 1.0),
-            LinearConstraint((("x", 1.0),), "<=", 0.0),
+            LinearConstraint((("x", -1.0),), -1.0),
+            LinearConstraint((("x", 1.0),), 0.0),
         ),
     )
     assert solve_lp(m).status == "infeasible"
 
 
 def test_equality_row():
+    # x + y = 5 as two rows; the second's negative right-hand side needs phase 1
     m = LPModel(
         ("x", "y"),
         (("x", 1.0), ("y", 2.0)),
         (
-            LinearConstraint((("x", 1.0), ("y", 1.0)), "=", 5.0),
-            LinearConstraint((("y", 1.0),), ">=", 0.0),
-            LinearConstraint((("y", 1.0),), "<=", 4.0),
+            LinearConstraint((("x", 1.0), ("y", 1.0)), 5.0),
+            LinearConstraint((("x", -1.0), ("y", -1.0)), -5.0),
+            LinearConstraint((("y", -1.0),), 0.0),
+            LinearConstraint((("y", 1.0),), 4.0),
         ),
     )
     sol = solve_lp(m)
@@ -118,13 +119,11 @@ def test_equality_row():
 
 def test_degenerate_cycling_example_terminates():
     # Beale's cycling program; anti-cycling must still reach -1/20
-    nonneg = tuple(
-        LinearConstraint(((v, 1.0),), ">=", 0.0) for v in ("x1", "x2", "x3", "x4")
-    )
+    nonneg = tuple(LinearConstraint(((v, -1.0),), 0.0) for v in ("x1", "x2", "x3", "x4"))
     cons = (
-        LinearConstraint((("x1", 0.25), ("x2", -60.0), ("x3", -0.04), ("x4", 9.0)), "<=", 0.0),
-        LinearConstraint((("x1", 0.5), ("x2", -90.0), ("x3", -0.02), ("x4", 3.0)), "<=", 0.0),
-        LinearConstraint((("x3", 1.0),), "<=", 1.0),
+        LinearConstraint((("x1", 0.25), ("x2", -60.0), ("x3", -0.04), ("x4", 9.0)), 0.0),
+        LinearConstraint((("x1", 0.5), ("x2", -90.0), ("x3", -0.02), ("x4", 3.0)), 0.0),
+        LinearConstraint((("x3", 1.0),), 1.0),
     ) + nonneg
     m = LPModel(
         ("x1", "x2", "x3", "x4"),
@@ -134,6 +133,26 @@ def test_degenerate_cycling_example_terminates():
     sol = solve_lp(m)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+
+
+def test_dantzig_cycle_on_beale_switches_to_bland(monkeypatch):
+    # solve_lp splits every variable into x+ - x-, and Dantzig's rule does not
+    # cycle there; in slack form over x >= 0 it does, until Bland's rule takes over
+    chosen = []
+    real = _Tableau._entering
+
+    def entering(self, red, bland):
+        chosen.append(bland)
+        assert len(chosen) < 1000, "the simplex cycles"
+        return real(self, red, bland)
+
+    monkeypatch.setattr(_Tableau, "_entering", entering)
+    rows = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    tab = _Tableau([r + [float(k == i) for k in range(3)] for i, r in enumerate(rows)], [0.0, 0.0, 1.0], [4, 5, 6])
+    cost = [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]
+    assert tab.run(cost, frozenset()) is None
+    assert any(chosen)
+    assert sum(cost[j] * v for j, v in zip(tab.basis, tab.b)) == pytest.approx(-0.05, abs=1e-9)
 
 
 def test_solve_lp_is_deterministic():
@@ -151,13 +170,11 @@ def test_model_validation():
     with pytest.raises(FOLPError):
         LPModel(("x",), (("y", 1.0),), ())
     with pytest.raises(FOLPError):
-        LPModel(("x",), (), (LinearConstraint((("z", 1.0),), "<=", 0.0),))
+        LPModel(("x",), (), (LinearConstraint((("z", 1.0),), 0.0),))
     with pytest.raises(FOLPError):
-        LinearConstraint((), "<", 0.0)
+        LinearConstraint((("x", float("nan")),), 0.0)
     with pytest.raises(FOLPError):
-        LinearConstraint((("x", float("nan")),), "<=", 0.0)
-    with pytest.raises(FOLPError):
-        LinearConstraint((), "<=", float("inf"))
+        LinearConstraint((), float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""The package's public surface: nothing public that only tests reach.
+"""The package's public surface: nothing public that only tests reach, no third-party import.
 
 Every public top-level function and public method in `src/fomdp` must be
 named somewhere in `src/fomdp` or `perfbench` outside its own body (as a
 name, an attribute or an import), be a layer that `perfbench/tracer.py`
 wraps, or stand on the allowlist below with the reason a user needs it.
-The sources are only parsed, never imported.
+The sources are only parsed, never imported, except by a fresh interpreter
+that checks the package loads on the standard library alone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +93,20 @@ def test_public_surface_has_callers():
             orphans.append(qualname)
     assert not orphans, "public, yet only tests reach it: " + ", ".join(orphans)
     assert set(ALLOWED) <= defined, "an allowlisted definition is gone: drop it from the list"
+
+
+def test_package_imports_no_numpy():
+    # numpy stays a test-only oracle (tests/lp_oracle.py); the LP is plain Python
+    code = (
+        "import importlib, pkgutil, sys, fomdp\n"
+        "names = [m.name for m in pkgutil.iter_modules(fomdp.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('fomdp.' + name)\n"
+        "print(' '.join(names))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    names, numpy_loaded = out.stdout.splitlines()
+    assert set(names.split()) == {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert numpy_loaded == "False"
