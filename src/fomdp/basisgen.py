@@ -113,7 +113,7 @@ def candidate_regressions(
                 action = model.action(name)
                 x = action.param_vars()
                 reach = disj(
-                    regress(p.formula, ActTerm(ch.name, x), model.ssas, chk, model.fluent_names())
+                    simplify_bdd(regress(p.formula, ActTerm(ch.name, x), model.ssas, model.fluent_names()), chk)
                     for ch in action.choices
                 )
                 raw = conj((Not(p.formula), exists_chain(action.params, reach)))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .logic import (
-    ActTerm,
     And,
     ConsistencyChecker,
     FALSE,
@@ -43,7 +42,6 @@ from .logic import (
     survey,
 )
 from .query import StateIndex, compile_program
-from .sitcalc import SuccessorStateAxiom, regress
 
 
 class CaseError(Exception):
@@ -91,26 +89,32 @@ class CaseStatement:
         return "{" + mark + " " + body + " }"
 
 
+def _satisfiable(f: Formula, checker: ConsistencyChecker) -> bool:
+    """A normalized formula is not provably inconsistent at the bound; TRUE and FALSE need no check.
+
+    A consistency check that exhausts its work budget keeps the formula
+    (pruning must never be unsound).
+    """
+    return f == TRUE or (f != FALSE and checker.is_consistent(f))
+
+
 def build_case(
     parts: Iterable[Partition],
     checker: ConsistencyChecker,
     partitioned: bool = False,
-    simplify: bool = True,
 ) -> CaseStatement:
     """Construct a case, simplifying formulas and pruning inconsistent ones.
 
-    A consistency check that exhausts its work budget keeps the partition
-    (pruning must never be unsound).  The partitioned flag is the caller's assertion; dropping
-    unsatisfiable partitions cannot break it.
+    Every formula is normalized and simplified (`simplify_bdd`, through
+    `checker`'s atom tables), so callers hand in raw formulas.  The
+    partitioned flag is the caller's assertion; dropping unsatisfiable
+    partitions cannot break it.
     """
     kept = []
     for p in parts:
-        f = simplify_bdd(normalize(p.formula), checker) if simplify else normalize(p.formula)
-        if f == FALSE:
-            continue
-        if f != TRUE and not checker.is_consistent(f):
-            continue
-        kept.append(replace(p, formula=f))
+        f = simplify_bdd(normalize(p.formula), checker)
+        if _satisfiable(f, checker):
+            kept.append(replace(p, formula=f))
     return CaseStatement(tuple(kept), partitioned)
 
 
@@ -210,36 +214,16 @@ def exists_case(variables: Sequence, c: CaseStatement, checker: ConsistencyCheck
 
     Disjointness may be lost, so the partitioned flag is cleared (quantifying
     over an empty variable list keeps it).  The open pre-quantification
-    formula becomes each partition's binding body over x⃗, so policies can
-    later enumerate witnessing instantiations.
+    formula, simplified, becomes each partition's binding body over x⃗, so
+    policies can later enumerate witnessing instantiations.  The closed
+    formulas go to `build_case` raw, which simplifies them.
     """
     variables = tuple((v, t) for v, t in variables)
     out = []
     for p in c.partitions:
         open_body = simplify_bdd(normalize(p.formula), checker)
-        closed = simplify_bdd(normalize(exists_chain(variables, p.formula)), checker)
-        out.append(Partition(closed, p.value, p.tag, variables, open_body))
-    return build_case(out, checker, c.partitioned if not variables else False, simplify=False)
-
-
-def regress_case(
-    c: CaseStatement,
-    act: ActTerm,
-    ssas: Mapping[str, SuccessorStateAxiom],
-    checker: ConsistencyChecker,
-    fluents: Optional[Iterable[str]] = None,
-) -> CaseStatement:
-    """Per-partition regression through a deterministic action.
-
-    Values and tags survive; binding bookkeeping refers to the pre-regression
-    state language and is dropped.  A partition regressing to an inconsistent
-    formula is pruned, so e.g. an unreachable branch disappears.
-    """
-    out = [
-        Partition(regress(p.formula, act, ssas, checker, fluents), p.value, p.tag)
-        for p in c.partitions
-    ]
-    return build_case(out, checker, c.partitioned, simplify=False)
+        out.append(Partition(exists_chain(variables, p.formula), p.value, p.tag, variables, open_body))
+    return build_case(out, checker, c.partitioned if not variables else False)
 
 
 def max_case(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
@@ -250,14 +234,17 @@ def max_case(c: CaseStatement, checker: ConsistencyChecker) -> CaseStatement:
     and nothing better does", is φ_k ∧ ¬(φ_1 ∨ … ∨ φ_{k-1}) in one BDD shared
     by the call, with the earlier formulas as a running cover
     (`logic.disjoint_regions`).  A region the BDD proves empty is dropped
-    without the checker, the rest as in `build_case`; past the BDD's atom or
-    read-back limit a region is the normalised conjunction.  The output is
-    marked partitioned when the formulas cover every state at the bound.
+    without the checker, the rest are normalized and pruned as in
+    `build_case` but not simplified again: the BDD already reduced them.
+    Past the BDD's atom or read-back limit a region is the normalised
+    conjunction.  The output is marked partitioned when the formulas cover
+    every state at the bound.
     """
     ordered = sorted(c.partitions, key=lambda p: (-p.value, p.tag or "", sort_key(p.formula)))
     covers = checker.is_valid(Or(tuple(p.formula for p in ordered))) if ordered else False
     regions = zip(ordered, disjoint_regions([p.formula for p in ordered], checker))
-    return build_case((replace(p, formula=f) for p, f in regions), checker, covers, simplify=False)
+    parts = (replace(p, formula=normalize(f)) for p, f in regions)
+    return CaseStatement(tuple(p for p in parts if _satisfiable(p.formula, checker)), covers)
 
 
 def eval_case(

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .cases import build_case, indicator_case, parse_partitions
+from .cases import build_case, parse_partitions
 from .logic import (
     ConsistencyBound,
     ConsistencyChecker,
-    Formula,
     GroundState,
     Universe,
     make_state,
@@ -30,10 +29,10 @@ from .model import (
     ActionTemplate,
     FOMDPModel,
     ModelError,
-    NOOP,
     NatureChoice,
     PredicateDecl,
     UniversalReward,
+    materialize_universal,
 )
 from .sitcalc import SuccessorStateAxiom
 
@@ -75,13 +74,6 @@ def _split_typed_params(text: str, line: int) -> tuple:
 
 
 def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPModel:
-    # first pass: collect outcome names so SSA formulas can resolve them
-    act_names = []
-    for no, line in _lines(text):
-        m = re.match(rf"choice\s+({_IDENT})\s+prob\s+", line)
-        if m:
-            act_names.append(m.group(1))
-
     name = None
     types: tuple = ()
     predicates: dict = {}
@@ -115,10 +107,9 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             mode = None
             fname, params_text, body_text = m.groups()
             params = tuple(p.strip() for p in params_text.split(",") if p.strip())
-            body = parse_formula(body_text, (), act_names, None)
             if fname in ssas:
                 raise DomainSyntaxError(f"duplicate axiom for {fname}", no)
-            ssas[fname] = SuccessorStateAxiom(fname, params, body)
+            ssas[fname] = (params, body_text)
             continue
         m = re.match(rf"action\s+({_IDENT})\s*\(([^)]*)\)$", line)
         if m:
@@ -184,10 +175,16 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     if ureward is not None and rewards:
         raise DomainSyntaxError("a domain declares either ureward or reward cases, not both", 1)
 
-    # literals are parsed and pruned only now, against the complete signature
+    # formulas are parsed (and case literals pruned) only now, against the
+    # complete signature and every outcome name
     bound = bound or ConsistencyBound()
     checker = ConsistencyChecker(bound, signature())
     sig = signature() or None
+    act_names = [cname for _, _, choices in actions.values() for cname, _ in choices]
+    ssas = {
+        fname: SuccessorStateAxiom(fname, params, parse_formula(body_text, (), act_names, sig))
+        for fname, (params, body_text) in ssas.items()
+    }
 
     def case(text: str):
         return build_case(parse_partitions(text, (), act_names, sig), checker, True)
@@ -217,19 +214,6 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     )
     model.validate()
     return model
-
-
-def materialize_universal(ur: UniversalReward, goal: Formula, checker: ConsistencyChecker) -> dict:
-    """Reward cases paying a universal reward's values where `goal` holds.
-
-    The goal earns the idle value under noop and the acting value under
-    every other action; states violating it earn 0.  A domain passes the
-    goal's universal closure, goal decomposition one generic instance of it.
-    """
-    return {
-        NOOP: indicator_case(goal, ur.value_noop, checker),
-        "any": indicator_case(goal, ur.value_act, checker),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ from typing import Mapping, Optional
 
 from .cases import (
     CaseStatement,
+    Partition,
+    build_case,
     combine,
     constant_case,
     cross_sum,
     exists_case,
+    indicator_case,
     merge_equal_values,
-    regress_case,
     scale_case,
     verify_partitioned,
 )
@@ -37,7 +39,7 @@ from .logic import (
     free_vars,
     normalize,
 )
-from .sitcalc import SuccessorStateAxiom
+from .sitcalc import SuccessorStateAxiom, regress
 
 NOOP = "noop"
 NOOP_CHOICE = "noopEff"
@@ -90,6 +92,19 @@ class UniversalReward:
         return normalize(forall_chain(self.variables, self.goal))
 
 
+def materialize_universal(ur: UniversalReward, goal: Formula, checker: ConsistencyChecker) -> dict:
+    """Reward cases paying a universal reward's values where `goal` holds.
+
+    The goal earns the idle value under noop and the acting value under
+    every other action; states violating it earn 0.  A domain passes the
+    goal's universal closure, goal decomposition one generic instance of it.
+    """
+    return {
+        NOOP: indicator_case(goal, ur.value_noop, checker),
+        "any": indicator_case(goal, ur.value_act, checker),
+    }
+
+
 @dataclass(frozen=True)
 class FOMDPModel:
     name: str
@@ -99,15 +114,9 @@ class FOMDPModel:
     ssas: Mapping[str, SuccessorStateAxiom]
     rewards: Mapping[str, CaseStatement]  # keyed by template name, "noop", or "any"
     discount: float
+    checker: ConsistencyChecker = field(compare=False)
     universal_reward: Optional[UniversalReward] = None
     bound: ConsistencyBound = ConsistencyBound()
-    checker: ConsistencyChecker = field(default=None, compare=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.checker is None:
-            object.__setattr__(
-                self, "checker", ConsistencyChecker(self.bound, self.signature())
-            )
 
     # -- vocabulary ----------------------------------------------------------
 
@@ -230,14 +239,22 @@ class BackedUpLinear:
 
 
 def fodtr(model: FOMDPModel, v: CaseStatement, action: ActionTemplate) -> CaseStatement:
-    """γ · ⊕_j [ pCase(n_j) ⊗ Regr(v, n_j(x⃗)) ], free in the action parameters."""
+    """γ · ⊕_j [ pCase(n_j) ⊗ Regr(v, n_j(x⃗)) ], free in the action parameters.
+
+    Regr(v, n_j(x⃗)) regresses each partition of v through the outcome: its
+    value and tag survive, its binding bookkeeping (which speaks the
+    post-action state language) is dropped, and a partition that regresses
+    to an inconsistent formula is pruned, so an unreachable branch
+    disappears.  `build_case` simplifies the regressed formulas.
+    """
     if not v.partitioned:
         raise ModelError("fodtr requires a partitioned value case")
-    x = action.param_vars()
+    x, fluents = action.param_vars(), model.fluent_names()
     terms = []
     for ch in action.choices:
         act = ActTerm(ch.name, x)
-        reg = regress_case(v, act, model.ssas, model.checker, model.fluent_names())
+        regressed = (Partition(regress(p.formula, act, model.ssas, fluents), p.value, p.tag) for p in v.partitions)
+        reg = build_case(regressed, model.checker, v.partitioned)
         terms.append(combine("multiply", ch.pcase, reg, model.checker))
     out = cross_sum(terms, model.checker)
     return merge_equal_values(scale_case(out, model.discount), model.checker)

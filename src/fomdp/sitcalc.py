@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .logic import (
     ActTerm,
     Atom,
-    ConsistencyChecker,
     Eq,
     Exists,
     FALSE,
@@ -34,7 +33,6 @@ from .logic import (
     nodes,
     normalize,
     objects_in,
-    simplify_bdd,
     substitute,
     term_names,
 )
@@ -133,23 +131,17 @@ def regress(
     f: Formula,
     act: ActTerm,
     ssas: Mapping[str, SuccessorStateAxiom],
-    checker: ConsistencyChecker,
     fluents: Optional[Iterable[str]] = None,
 ) -> Formula:
     """Pre-action formula equivalent to f holding after doing act.
 
     Fluent atoms are replaced by their axiom bodies (statics pass through),
     action equalities are resolved against act, and the result is normalized
-    and simplified (`simplify_bdd`, through `checker`'s atom tables).
+    but not simplified: pruning and simplifying are the case algebra's job.
     `fluents`, when given, lists every predicate that must have
     an axiom; atoms of unlisted predicates are treated as static.
     """
     declared = frozenset(fluents) if fluents is not None else None
-    return simplify_bdd(normalize(_regress_raw(f, act, ssas, declared)), checker)
-
-
-def _regress_raw(f: Formula, act: ActTerm, ssas, declared) -> Formula:
-    """f with each fluent atom replaced by its axiom body for act and action equalities resolved."""
 
     def leaf(g: Formula) -> Formula:
         if isinstance(g, Eq):
@@ -160,7 +152,7 @@ def _regress_raw(f: Formula, act: ActTerm, ssas, declared) -> Formula:
             raise RegressionError(f"no successor-state axiom for fluent {g.pred}")
         return g
 
-    return map_leaves(f, leaf)
+    return normalize(map_leaves(f, leaf))
 
 
 def apply_action(

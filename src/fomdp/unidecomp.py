@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .cases import CaseStatement, constant_case
-from .domains import materialize_universal
 from .logic import (
     FALSE,
     TRUE,
@@ -35,7 +34,7 @@ from .logic import (
     replace_objects,
     substitute,
 )
-from .model import FOMDPModel, LinearValueFunction, backup_exists
+from .model import FOMDPModel, LinearValueFunction, backup_exists, materialize_universal
 from .query import StateIndex, compile_program
 
 

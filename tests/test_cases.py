@@ -30,7 +30,6 @@ from fomdp.cases import (
     max_case,
     merge_equal_values,
     parse_case,
-    regress_case,
     scale_case,
     verify_partitioned,
 )
@@ -54,7 +53,7 @@ from fomdp.logic import (
     parse_formula,
     survey,
 )
-from fomdp.sitcalc import SuccessorStateAxiom
+from fomdp.sitcalc import SuccessorStateAxiom, regress
 from case_reference import eval_max
 from max_case_reference import assert_same_regions, reference_max_case
 from test_logic import TYPED_SIG, typed_corpus
@@ -202,14 +201,19 @@ def test_exists_case_keeps_bindings_on_request():
 
 
 def test_regress_case_flip():
+    def regress_case(c, act):
+        # per-partition regression, pruned and simplified as `model.fodtr` does it
+        parts = (Partition(regress(p.formula, act, FLIP_SSAS), p.value, p.tag) for p in c.partitions)
+        return build_case(parts, ConsistencyChecker(), c.partitioned)
+
     c = case_of([(P, 1), (Not(P), 0)], ConsistencyChecker())
-    through_s = regress_case(c, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker())
+    through_s = regress_case(c, ActTerm("flipS"))
     assert through_s.formulas() == (TRUE,) and through_s.values() == (1.0,)
     assert through_s.partitioned
-    through_f = regress_case(c, ActTerm("flipF"), FLIP_SSAS, ConsistencyChecker())
+    through_f = regress_case(c, ActTerm("flipF"))
     assert through_f.formulas() == c.formulas() and through_f.values() == c.values()
     const = constant_case(4.5)
-    assert regress_case(const, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker()) == const
+    assert regress_case(const, ActTerm("flipS")) == const
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from fomdp.domains import (
     DomainSyntaxError,
     fixture_path,
     load_fixture,
-    materialize_universal,
     parse_domain,
     parse_instance,
     validate_instance,
@@ -23,7 +22,7 @@ from fomdp.logic import (
     make_state,
     parse_formula,
 )
-from fomdp.model import ModelError, UniversalReward
+from fomdp.model import ModelError, UniversalReward, materialize_universal
 
 
 def test_flip_domain_structure():
@@ -161,6 +160,16 @@ def test_case_literal_arity_checked_in_any_order(literal, literal_first):
     text = "domain x\ntypes: Thing\n" + "\n".join(blocks) + "\ndiscount 0.5\n"
     with pytest.raises(ArityError):
         parse_domain(text)
+
+
+@pytest.mark.parametrize("wrong, right", [("Tat(t, c)", "TAt(t, c)"), ("On(b)", "On(b, t)")], ids=["undeclared", "arity"])
+def test_axiom_body_checked_against_the_signature(wrong, right):
+    # a misspelt predicate or a wrong arity in boxworld's BIn axiom, which
+    # regression would otherwise read as a static atom
+    lines = fixture_path("boxworld_mini.domain").read_text().splitlines()
+    lines = [line.replace(right, wrong) if line.startswith("ssa BIn(") else line for line in lines]
+    with pytest.raises(ArityError):
+        parse_domain("\n".join(lines))
 
 
 def test_case_literal_may_use_a_predicate_declared_later():

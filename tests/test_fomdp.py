@@ -336,10 +336,11 @@ def test_validate_probability_range():
 def test_validate_pcase_free_variables():
     model = flip_pieces()
     pc = parse_case("{ Q(z) : 1.0 ; !Q(z) : 0.0 }", ConsistencyChecker())
-    preds = {**model.predicates, "Q": PredicateDecl("Q", ("Thing",))}
+    preds = {**model.predicates, "Q": PredicateDecl("Q", ("Thing",), static=True)}
     bad = ActionTemplate("flip", (), (NatureChoice("flipS", pc),))
-    with pytest.raises(ModelError):
-        replace(model, predicates=preds, actions={"flip": bad}, checker=None).validate()
+    checker = ConsistencyChecker(model.bound, {p.name: p.arg_types for p in preds.values()})
+    with pytest.raises(ModelError, match="non-parameters"):
+        replace(model, predicates=preds, actions={"flip": bad}, checker=checker).validate()
 
 
 def test_validate_pcase_partition():

@@ -38,12 +38,12 @@ from fomdp.logic import (
     make_state,
     normalize,
     parse_formula,
+    simplify_bdd,
     substitute,
 )
 from fomdp.sitcalc import (
     RegressionError,
     SuccessorStateAxiom,
-    _regress_raw,
     apply_action,
     regress,
     resolve_action_equalities,
@@ -151,14 +151,14 @@ def random_box_formula(rng: random.Random, depth: int, scope: dict) -> object:
 
 def test_flip_regression_frozen():
     p = Atom("P")
-    assert regress(p, ActTerm("flipS"), FLIP_SSAS, ConsistencyChecker()) == TRUE
-    assert regress(p, ActTerm("flipF"), FLIP_SSAS, ConsistencyChecker()) == p
+    assert regress(p, ActTerm("flipS"), FLIP_SSAS) == TRUE
+    assert regress(p, ActTerm("flipF"), FLIP_SSAS) == p
 
 
 def test_static_atom_unchanged():
     dst = Atom("Dst", (Var("b"), Var("c")))
     act = ActTerm("driveS", (Var("t"), Var("c1"), Var("c")))
-    assert regress(dst, act, BOX_SSAS, ConsistencyChecker()) == dst
+    assert regress(dst, act, BOX_SSAS) == dst
 
 
 def test_drive_regression():
@@ -171,7 +171,7 @@ def test_drive_regression():
     """
     f = Atom("TAt", (Var("t"), Var("c")))
     act = ActTerm("driveS", (Var("t"), Var("c1"), Var("c")))
-    got = regress(f, act, BOX_SSAS, ConsistencyChecker())
+    got = simplify_bdd(regress(f, act, BOX_SSAS), ConsistencyChecker())
     want = normalize(Or((Atom("TAt", (Var("t"), Var("c"))), Atom("TAt", (Var("t"), Var("c1"))))))
     assert got == want
 
@@ -190,8 +190,8 @@ def test_drive_regression():
 
 def test_regress_distributes_over_connectives():
     def raw(f):
-        # regression before `simplify_bdd`: the axiom bodies put in for the leaves, normalized
-        return normalize(_regress_raw(f, act, BOX_SSAS, None))
+        # the axiom bodies put in for the leaves, normalized
+        return regress(f, act, BOX_SSAS)
 
     rng = random.Random(9)
     act = ActTerm("driveS", (Var("t"), Var("c1"), Var("c2")))
@@ -229,7 +229,7 @@ def test_regression_soundness_corpus():
     for psi in formulas:
         assert not free_vars(psi), format_formula(psi)
         for act in actions:
-            rho = regress(psi, act, BOX_SSAS, ConsistencyChecker())
+            rho = regress(psi, act, BOX_SSAS)
             for s, a, after in transitions:
                 if a != act:
                     continue
@@ -305,12 +305,12 @@ def test_action_equality_resolution():
 
 def test_missing_ssa_for_declared_fluent():
     with pytest.raises(RegressionError):
-        regress(Atom("Held", (Var("b"),)), ActTerm("noopS"), BOX_SSAS, ConsistencyChecker(), fluents=["TAt", "Held"])
+        regress(Atom("Held", (Var("b"),)), ActTerm("noopS"), BOX_SSAS, fluents=["TAt", "Held"])
 
 
 def test_ssa_arity_mismatch():
     with pytest.raises(RegressionError):
-        regress(Atom("TAt", (Var("t"),)), ActTerm("noopS"), BOX_SSAS, ConsistencyChecker())
+        regress(Atom("TAt", (Var("t"),)), ActTerm("noopS"), BOX_SSAS)
 
 
 def test_apply_requires_ground_action():

@@ -1,4 +1,5 @@
-"""The package's public surface: nothing public that only tests reach, no third-party import.
+"""The package's public surface: nothing public that only tests reach, no third-party import,
+and module imports that only point down a fixed order of layers.
 
 Every public top-level function and public method in `src/fomdp` must be
 named somewhere in `src/fomdp` or `perfbench` outside its own body (as a
@@ -93,6 +94,25 @@ def test_public_surface_has_callers():
             orphans.append(qualname)
     assert not orphans, "public, yet only tests reach it: " + ", ".join(orphans)
     assert set(ALLOWED) <= defined, "an allowlisted definition is gone: drop it from the list"
+
+
+# each module imports at module level only from modules before it
+LAYERS = ("logic", "query", "cases", "sitcalc", "model", "folp", "solvers", "basisgen", "unidecomp", "domains")
+
+
+def test_modules_import_only_lower_layers():
+    # function-level imports (the two of `logic` from `query`) are outside this rule
+    package = _parsed(PACKAGE)
+    assert set(LAYERS) == {path.stem for path in package} - {"__init__"}
+    upward = [
+        f"{path.stem} -> {node.module}"
+        for path, tree in package.items()
+        if path.stem != "__init__"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        if node.module not in LAYERS[: LAYERS.index(path.stem)]
+    ]
+    assert not upward, "imports from a module at or above its own layer: " + ", ".join(upward)
 
 
 def test_package_imports_no_numpy():
