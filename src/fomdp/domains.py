@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .cases import build_case, parse_partitions
+from .cases import CaseError, build_case, parse_partitions
 from .logic import (
     ConsistencyBound,
     ConsistencyChecker,
     GroundState,
+    LogicError,
     Universe,
     make_state,
     normalize,
@@ -109,7 +110,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             params = tuple(p.strip() for p in params_text.split(",") if p.strip())
             if fname in ssas:
                 raise DomainSyntaxError(f"duplicate axiom for {fname}", no)
-            ssas[fname] = (params, body_text)
+            ssas[fname] = (params, body_text, no)
             continue
         m = re.match(rf"action\s+({_IDENT})\s*\(([^)]*)\)$", line)
         if m:
@@ -124,7 +125,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         if m:
             if current_action is None:
                 raise DomainSyntaxError("choice outside an action block", no)
-            current_action[2].append(m.groups())
+            current_action[2].append((*m.groups(), no))
             continue
         m = re.match(rf"reward\s+({_IDENT})\s+(\{{.*\}})$", line)
         if m:
@@ -132,7 +133,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             key, case_text = m.groups()
             if key in rewards:
                 raise DomainSyntaxError(f"duplicate reward for {key}", no)
-            rewards[key] = case_text
+            rewards[key] = (case_text, no)
             continue
         m = re.match(r"ureward\s+forall\s+(.+)$", line)
         if m:
@@ -149,7 +150,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
                 raise DomainSyntaxError("ureward values must be 'noop v ; act v'", no)
             if ureward is not None:
                 raise DomainSyntaxError("duplicate ureward", no)
-            ureward = (uvars, pieces[1], float(mn.group(1)), float(ma.group(1)))
+            ureward = (uvars, pieces[1], float(mn.group(1)), float(ma.group(1)), no)
             continue
         m = re.match(r"discount\s+([-+0-9.eE]+)$", line)
         if m:
@@ -180,25 +181,31 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     bound = bound or ConsistencyBound()
     checker = ConsistencyChecker(bound, signature())
     sig = signature() or None
-    act_names = [cname for _, _, choices in actions.values() for cname, _ in choices]
+    act_names = [cname for _, _, choices in actions.values() for cname, _, _ in choices]
+
+    def parsed(text: str, no: int, directive: str, case: bool = False):
+        """A formula or case literal; its error keeps its type and names the line and directive."""
+        try:
+            if case:
+                return build_case(parse_partitions(text, (), act_names, sig), checker, True)
+            return parse_formula(text, (), act_names, sig)
+        except (LogicError, CaseError) as err:
+            err.args = (f"domain line {no} ({directive}): {err}",)
+            raise
+
     ssas = {
-        fname: SuccessorStateAxiom(fname, params, parse_formula(body_text, (), act_names, sig))
-        for fname, (params, body_text) in ssas.items()
+        fname: SuccessorStateAxiom(fname, params, parsed(body_text, no, f"ssa {fname}"))
+        for fname, (params, body_text, no) in ssas.items()
     }
-
-    def case(text: str):
-        return build_case(parse_partitions(text, (), act_names, sig), checker, True)
-
     if ureward is not None:
-        uvars, goal_text, noop_v, act_v = ureward
-        goal = normalize(parse_formula(goal_text, (), act_names, sig))
-        ureward = UniversalReward(uvars, goal, noop_v, act_v)
+        uvars, goal_text, noop_v, act_v, no = ureward
+        ureward = UniversalReward(uvars, normalize(parsed(goal_text, no, "ureward")), noop_v, act_v)
         rewards = materialize_universal(ureward, ureward.closed(), checker)
     else:
-        rewards = {key: case(text) for key, text in rewards.items()}
+        rewards = {key: parsed(text, no, f"reward {key}", True) for key, (text, no) in rewards.items()}
     templates = {}
     for aname, (aname2, params, choices) in actions.items():
-        outcomes = tuple(NatureChoice(cname, case(text)) for cname, text in choices)
+        outcomes = tuple(NatureChoice(cname, parsed(text, no, f"choice {cname}", True)) for cname, text, no in choices)
         templates[aname] = ActionTemplate(aname, params, outcomes)
     model = FOMDPModel(
         name=name,

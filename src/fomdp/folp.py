@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from .cases import CaseStatement
@@ -160,9 +161,11 @@ class _Tableau:
     def run(self, cost: list, banned: frozenset) -> Optional[int]:
         """Minimize cost over the tableau; returns entering column if unbounded."""
         while True:
-            cb = [cost[i] for i in self.basis]
-            columns = zip(*self.T) if self.T else [()] * len(cost)
-            red = [_dot(cb, col) - c for col, c in zip(columns, cost)]
+            red = [0.0] * len(cost)  # `_dot(cb, column)` by rows; a zero basic cost adds ±0.0, a no-op from +0.0
+            for i, row in zip(self.basis, self.T):
+                if cost[i]:
+                    red = [r + cost[i] * x for r, x in zip(red, row)]
+            red = [r - c for r, c in zip(red, cost)]
             for j in banned:
                 red[j] = -math.inf
             bland = self.degenerate >= 50
@@ -308,7 +311,8 @@ class ConstraintSchema:
     the bound.  `_selections` walks the cross product: the seed row tries each
     certified case's negative partition first, and the violation search visits
     each positive with all other certified cases negative (plus the all-negative
-    selection) instead of the full cross product.
+    selection) instead of the full cross product, and skips any prefix whose
+    value bound cannot reach `max(best, VIOLATION_TOL)` (exact; see `search_schema`).
     """
 
     schema_id: str
@@ -351,11 +355,13 @@ def _selections(
     sel: list,
     formulas: tuple,
     expr: LinExpr,
+    prune=None,
 ):
     """Consistent completions of a partial selection, depth first, with their summed exprs.
 
     `levels` lists the (case index, partition order) pairs still to choose.  Each
     choice is written into `sel` in place, so read it before resuming the walk.
+    A partition is skipped unchecked when `prune(summed expr, levels left)` is true.
     """
     if not levels:
         yield expr
@@ -363,21 +369,44 @@ def _selections(
     (i, order), rest = levels[0], levels[1:]
     parts = schema.cases[i].partitions
     for pi in order:
+        e = expr + _as_expr(parts[pi].value)
         fs = formulas + (parts[pi].formula,)
-        if checker.is_consistent(conj(fs)):
+        if not (prune and prune(e, rest)) and checker.is_consistent(conj(fs)):
             sel[i] = pi
-            yield from _selections(schema, checker, rest, sel, fs, expr + _as_expr(parts[pi].value))
+            yield from _selections(schema, checker, rest, sel, fs, e, prune)
 
 
 def search_schema(
     schema: ConstraintSchema,
     weights: Mapping[str, float],
     checker: ConsistencyChecker,
+    pruned: Optional[list] = None,
 ) -> Optional[ViolatedConstraint]:
-    """Most-violated selection of one schema from `_selections`, or None within `VIOLATION_TOL`."""
+    """Most-violated selection of one schema from `_selections`, or None within `VIOLATION_TOL`.
+
+    A prefix is skipped unchecked, counted in `pruned[0]`, when its value plus the
+    largest value of each case left is below `max(best, VIOLATION_TOL)` by more
+    than a margin.  Exact: no completion beats the best (by the 1e-15 a
+    replacement needs) or passes the tolerance (at or below it nothing is
+    returned); a sub-tolerance best it might have set lies the margin, a million
+    1e-15 steps, under the tolerance.  The margin outweighs the rounding of
+    per-case sums: it scales with the size of every term, which can dwarf the
+    sum under ray weights (1e4).
+    """
     cert = tuple(schema.certified)
     others = tuple((i, range(len(c.partitions))) for i, c in enumerate(schema.cases) if i not in cert)
-    best = None
+    exprs = [[_as_expr(p.value) for p in c.partitions] for c in schema.cases]
+    # tails[k]: the most that the last k cases of `others` can add
+    tails = list(accumulate((max(e.evaluate(weights) for e in exprs[i]) for i, _ in reversed(others)), initial=0.0))
+    size = sum(max(abs(e.const) + sum(abs(k * weights[v]) for v, k in e.coeffs) for e in es) for es in exprs)
+    pruned, best = [0] if pruned is None else pruned, None
+
+    def prune(expr, rest):
+        floor = max(best.violation, VIOLATION_TOL) if best else VIOLATION_TOL
+        skip = expr.evaluate(weights) + tails[len(rest)] < floor - 1e-9 * (1.0 + size)
+        pruned[0] += skip
+        return skip
+
     # all-negative, then each positive in turn: the only consistent certified
     # patterns, each checked as one conjunction before the walk extends it
     for positive in (None,) + cert:
@@ -386,10 +415,10 @@ def search_schema(
             sel[i] = 0 if i == positive else 1
         prefix = [schema.cases[i].partitions[sel[i]] for i in cert]
         formulas = tuple(p.formula for p in prefix)
-        if formulas and not checker.is_consistent(conj(formulas)):
-            continue
         expr = sum((_as_expr(p.value) for p in prefix), LinExpr())
-        for full in _selections(schema, checker, others, sel, formulas, expr):
+        if prune(expr, others) or formulas and not checker.is_consistent(conj(formulas)):
+            continue
+        for full in _selections(schema, checker, others, sel, formulas, expr, prune):
             value = full.evaluate(weights)
             if best is None or value > best.violation + 1e-15:
                 best = ViolatedConstraint(schema.schema_id, tuple(sel), full, value)
@@ -401,12 +430,13 @@ def search_schemata(
     weights: Mapping[str, float],
     checker: ConsistencyChecker,
 ) -> list:
-    """Per-schema (violation, wall-ms) results, schema order preserved."""
+    """Per-schema (violation, wall-ms, prefixes pruned) results, schema order preserved."""
     out = []
     for schema in schemata:
         t0 = time.perf_counter()
-        vc = search_schema(schema, weights, checker)
-        out.append((vc, (time.perf_counter() - t0) * 1000.0))
+        pruned = [0]
+        vc = search_schema(schema, weights, checker, pruned)
+        out.append((vc, (time.perf_counter() - t0) * 1000.0, pruned[0]))
     return out
 
 
@@ -422,6 +452,7 @@ class GenerationRow:
     num_constraints: int
     lp_objective: float
     wall_ms: float
+    pruned: int  # prefixes the violation search skipped by its value bound
 
 
 @dataclass(frozen=True)
@@ -477,9 +508,9 @@ def solve_first_order_lp(folp: FirstOrderLP, checker: ConsistencyChecker) -> FOL
         added = 0
         stalled = False
         found = search_schemata(folp.schemata, weights, checker)
-        for schema, (vc, wall) in zip(folp.schemata, found):
+        for schema, (vc, wall, pruned) in zip(folp.schemata, found):
             stats.append(
-                GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall)
+                GenerationRow(it, schema.schema_id, vc.violation if vc else 0.0, len(rows), lp_objective, wall, pruned)
             )
             if vc is None:
                 continue

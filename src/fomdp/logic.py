@@ -934,11 +934,11 @@ class ConsistencyBound:
 
     A formula is consistent at the bound when some model has at most
     `objects_per_type` objects of each type (more if its named objects need
-    them).  The work budget counts ground expansions actually performed (a
-    subformula met again under the same values of its free variables is a
-    free memo hit, and inside a checker session so is a quantifier expanded
-    by an earlier check over the same pools) plus search steps, across every
-    size the check grounds, so a verdict never depends on load.
+    them).  The work budget counts junction and quantifier expansions actually
+    performed (a literal is free, and so is a memo hit: a subformula met again
+    under the same values of its free variables or, in a checker session, a
+    quantifier an earlier check expanded over the same pools) plus search
+    steps, across every size the check grounds, so a verdict never depends on load.
     """
 
     objects_per_type: int = 3
@@ -965,7 +965,7 @@ class CheckerStats:
     lifted: int = 0  # verdicts the lifted pass decided
     groundings: int = 0  # domain size combinations grounded
     skipped: int = 0  # size combinations left ungrounded because their types are monotone
-    work: int = 0  # budget units: ground expansions performed (a memo hit, also across a session, is free) plus search steps
+    work: int = 0  # budget units: junction and quantifier expansions performed (a literal or a memo hit, also across a session, is free) plus search steps
     exhausted: int = 0  # checks that ran out of budget
     atoms: int = 0  # BDD atoms canonicalised: misses of the atom table, by any BDD pass through this checker
     reused: int = 0  # quantifier expansions read from the memo instead of being performed
@@ -1302,12 +1302,12 @@ def _ground_plan(f: Formula, ids: dict) -> Callable:
     closure over environment slots for its variables and named objects, and
     structurally equal subformulas share one id.  A subformula compiles when
     a grounding first reaches it, so a branch that is never reached costs
-    nothing.  `ids` is the store's.  Within one grounding each (id, values of
-    the subformula's free variables) is expanded once and spends one budget
-    unit; a repeat reads the memo for free, and a quantifier's memo is the
-    store's for the pools, which later groundings over them also read.  The
-    tree walk this replaced made no node on a repeat either, so with a fresh
-    store the DAG is the same, node for node.
+    nothing.  `ids` is the store's.  Within one grounding each junction or
+    quantifier, per values of its free variables, is expanded once for one
+    budget unit; a repeat reads the memo free, and a quantifier's memo is the
+    store's for the pools, which later groundings over them also read.  A
+    literal, free, is expanded each time, and the DAG interns its node, so
+    with a fresh store the DAG is the one a tree walk makes, node for node.
     """
     init: list = []  # the environment a grounding starts from; compiling appends slots
     root = _ground_node(f, {}, ({}, ids, init))
@@ -1323,7 +1323,10 @@ def _ground_node(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Callable:
     """`(env, run) -> DAG node` for f.
 
     ctx is the plan's (fixed, ids, init); run is (pools, dag, left, memo, quantifier memo, stats).
+    A literal skips the memo: the DAG interns its node anyway.
     """
+    if isinstance(f, (Bool, Atom, Eq)) or isinstance(f, Not) and isinstance(f.sub, (Bool, Atom, Eq)):
+        return _ground_expansion(f, scope, ctx)
     compiled: list = []  # id, key of the free variables' values, expansion: filled when first reached
     quantifier = isinstance(f, (Exists, Forall))
     which = 4 if quantifier else 3  # the memo f's expansions go in

@@ -242,13 +242,13 @@ def test_checker_stats_repeat_across_cold_solves():
     stats = [cold_solve_stats("boxworld_mini", "foalp") for _ in range(2)]
     assert stats[0] == stats[1]
     s = stats[0]
-    assert (s.checks, s.cache_hits, s.lifted_attempts, s.lifted) == (643, 506, 56, 46)
-    # grounding every size combination of every type took 243 groundings here
-    assert (s.groundings, s.skipped, s.exhausted) == (135, 238, 0)
-    # grounding every size combination of every type by a tree walk cost 240,276
-    # units here, and its largest sizes alone 77,725; a repeated expansion is now
-    # free, and with memos that ended with each grounding this took 20,577 units
-    assert (s.work, s.reused, s.atoms) == (12_814, 2_288, 31)
+    # the violation search's value bound skips checks: without it this took
+    # (643, 506, 56, 46), and 135 groundings with 238 skipped
+    assert (s.checks, s.cache_hits, s.lifted_attempts, s.lifted) == (408, 299, 39, 31)
+    assert (s.groundings, s.skipped, s.exhausted) == (109, 192, 0)
+    # without the bound, and with a literal costing a unit, this took 12,814 units
+    # and reused 2,288 expansions; a tree walk over every size combination took 240,276
+    assert (s.work, s.reused, s.atoms) == (10_086, 1_991, 31)
     # the counts do not depend on the hash seed either
     code = (
         "import dataclasses, json, test_basisgen as t;"
@@ -264,12 +264,12 @@ def test_checker_stats_repeat_across_cold_solves():
 @pytest.mark.parametrize(
     "fixture, want",
     [
-        ("blocksworld_mini", CheckerStats(checks=836, cache_hits=729, groundings=142, work=5_647, atoms=119, reused=1_649)),
+        ("blocksworld_mini", CheckerStats(checks=442, cache_hits=336, groundings=140, work=3_852, atoms=119, reused=1_619)),
         (
             "boxworld_mini",
             CheckerStats(
-                checks=846, cache_hits=720, lifted_attempts=53, lifted=22,
-                groundings=292, skipped=464, work=39_119, atoms=167, reused=4_686,
+                checks=549, cache_hits=423, lifted_attempts=53, lifted=22,
+                groundings=292, skipped=464, work=33_045, atoms=167, reused=4_686,
             ),
         ),
     ],
@@ -388,7 +388,7 @@ def cold_blocksworld_foapi_trace() -> dict:
 
 def test_cold_foapi_solve_repeats_across_hash_seeds():
     trace = cold_blocksworld_foapi_trace()
-    assert trace["checks"] == [836, 729]
+    assert trace["checks"] == [442, 336]
     # two reweightings: the first policy repeats at iteration 4, the second at 3
     assert trace["regions"] == [[9, 2], [9, 3], [9, 3], [9, 3], [15, 5], [15, 5], [15, 5]]
     assert [[[tag, value] for _, tag, value in key] for key in trace["policies"]] == [

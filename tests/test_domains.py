@@ -18,6 +18,7 @@ from fomdp.logic import (
     ArityError,
     ConsistencyBound,
     ConsistencyChecker,
+    FormulaSyntaxError,
     eval_in_state,
     make_state,
     parse_formula,
@@ -170,6 +171,26 @@ def test_axiom_body_checked_against_the_signature(wrong, right):
     lines = [line.replace(right, wrong) if line.startswith("ssa BIn(") else line for line in lines]
     with pytest.raises(ArityError):
         parse_domain("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "fixture, no, right, wrong, error, directive",
+    [
+        ("boxworld_mini", 14, "& On(b, t)", "& & On(b, t)", FormulaSyntaxError, "ssa BIn"),
+        ("boxworld_mini", 14, "TAt(t, c)", "Tat(t, c)", ArityError, "ssa BIn"),
+        ("boxworld_mini", 17, "snow(c1) : 0.6", "snow(c1, c1) : 0.6", ArityError, "choice driveS"),
+        ("boxworld_mini", 28, "Dst(b, c) ->", "Dst(b) ->", ArityError, "ureward"),
+        ("flip", 13, "!P : 0", "!P(x) : 0", ArityError, "reward any"),
+    ],
+    ids=["stray-and", "undeclared", "choice-arity", "ureward-arity", "reward-arity"],
+)
+def test_formula_errors_name_the_domain_line_and_directive(fixture, no, right, wrong, error, directive):
+    lines = fixture_path(f"{fixture}.domain").read_text().splitlines()
+    assert right in lines[no - 1]
+    lines[no - 1] = lines[no - 1].replace(right, wrong, 1)
+    with pytest.raises(error) as err:
+        parse_domain("\n".join(lines))
+    assert str(err.value).startswith(f"domain line {no} ({directive}): ")
 
 
 def test_case_literal_may_use_a_predicate_declared_later():

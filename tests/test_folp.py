@@ -28,6 +28,7 @@ from fomdp.folp import (
 )
 from fomdp.logic import TRUE, And, Atom, ConsistencyChecker, Not, Universe, conj, make_state
 from lp_oracle import bounded_instance, infeasible_instance, unbounded_instance, vertex_optimum
+from search_reference import reference_search
 
 
 def lp_from_rows(rows, c):
@@ -295,6 +296,54 @@ def test_certified_search_matches_brute_force():
             assert got.expr.evaluate(weights) == pytest.approx(expect, abs=1e-9)
 
 
+def _random_schema(rng, sid):
+    """Overlapping uncertified cases over four switches, certified pairs over minterms of two more."""
+    atoms = [Atom(f"A{j}") for j in range(4)]
+
+    def literal():
+        a = rng.choice(atoms)
+        return a if rng.random() < 0.5 else Not(a)
+
+    def value():
+        names = rng.sample(["w0", "w1", "w2"], rng.randrange(3))
+        return LinExpr.of({v: rng.choice((-2.0, -1.0, 0.5, 1.0, 3.0)) for v in names}, rng.choice((-3.0, -1.0, 0.0, 0.25, 2.0)))
+
+    cases = [
+        (CaseStatement(tuple(Partition(conj(tuple(literal() for _ in range(rng.randrange(1, 3)))), value()) for _ in range(rng.randrange(1, 4))), True), False)
+        for _ in range(rng.randrange(1, 5))
+    ]
+    for pattern in rng.sample(range(4), rng.randrange(4)):
+        pos = _minterm(2, pattern)
+        cases.append((CaseStatement((Partition(pos, value()), Partition(Not(pos), value())), True), True))
+    rng.shuffle(cases)
+    return ConstraintSchema(sid, tuple(c for c, _ in cases), tuple(i for i, (_, cert) in enumerate(cases) if cert))
+
+
+def test_bounded_search_matches_unbounded_reference():
+    # integer weights tie often; ray-scale weights (an unbounded LP's ray
+    # scaled to 1e4, as in constraint generation) make large sums that cancel
+    rng = random.Random(20261021)
+    chk = ConsistencyChecker()
+    pruned, found = [0], 0
+    for trial in range(300):
+        schema = _random_schema(rng, f"r{trial}")
+        if trial % 3 == 0:
+            weights = {f"w{j}": float(rng.randrange(-2, 3)) for j in range(3)}
+        elif trial % 3 == 1:
+            weights = {f"w{j}": rng.uniform(-10.0, 10.0) for j in range(3)}
+        else:
+            ray = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            weights = {f"w{j}": 1e4 / max(map(abs, ray)) * r for j, r in enumerate(ray)}
+        got = search_schema(schema, weights, chk, pruned)
+        want = reference_search(schema, weights, chk)
+        if want is None:
+            assert got is None
+            continue
+        found += 1
+        assert (got.selection, got.expr, got.violation.hex()) == (want.selection, want.expr, want.violation.hex())
+    assert pruned[0] > 300 and 100 < found < 300
+
+
 def test_seed_rows_match_brute_force():
     # the seed row is the first consistent selection of the cross product in
     # which each certified case lists its negative partition first
@@ -379,6 +428,17 @@ def test_generation_solves_two_action_value_bound():
     # one seed per schema plus one generated cut per schema
     assert len(res.constraints) == 4
     assert res.iterations == 2
+
+
+def test_generation_rows_count_pruned_prefixes():
+    res = solve_first_order_lp(_flip_folp(), ConsistencyChecker())
+    rows = [(r.iteration, r.schema_id, r.pruned) for r in res.stats]
+    assert rows == [(1, "flip", 1), (1, "noop", 1), (2, "flip", 2), (2, "noop", 2)]
+    # the last rows are the searches at the optimum
+    for schema in _flip_folp().schemata:
+        pruned = [0]
+        assert search_schema(schema, res.assignment, ConsistencyChecker(), pruned) is None
+        assert pruned == [2]
 
 
 def test_unbounded_relaxation_probed_with_ray():
