@@ -25,6 +25,7 @@ from .logic import (
     ConsistencyChecker,
     FALSE,
     Formula,
+    FormulaSyntaxError,
     GroundState,
     Not,
     Obj,
@@ -299,22 +300,26 @@ def parse_partitions(
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise CaseError(f"case literal must be braced: {text!r}")
-    body = s[1:-1].strip()
     parts = []
-    if body:
-        for chunk in body.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if ":" not in chunk:
-                raise CaseError(f"case entry missing ':': {chunk!r}")
-            ftext, _, vtext = chunk.rpartition(":")
+    start = text.index("{") + 1  # of the next entry in `text`
+    for raw in s[1:-1].split(";"):
+        at, start = start + len(raw) - len(raw.lstrip()), start + len(raw) + 1  # `at`: the entry's first character
+        chunk = raw.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise CaseError(f"case entry missing ':': {chunk!r}")
+        ftext, _, vtext = chunk.rpartition(":")
+        try:
             f = parse_formula(ftext.strip(), objects, act_names, signature)
-            try:
-                v = float(vtext.strip())
-            except ValueError as e:
-                raise CaseError(f"bad case value {vtext.strip()!r}") from e
-            parts.append(Partition(f, v))
+        except FormulaSyntaxError as err:  # located in `text`, not in the entry
+            err.shift(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+            raise
+        try:
+            v = float(vtext.strip())
+        except ValueError as e:
+            raise CaseError(f"bad case value {vtext.strip()!r}") from e
+        parts.append(Partition(f, v))
     return parts
 
 

@@ -19,6 +19,7 @@ from .cases import CaseError, build_case, parse_partitions
 from .logic import (
     ConsistencyBound,
     ConsistencyChecker,
+    FormulaSyntaxError,
     GroundState,
     LogicError,
     Universe,
@@ -53,10 +54,11 @@ def _strip_comment(line: str) -> str:
 
 
 def _lines(text: str):
+    """(number, content, offset of the content) of each line with content once comments and blanks are stripped."""
     for no, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
-        if line:
-            yield no, line
+        code = _strip_comment(raw)
+        if line := code.strip():
+            yield no, line, len(code) - len(code.lstrip())
 
 
 def _split_typed_params(text: str, line: int) -> tuple:
@@ -89,7 +91,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     def signature():
         return {p.name: p.arg_types for p in predicates.values()}
 
-    for no, line in _lines(text):
+    for no, line, lead in _lines(text):
         m = re.match(rf"domain\s+({_IDENT})$", line)
         if m:
             name = m.group(1)
@@ -110,7 +112,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             params = tuple(p.strip() for p in params_text.split(",") if p.strip())
             if fname in ssas:
                 raise DomainSyntaxError(f"duplicate axiom for {fname}", no)
-            ssas[fname] = (params, body_text, no)
+            ssas[fname] = (params, body_text, (no, lead + m.start(3) + 1))
             continue
         m = re.match(rf"action\s+({_IDENT})\s*\(([^)]*)\)$", line)
         if m:
@@ -125,7 +127,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         if m:
             if current_action is None:
                 raise DomainSyntaxError("choice outside an action block", no)
-            current_action[2].append((*m.groups(), no))
+            current_action[2].append((*m.groups(), (no, lead + m.start(2) + 1)))
             continue
         m = re.match(rf"reward\s+({_IDENT})\s+(\{{.*\}})$", line)
         if m:
@@ -133,7 +135,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             key, case_text = m.groups()
             if key in rewards:
                 raise DomainSyntaxError(f"duplicate reward for {key}", no)
-            rewards[key] = (case_text, no)
+            rewards[key] = (case_text, (no, lead + m.start(2) + 1))
             continue
         m = re.match(r"ureward\s+forall\s+(.+)$", line)
         if m:
@@ -150,7 +152,8 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
                 raise DomainSyntaxError("ureward values must be 'noop v ; act v'", no)
             if ureward is not None:
                 raise DomainSyntaxError("duplicate ureward", no)
-            ureward = (uvars, pieces[1], float(mn.group(1)), float(ma.group(1)), no)
+            col = lead + m.start(1) + re.match(r"[^;]*;\s*", m.group(1)).end() + 1  # the goal's first character
+            ureward = (uvars, pieces[1], float(mn.group(1)), float(ma.group(1)), (no, col))
             continue
         m = re.match(r"discount\s+([-+0-9.eE]+)$", line)
         if m:
@@ -183,29 +186,32 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
     sig = signature() or None
     act_names = [cname for _, _, choices in actions.values() for cname, _, _ in choices]
 
-    def parsed(text: str, no: int, directive: str, case: bool = False):
-        """A formula or case literal; its error keeps its type and names the line and directive."""
+    def parsed(text: str, where: tuple, directive: str, case: bool = False):
+        """A formula or case literal from file (line, column) `where`; its error keeps its type and names the line and directive."""
+        no, col = where
         try:
             if case:
                 return build_case(parse_partitions(text, (), act_names, sig), checker, True)
             return parse_formula(text, (), act_names, sig)
         except (LogicError, CaseError) as err:
+            if isinstance(err, FormulaSyntaxError):
+                err.shift(no, col)
             err.args = (f"domain line {no} ({directive}): {err}",)
             raise
 
     ssas = {
-        fname: SuccessorStateAxiom(fname, params, parsed(body_text, no, f"ssa {fname}"))
-        for fname, (params, body_text, no) in ssas.items()
+        fname: SuccessorStateAxiom(fname, params, parsed(body_text, where, f"ssa {fname}"))
+        for fname, (params, body_text, where) in ssas.items()
     }
     if ureward is not None:
-        uvars, goal_text, noop_v, act_v, no = ureward
-        ureward = UniversalReward(uvars, normalize(parsed(goal_text, no, "ureward")), noop_v, act_v)
+        uvars, goal_text, noop_v, act_v, where = ureward
+        ureward = UniversalReward(uvars, normalize(parsed(goal_text, where, "ureward")), noop_v, act_v)
         rewards = materialize_universal(ureward, ureward.closed(), checker)
     else:
-        rewards = {key: parsed(text, no, f"reward {key}", True) for key, (text, no) in rewards.items()}
+        rewards = {key: parsed(text, where, f"reward {key}", True) for key, (text, where) in rewards.items()}
     templates = {}
     for aname, (aname2, params, choices) in actions.items():
-        outcomes = tuple(NatureChoice(cname, parsed(text, no, f"choice {cname}", True)) for cname, text, no in choices)
+        outcomes = tuple(NatureChoice(cname, parsed(text, where, f"choice {cname}", True)) for cname, text, where in choices)
         templates[aname] = ActionTemplate(aname, params, outcomes)
     model = FOMDPModel(
         name=name,
@@ -270,7 +276,7 @@ def parse_instance(text: str) -> FOMDPInstance:
     objects: dict = {}
     init_atoms: set = set()
     goals: list = []
-    for no, line in _lines(text):
+    for no, line, _ in _lines(text):
         m = re.match(rf"instance\s+({_IDENT})$", line)
         if m:
             name = m.group(1)

@@ -38,8 +38,12 @@ class LogicError(Exception):
 class FormulaSyntaxError(LogicError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
+
+    def shift(self, line: int, col: int):
+        """Count the position in an enclosing text, in which the parsed text began at `line`, `col`."""
+        self.line, self.col = line + self.line - 1, self.col + (col - 1 if self.line == 1 else 0)
+        self.args = (f"{self.message} (line {self.line}, column {self.col})",)
 
 
 class ArityError(LogicError):
@@ -969,6 +973,7 @@ class CheckerStats:
     exhausted: int = 0  # checks that ran out of budget
     atoms: int = 0  # BDD atoms canonicalised: misses of the atom table, by any BDD pass through this checker
     reused: int = 0  # quantifier expansions read from the memo instead of being performed
+    conditioned: int = 0  # (node, atom, value) conditionings the ground searches computed, counted as each search ends
 
 
 class ConsistencyChecker:
@@ -1166,6 +1171,7 @@ class _GroundStore:
             del dag.intern[(dag.kind[nid], dag.data[nid])]
             self.sat.pop(nid, None)
         del dag.kind[n:], dag.data[n:], dag.watch[n:]
+        self.stats.conditioned += len(dag.cond_memo)  # one entry per conditioning computed
         dag.cond_memo.clear()
 
 

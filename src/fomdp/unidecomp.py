@@ -9,7 +9,12 @@ compile into one program per Q set, whose parameters are the generic
 constants.  At runtime a ground goal is just the arguments of its plans:
 ground actions are scored by the average of their Q values across the
 instance's unsatisfied goals, with no formula rewritten per decision.
+Most ground actions fall in their template's lowest-valued region, which
+is compiled as its complement: its few tuples are the exceptions to one
+default score.
 """
+
+import itertools
 
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -74,7 +79,9 @@ class GenericQSet:
     that `score_actions` scores: where the negated goal is a conjunction of
     ground literals, each witness body is compiled with those literals'
     atoms fixed to the values they take then, and a body that folds to
-    false has no plan.  The `qcases` stay as solved.
+    false has no plan.  Of the partitions left, the lowest-valued one
+    compiles the negation of its body: that complement plan yields the
+    tuples outside its region.  The `qcases` stay as solved.
     Make one with `build_generic_q` or `substitute_goal`.
     """
 
@@ -82,8 +89,9 @@ class GenericQSet:
     constants: tuple  # object names currently standing in for them
     goal: Formula  # goal body on those constants
     qcases: tuple  # (template name, case statement), sorted by name
-    # compiled from the fields above: the goal query, and per template the
-    # (value, witness query) pairs in descending value order
+    # compiled from the fields above: the goal query, and per template its
+    # bind variables' types and the (value, query) pairs in descending value
+    # order, the last query the complement plan
     goal_query: Callable = field(compare=False, repr=False)
     plans: tuple = field(compare=False, repr=False)
 
@@ -109,9 +117,9 @@ def build_generic_q(model: FOMDPModel, lvf: LinearValueFunction) -> GenericQSet:
 
 
 def _compiled(variables, constants, goal, qcases) -> GenericQSet:
-    """The Q set with its goal and witness bodies compiled over `constants` as one program."""
-    if any(p.bind_body is None for _, q in qcases for p in q.partitions):
-        raise UnidecompError("Q partitions must carry open binding bodies")
+    """The Q set with its goal and plans compiled over `constants` as one program."""
+    if any(p.bind_body is None or p.bind_vars != q.partitions[0].bind_vars for _, q in qcases for p in q.partitions):
+        raise UnidecompError("Q partitions must carry open binding bodies over their template's parameters")
     # ¬goal without `normalize`, which decides equalities between constants that may alias
     neg = fold_constants(negation(goal))
     lits = neg.parts if isinstance(neg, And) else (neg,)
@@ -122,9 +130,13 @@ def _compiled(variables, constants, goal, qcases) -> GenericQSet:
         parts = [(p.value, p.bind_body, p.bind_vars) for p in sorted(q.partitions, key=lambda p: -p.value)]
         if ground:
             parts = [(v, fold_constants(map_leaves(body, lambda g: forced.get(g, g))), bv) for v, body, bv in parts]
-        ranked.append((name, [part for part in parts if part[1] != FALSE]))
-    it = iter(compile_program([*((body, bvars) for _, ps in ranked for _, body, bvars in ps), (goal, ())], constants))
-    plans = tuple((name, tuple((value, next(it)) for value, _, _ in parts)) for name, parts in ranked)
+        parts = [part for part in parts if part[1] != FALSE]
+        if parts:  # the lowest region by its complement
+            value, body, bvars = parts[-1]
+            parts[-1] = (value, negation(body), bvars)
+            ranked.append((name, tuple(t for _, t in bvars), parts))
+    it = iter(compile_program([*((body, bvars) for _, _, ps in ranked for _, body, bvars in ps), (goal, ())], constants))
+    plans = tuple((name, types, tuple((value, next(it)) for value, _, _ in parts)) for name, types, parts in ranked)
     return GenericQSet(variables, constants, goal, qcases, next(it), plans)
 
 
@@ -186,6 +198,13 @@ def score_actions(qset: GenericQSet, goals, state) -> dict:
     binding takes the best Q partition it satisfies; summing all satisfied
     partitions would double-count overlapping existential regions.  One
     state index serves every plan, and one memo a goal's plans.
+
+    Per goal, a template's higher plans claim tuples at their values, then
+    its complement plan claims what is left of its tuples with no addend;
+    every other tuple of the bind variables' pools lies in the lowest region.
+    So every tuple that no plan yields shares one sum, and each other tuple
+    is summed with the same addends in goal order as claiming region by
+    region: a set complement, exact however the regions overlap or miss tuples.
     """
     index = StateIndex(state)
     unsat = [(g, memo) for g, memo in ((tuple(g), {}) for g in goals) if not _goal_holds(qset, g, index, memo)]
@@ -193,16 +212,32 @@ def score_actions(qset: GenericQSet, goals, state) -> dict:
         raise UnidecompError("every goal is already satisfied")
     n = len(unsat)
     scores: dict = {}
-    for g, memo in unsat:
-        for name, parts in qset.plans:
-            claimed = set()
-            for value, query in parts:
+    for name, types, (*higher, (low, outside)) in qset.plans:
+        claims = []
+        for g, memo in unsat:
+            claimed: dict = {}
+            for value, query in higher:
                 for combo in query(index, g, memo):
-                    if combo in claimed:
-                        continue
-                    claimed.add(combo)
-                    key = (name, combo)
-                    scores[key] = scores.get(key, 0.0) + value / n
+                    claimed.setdefault(combo, value)
+            for combo in outside(index, g, memo):
+                claimed.setdefault(combo, None)
+            claims.append(claimed)
+        default = 0.0
+        for _ in claims:  # added goal by goal, as every other sum, not multiplied
+            default += low / n
+        sums = dict.fromkeys(itertools.product(*(index.pools[t] for t in types)), default)
+        for combo in set().union(*claims):
+            total, hit = 0.0, False
+            for claimed in claims:
+                value = claimed.get(combo, low)
+                if value is not None:
+                    total += value / n
+                    hit = True
+            if hit:
+                sums[combo] = total
+            else:
+                del sums[combo]
+        scores.update(((name, combo), total) for combo, total in sums.items())
     return scores
 
 

@@ -249,6 +249,8 @@ def test_checker_stats_repeat_across_cold_solves():
     # without the bound, and with a literal costing a unit, this took 12,814 units
     # and reused 2,288 expansions; a tree walk over every size combination took 240,276
     assert (s.work, s.reused, s.atoms) == (10_086, 1_991, 31)
+    # the searches' conditionings, which `work` does not count
+    assert s.conditioned == 6_816
     # the counts do not depend on the hash seed either
     code = (
         "import dataclasses, json, test_basisgen as t;"
@@ -264,12 +266,12 @@ def test_checker_stats_repeat_across_cold_solves():
 @pytest.mark.parametrize(
     "fixture, want",
     [
-        ("blocksworld_mini", CheckerStats(checks=442, cache_hits=336, groundings=140, work=3_852, atoms=119, reused=1_619)),
+        ("blocksworld_mini", CheckerStats(checks=442, cache_hits=336, groundings=140, work=3_852, atoms=119, reused=1_619, conditioned=13_043)),
         (
             "boxworld_mini",
             CheckerStats(
                 checks=549, cache_hits=423, lifted_attempts=53, lifted=22,
-                groundings=292, skipped=464, work=33_045, atoms=167, reused=4_686,
+                groundings=292, skipped=464, work=33_045, atoms=167, reused=4_686, conditioned=46_009,
             ),
         ),
     ],

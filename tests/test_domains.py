@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fomdp.basisgen import BasisGenConfig, generate_basis
-from fomdp.cases import eval_case
+from fomdp.cases import eval_case, parse_partitions
 from fomdp.domains import (
     DomainSyntaxError,
     fixture_path,
@@ -191,6 +191,31 @@ def test_formula_errors_name_the_domain_line_and_directive(fixture, no, right, w
     with pytest.raises(error) as err:
         parse_domain("\n".join(lines))
     assert str(err.value).startswith(f"domain line {no} ({directive}): ")
+
+
+@pytest.mark.parametrize(
+    "fixture, no, right, wrong, col",
+    [
+        ("boxworld_mini", 14, "& On(b, t)", "& & On(b, t)", 60),
+        # the second entry of a case literal, on an indented line
+        ("flip", 13, "reward any { P : 10 ; !P : 0 }", "    reward any { P : 10 ; !P & & P : 0 }", 32),
+    ],
+    ids=["stray-and", "case-literal"],
+)
+def test_formula_syntax_errors_count_columns_from_the_file_line(fixture, no, right, wrong, col):
+    lines = fixture_path(f"{fixture}.domain").read_text().splitlines()
+    lines[no - 1] = lines[no - 1].replace(right, wrong, 1)
+    assert lines[no - 1][col - 1 :].startswith("& ")
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_domain("\n".join(lines))
+    assert (err.value.line, err.value.col) == (no, col)
+    assert str(err.value).endswith(f"found '&' (line {no}, column {col})")
+
+
+def test_case_literal_syntax_error_counts_from_the_literal():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_partitions("{ P : 1 ;\n  !P & & P : 0 }")
+    assert (err.value.line, err.value.col) == (2, 8)
 
 
 def test_case_literal_may_use_a_predicate_declared_later():

@@ -1,6 +1,7 @@
 """Decomposed universal-goal decisions against the per-goal renaming path."""
 
 import builtins
+import itertools
 import random
 import re
 from dataclasses import replace
@@ -11,6 +12,7 @@ import serve_reference
 import state_reference
 from fomdp import logic, query, unidecomp
 from fomdp.basisgen import BasisGenConfig, generate_basis
+from fomdp.cases import CaseStatement, Partition
 from fomdp.domains import load_fixture
 from fomdp.logic import ActTerm, ConsistencyChecker, Obj, Universe, make_state
 from fomdp.sitcalc import apply_action
@@ -120,7 +122,7 @@ def test_q_set_compiles_as_one_program(solved, monkeypatch):
     monkeypatch.setattr(unidecomp, "compile_program", program)
     monkeypatch.setattr(query, "compile", counted, raising=False)
     qset = build_generic_q(model, lvf)
-    witnesses = sum(len(parts) for _, parts in qset.plans)
+    witnesses = sum(len(parts) for _, _, parts in qset.plans)
     assert programs == [1 + witnesses] and witnesses >= 10
     assert compiles == ["<query>"]
 
@@ -190,7 +192,7 @@ def test_plans_answer_only_where_the_goal_is_false(solved, monkeypatch):
     ranked = {name: sorted(q.partitions, key=lambda p: -p.value) for name, q in qset.qcases}
     assert sum(map(len, ranked.values())) == 20 and len(queries) == 1 + 15
     kept = {name: [p for i, p in enumerate(ps) if i not in RULED_OUT[name]] for name, ps in ranked.items()}
-    assert {name: [v for v, _ in parts] for name, parts in qset.plans} == {n: [p.value for p in ps] for n, ps in kept.items()}
+    assert {name: [v for v, _ in parts] for name, _, parts in qset.plans} == {n: [p.value for p in ps] for n, ps in kept.items()}
     # witness bodies are specialised, in the order of the plans; the goal query is not
     assert [vs for _, vs in queries[:-1]] == [p.bind_vars for _, ps in kept.items() for p in ps]
     assert all(body != p.bind_body for (body, _), p in zip(queries, (p for ps in kept.values() for p in ps)))
@@ -232,10 +234,12 @@ def test_goal_not_a_conjunction_of_literals_compiles_bodies_as_solved(served, mo
     model, base = served
     goal = logic.And((base.goal, logic.Atom("snow", (Obj("c_star"),))))  # ¬goal is a disjunction
     qset, queries, _ = captured_program(model, None, monkeypatch, base, goal)
-    ranked = [p for _, q in qset.qcases for p in sorted(q.partitions, key=lambda p: -p.value)]
+    ranked = [sorted(q.partitions, key=lambda p: -p.value) for _, q in qset.qcases]
     assert len(queries) == 1 + 20 and queries[-1] == (goal, ())
-    assert all(body is p.bind_body and vs == p.bind_vars for (body, vs), p in zip(queries, ranked))
-    assert [len(parts) for _, parts in qset.plans] == [len(q.partitions) for _, q in qset.qcases]
+    # bodies as solved, but each template's lowest compiles as its complement
+    want = [(logic.negation(p.bind_body) if p is ps[-1] else p.bind_body, p.bind_vars) for ps in ranked for p in ps]
+    assert queries[:-1] == want
+    assert [len(parts) for _, _, parts in qset.plans] == [len(q.partitions) for _, q in qset.qcases]
     rng, scored = random.Random(21), 0
     for _ in range(12):
         state, goals = random_instance(rng)
@@ -243,3 +247,83 @@ def test_goal_not_a_conjunction_of_literals_compiles_bodies_as_solved(served, mo
             assert score_actions(qset, goals, state) == serve_reference.score_actions(qset, goals, state)
             scored += 1
     assert scored >= 10
+
+
+def random_typed_body(rng: random.Random, depth: int, scope: dict) -> logic.Formula:
+    """Random open formula over P(A), Q(A, B), R(B), Done(A), the variables in `scope` (name -> type) and g_star."""
+    objects = {"A": ["g_star", "a1"], "B": ["b1"]}
+
+    def term(vtype):
+        names = [v for v, t in scope.items() if t == vtype]
+        return logic.Var(rng.choice(names)) if names and rng.random() < 0.7 else Obj(rng.choice(objects[vtype]))
+
+    if depth <= 0 or rng.random() < 0.35:
+        kind = rng.choice(["P", "Q", "R", "Done", "eq"])
+        if kind == "eq":
+            vtype = rng.choice(["A", "B"])
+            return logic.Eq(term(vtype), term(vtype))
+        args = {"P": ["A"], "Q": ["A", "B"], "R": ["B"], "Done": ["A"]}[kind]
+        return logic.Atom(kind, tuple(term(t) for t in args))
+    kind = rng.choice(["not", "and", "or", "exists", "forall"])
+    if kind == "not":
+        return logic.Not(random_typed_body(rng, depth - 1, scope))
+    if kind in ("and", "or"):
+        parts = tuple(random_typed_body(rng, depth - 1, scope) for _ in range(rng.randint(2, 3)))
+        return (logic.And if kind == "and" else logic.Or)(parts)
+    var, vtype = f"q{len(scope)}", rng.choice(["A", "B"])
+    body = random_typed_body(rng, depth - 1, {**scope, var: vtype})
+    return (logic.Exists if kind == "exists" else logic.Forall)(var, vtype, body)
+
+
+def test_scores_exact_where_regions_overlap_and_leave_tuples_out():
+    """Hand-made Q sets whose regions overlap and miss tuples score as the renaming reference does.
+
+    In boxworld's Q set every tuple outside the higher regions lies in the
+    lowest one; here many do not, so a tuple that only the complement plan
+    yields must get no addend from that goal.
+    """
+    rng = random.Random(29)
+    templates = {"act": (("a", "A"), ("b", "B")), "pick": (("a", "A"),), "wait": ()}
+    values = [-2.0, -0.0, 0.0, 0.1, 0.7, 0.7, 1.5, 3.0]
+    done = logic.Atom("Done", (Obj("g_star"),))
+    goal_forms = [done, logic.And((done, logic.Atom("R", (Obj("b1"),))))]
+    seen = {"overlap": 0, "no region": 0, "lowest only": 0, "decisions": 0}
+    for _ in range(60):
+        qcases = []
+        for name, bvars in templates.items():
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                body = random_typed_body(rng, 2, dict(bvars))
+                parts.append(Partition(logic.TRUE, rng.choice(values), bind_vars=bvars, bind_body=body))
+            qcases.append((name, CaseStatement(tuple(parts))))
+        # a ground negated goal folds the bodies; a disjunction leaves them as made
+        qset = unidecomp._compiled((("g", "A"),), ("g_star",), rng.choice(goal_forms), tuple(qcases))
+        for _ in range(4):
+            pools = {"A": [f"a{i}" for i in range(1, rng.randint(2, 4) + 1)], "B": [f"b{i}" for i in range(1, rng.randint(1, 3) + 1)]}
+            atoms = {(p, x) for p in ("P", "Done") for x in pools["A"] if rng.random() < 0.5}
+            atoms |= {("R", y) for y in pools["B"] if rng.random() < 0.5}
+            atoms |= {("Q", x, y) for x in pools["A"] for y in pools["B"] if rng.random() < 0.4}
+            state = make_state(atoms, Universe.of(pools))
+            goals = tuple((x,) for x in pools["A"])
+            if all(serve_reference.goal_satisfied(qset, g, state) for g in goals):
+                continue
+            want = serve_reference.score_actions(qset, goals, state)
+            got = score_actions(qset, goals, state)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+            if want:
+                assert select_action(qset, goals, state) == serve_reference.best_action(want)
+            seen["decisions"] += 1
+            for g in goals:
+                if serve_reference.goal_satisfied(qset, g, state):
+                    continue
+                for _, q in substitute_goal(qset, g).qcases:
+                    ranked = sorted(q.partitions, key=lambda p: -p.value)
+                    regions = [
+                        {tuple(b.values()) for b in state_reference.satisfying_bindings(p.bind_body, state, p.bind_vars)}
+                        for p in ranked
+                    ]
+                    everything = set(itertools.product(*(pools[t] for _, t in ranked[0].bind_vars)))
+                    seen["overlap"] += any(a & b for i, a in enumerate(regions) for b in regions[i + 1 :])
+                    seen["no region"] += bool(everything - set().union(*regions))
+                    seen["lowest only"] += bool(regions[-1] - set().union(*regions[:-1]))
+    assert min(seen.values()) >= 200, seen
