@@ -46,6 +46,7 @@ class DomainSyntaxError(Exception):
 
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_TYPE_NAME = re.compile(rf":\s*({_IDENT})")  # a type wherever it occurs: typed parameters, binders, the types line
 
 
 def _strip_comment(line: str) -> str:
@@ -72,13 +73,16 @@ def _split_typed_params(text: str, line: int) -> tuple:
         m = re.fullmatch(rf"({_IDENT})(?:\s*:\s*({_IDENT}))?", piece)
         if not m:
             raise DomainSyntaxError(f"bad parameter {piece!r}", line)
+        if m.group(1) in (n for n, _ in out):
+            raise DomainSyntaxError(f"duplicate name {m.group(1)}", line)
         out.append((m.group(1), m.group(2)))
     return tuple(out)
 
 
 def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPModel:
     name = None
-    types: tuple = ()
+    types: Optional[tuple] = None  # until a `types:` line declares them
+    named_types: list = []  # (type, line) of each type a line names, in line order
     predicates: dict = {}
     ssas: dict = {}
     actions: dict = {}
@@ -92,6 +96,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         return {p.name: p.arg_types for p in predicates.values()}
 
     for no, line, lead in _lines(text):
+        named_types += [(t, no) for t in _TYPE_NAME.findall(line)]
         m = re.match(rf"domain\s+({_IDENT})$", line)
         if m:
             name = m.group(1)
@@ -109,7 +114,10 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         if m:
             mode = None
             fname, params_text, body_text = m.groups()
-            params = tuple(p.strip() for p in params_text.split(",") if p.strip())
+            params = _split_typed_params(params_text, no)
+            if any(t for _, t in params):
+                raise DomainSyntaxError(f"axiom parameters of {fname} take their types from its predicate", no)
+            params = tuple(n for n, _ in params)
             if fname in ssas:
                 raise DomainSyntaxError(f"duplicate axiom for {fname}", no)
             ssas[fname] = (params, body_text, (no, lead + m.start(3) + 1))
@@ -168,6 +176,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
             arg_types = tuple(t.strip() for t in (args_text or "").split(",") if t.strip())
             if pname in predicates:
                 raise DomainSyntaxError(f"duplicate predicate {pname}", no)
+            named_types += [(t, no) for t in arg_types]
             predicates[pname] = PredicateDecl(pname, arg_types, static is not None)
             continue
         raise DomainSyntaxError(f"unrecognized line {line!r}", no)
@@ -178,6 +187,9 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         raise DomainSyntaxError("missing 'discount' declaration", 1)
     if ureward is not None and rewards:
         raise DomainSyntaxError("a domain declares either ureward or reward cases, not both", 1)
+    for t, no in named_types:
+        if types is not None and t not in types:
+            raise DomainSyntaxError(f"undeclared type {t}", no)
 
     # formulas are parsed (and case literals pruned) only now, against the
     # complete signature and every outcome name
@@ -215,7 +227,7 @@ def parse_domain(text: str, bound: Optional[ConsistencyBound] = None) -> FOMDPMo
         templates[aname] = ActionTemplate(aname, params, outcomes)
     model = FOMDPModel(
         name=name,
-        types=types,
+        types=types or (),
         predicates=predicates,
         actions=templates,
         ssas=ssas,

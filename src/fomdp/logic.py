@@ -875,7 +875,7 @@ def survey(f: Formula, signature: Mapping[str, Sequence]) -> tuple:
     `types` maps free variables and objects to the type of the first atom
     position that gives them one (a name bound there is skipped), in the
     order met.  `objects` holds the named objects.  `binders` holds the types
-    of f's quantifiers and of the ∃ that `implicit_close(f, types)` adds.
+    of f's quantifiers and of the ∃ that close f's free variables in `_sat`.
     `nonmono` holds the types that may not be monotone in f, by Claessen &
     Lillieström's first calculus: an extra object that copies an existing
     one satisfies whatever the original did, except a positive equality
@@ -928,6 +928,17 @@ def implicit_close(f: Formula, var_types: Optional[Mapping[str, Optional[str]]] 
     return f
 
 
+def _miniscope(var: str, vtype: Optional[str], f: Formula) -> Formula:
+    """∃var f, distributed over ∨ and moved past each conjunct without var; equal over non-empty domains."""
+    if isinstance(f, Or):
+        return Or(tuple(_miniscope(var, vtype, p) if var in free_vars(p) else p for p in f.parts))
+    if isinstance(f, And):
+        inner = [p for p in f.parts if var in free_vars(p)]
+        if len(inner) < len(f.parts):
+            return And((*(p for p in f.parts if var not in free_vars(p)), Exists(var, vtype, conj(inner))))
+    return Exists(var, vtype, f)
+
+
 # ---------------------------------------------------------------------------
 # bounded-domain consistency
 
@@ -943,6 +954,7 @@ class ConsistencyBound:
     under the same values of its free variables or, in a checker session, a
     quantifier an earlier check expanded over the same pools) plus search
     steps, across every size the check grounds, so a verdict never depends on load.
+    An object that a quantifier skips (see `_ground_plan`) costs nothing.
     """
 
     objects_per_type: int = 3
@@ -969,10 +981,10 @@ class CheckerStats:
     lifted: int = 0  # verdicts the lifted pass decided
     groundings: int = 0  # domain size combinations grounded
     skipped: int = 0  # size combinations left ungrounded because their types are monotone
-    work: int = 0  # budget units: junction and quantifier expansions performed (a literal or a memo hit, also across a session, is free) plus search steps
+    work: int = 0  # budget units: junction and quantifier expansions performed (a literal, a memo hit, also across a session, or an object a quantifier skips is free) plus search steps
     exhausted: int = 0  # checks that ran out of budget
     atoms: int = 0  # BDD atoms canonicalised: misses of the atom table, by any BDD pass through this checker
-    reused: int = 0  # quantifier expansions read from the memo instead of being performed
+    reused: int = 0  # quantifier expansions read from the memo instead of being performed; a skipped object reads none
     conditioned: int = 0  # (node, atom, value) conditionings the ground searches computed, counted as each search ends
 
 
@@ -1067,12 +1079,16 @@ class ConsistencyChecker:
         type at its largest; cheaper probes with the monotone types one object
         larger at a time go first.  The verdict is the one that every
         combination gives; `stats.skipped` counts the combinations left out.
-        The closed formula compiles once into a grounding plan that every
-        combination runs (`_ground_plan`), through the session's store or,
-        outside a session, one made for this check.
+        Each free variable, in name order, gets an ∃ of its `types` type around
+        only the parts that mention it (`_miniscope`; pools are never empty, so
+        this is `implicit_close(f, types)`).  The closed formula compiles once
+        into a grounding plan that every combination runs (`_ground_plan`),
+        through the session's store or, outside a session, one made for this check.
         """
         types, objects, binders, nonmono = survey(f, self.signature)
-        closed = implicit_close(f, types)
+        closed = f
+        for name in sorted(free_vars(f)):
+            closed = _miniscope(name, types.get(name), closed)
         consts: dict = {}
         for name in sorted(objects):
             consts.setdefault(types.get(name), []).append(name)
@@ -1104,19 +1120,12 @@ class ConsistencyChecker:
                         self.stats.lifted += 1
                         return verdict
                 self.stats.skipped += full - len(plan)
-            pools: dict = {}
-            for t, k in zip(loop_types, sizes):
-                pool = list(consts.get(t, []))
-                i = 0
-                while len(pool) < k:
-                    i += 1
-                    pool.append(f"?{t or 'obj'}{i}")
-                pools[t] = tuple(pool)
+            pools = {  # the named objects first, then fresh ones up to the size
+                t: (*consts.get(t, ()), *(f"?{t or 'obj'}{i}" for i in range(1, k + 1)))[:k]
+                for t, k in zip(loop_types, sizes)
+            }
             if typed:
-                untyped = set(consts.get(None, []))
-                for p in pools.values():
-                    untyped |= set(p)
-                pools[None] = tuple(sorted(untyped))
+                pools[None] = tuple(sorted(set(consts.get(None, ())).union(*pools.values())))
             self.stats.groundings += 1
             root = ground(pools, store, left)
             if root == _G_TRUE:
@@ -1301,6 +1310,36 @@ def _gather(slots: Sequence[int]) -> Callable:
     return itemgetter(*slots) if slots else lambda env: ()
 
 
+def _equality_partners(var: str, f: Formula, scope: dict) -> Optional[tuple]:
+    """(named objects, variable types) that var is compared with in f; `scope` types the variables bound around f.
+
+    None if var is in an atom or an action term, or is compared with an untyped variable.
+    """
+    named, sorts, todo, seen = set(), set(), [(f, scope)], {}
+    while todo:
+        g, scope = todo.pop()
+        if var not in free_vars(g) or (id(g), id(scope)) in seen:
+            continue
+        seen[id(g), id(scope)] = scope  # keeps the scope alive, so its id stays its own
+        if isinstance(g, Atom):
+            return None
+        if isinstance(g, Eq):
+            for t in (g.left, g.right):
+                if isinstance(t, ActTerm):
+                    return None
+                if isinstance(t, Obj):
+                    named.add(t.name)
+                elif t.name != var:
+                    sorts.add(scope.get(t.name))
+        elif isinstance(g, Not):
+            todo.append((g.sub, scope))
+        elif isinstance(g, (And, Or)):
+            todo += [(p, scope) for p in g.parts]
+        else:
+            todo.append((g.body, {**scope, g.var: g.vtype}))
+    return None if None in sorts else (named, sorts)
+
+
 def _ground_plan(f: Formula, ids: dict) -> Callable:
     """Closed f compiled into `(pools, store, left) -> root node`, one call per grounding.
 
@@ -1314,6 +1353,10 @@ def _ground_plan(f: Formula, ids: dict) -> Callable:
     store's for the pools, which later groundings over them also read.  A
     literal, free, is expanded each time, and the DAG interns its node, so
     with a fresh store the DAG is the one a tree walk makes, node for node.
+    An untyped quantifier whose variable is only compared loops over the
+    named objects and the typed variables' pools it is compared with, and
+    the first other object (`_equality_partners`): every other one makes
+    each of those equalities false, so it grounds to that one's nodes.
     """
     init: list = []  # the environment a grounding starts from; compiling appends slots
     root = _ground_node(f, {}, ({}, ids, init))
@@ -1389,14 +1432,19 @@ def _ground_expansion(f: Formula, scope: Mapping[str, int], ctx: tuple) -> Calla
         return junction
     if isinstance(f, (Exists, Forall)):
         s, vtype = len(init), f.vtype
-        init.append(None)
+        init.append(vtype)  # the slot's value until a grounding sets it: the type, for `_equality_partners`
         body = _ground_node(f.body, {**scope, f.var: s}, ctx)
         kind, absorber = ("or", _G_TRUE) if isinstance(f, Exists) else ("and", _G_FALSE)
+        narrow = _equality_partners(f.var, f.body, {v: init[i] for v, i in scope.items()}) if vtype is None else None
 
         def quantifier(env, run):
-            pool = run[0].get(vtype)
+            pool = run[0].get(vtype) or run[0][None]
+            if narrow is not None:  # the objects no equality can name ground alike: keep the first
+                kept = narrow[0].union(*(run[0].get(t, pool) for t in narrow[1]))
+                kept.add(next((o for o in pool if o not in kept), None))
+                pool = [o for o in pool if o in kept]
             out = []
-            for o in run[0][None] if pool is None else pool:
+            for o in pool:
                 env[s] = o
                 g = body(env, run)
                 if g == absorber:

@@ -247,10 +247,11 @@ def test_checker_stats_repeat_across_cold_solves():
     assert (s.checks, s.cache_hits, s.lifted_attempts, s.lifted) == (408, 299, 39, 31)
     assert (s.groundings, s.skipped, s.exhausted) == (109, 192, 0)
     # without the bound, and with a literal costing a unit, this took 12,814 units
-    # and reused 2,288 expansions; a tree walk over every size combination took 240,276
-    assert (s.work, s.reused, s.atoms) == (10_086, 1_991, 31)
-    # the searches' conditionings, which `work` does not count
-    assert s.conditioned == 6_816
+    # and reused 2,288 expansions; a tree walk over every size combination took 240,276;
+    # with the closure's ∃ outermost and every quantifier over its whole pool, 10,086 and 1,991
+    assert (s.work, s.reused, s.atoms) == (2_342, 328, 31)
+    # the searches' conditionings, which `work` does not count: 6,816 with the closure's ∃ outermost
+    assert s.conditioned == 4_430
     # the counts do not depend on the hash seed either
     code = (
         "import dataclasses, json, test_basisgen as t;"
@@ -266,12 +267,12 @@ def test_checker_stats_repeat_across_cold_solves():
 @pytest.mark.parametrize(
     "fixture, want",
     [
-        ("blocksworld_mini", CheckerStats(checks=442, cache_hits=336, groundings=140, work=3_852, atoms=119, reused=1_619, conditioned=13_043)),
+        ("blocksworld_mini", CheckerStats(checks=442, cache_hits=336, groundings=140, work=3_644, atoms=119, reused=1_600, conditioned=12_306)),
         (
             "boxworld_mini",
             CheckerStats(
                 checks=549, cache_hits=423, lifted_attempts=53, lifted=22,
-                groundings=292, skipped=464, work=33_045, atoms=167, reused=4_686, conditioned=46_009,
+                groundings=292, skipped=464, work=25_746, atoms=167, reused=3_565, conditioned=43_215,
             ),
         ),
     ],

@@ -285,6 +285,26 @@ def test_domain_error_positions():
     )
 
 
+@pytest.mark.parametrize(
+    "right, wrong, no, needle",
+    [
+        ("action load(b: Box, t: Truck", "action load(b: Box, b: Truck", 20, "duplicate name b"),
+        ("load(b: Box,", "load(b: Bx,", 20, "undeclared type Bx"),
+        ("snow(City)", "snow(Town)", 10, "undeclared type Town"),
+        ("ssa TAt(t, c)", "ssa TAt(t, t)", 12, "duplicate name t"),
+        ("ssa TAt(t, c)", "ssa TAt(t: Truck, c)", 12, "take their types from its predicate"),
+        ("ureward forall b: Box, c: City", "ureward forall b: Box, b: City", 28, "duplicate name b"),
+        ("exists c1: City.", "exists c1: Cty.", 12, "undeclared type Cty"),
+    ],
+    ids=["action-param", "param-type", "predicate-type", "ssa-param", "ssa-typed", "ureward-var", "quantifier-type"],
+)
+def test_names_and_types_checked_against_the_declarations(right, wrong, no, needle):
+    # the parser once accepted each of these, and the first three solved without complaint
+    text = fixture_path("boxworld_mini.domain").read_text()
+    assert right in text.splitlines()[no - 1]
+    check_error(text.replace(right, wrong, 1), needle, no)
+
+
 def test_domain_rejects_reward_and_ureward_together():
     text = """domain x
 predicates:

@@ -70,6 +70,7 @@ from fomdp.logic import (
     free_vars,
     implicit_close,
     make_state,
+    negation,
     nodes,
     normalize,
     objects_in,
@@ -1091,6 +1092,85 @@ def test_session_verdicts_match_fresh_checkers(make):
     assert chk.stats.exhausted == 0
 
 
+# an untyped quantifier whose variable is only compared grounds over the
+# objects it can equal and one object besides, which stands for all the others
+EQ_PARTNERS = (Obj("b1"), Obj("c1"), Obj("k1"), Obj("o1"), Var("b"), Var("c"), Var("k"), Var("z"))
+EQ_TYPING = Or((Atom("P", (Var("b"),)), Atom("R", (Var("c"),)), Atom("K", (Var("k"),)), Not(Atom("P", (Var("z"),)))))
+EQ_ONLY_PROBES = [
+    # u must be a truck other than k1: only the kept extra object
+    ("u != b1 & u != c1 & u != k1 & u != o1 & (forall x: Box. u != x) & (forall y: City. u != y) & K(k1)", True),
+    ("u != b1 & u != c1 & u != k1 & u != o1 & (forall x: Box. u != x) & (forall y: City. u != y)"
+     " & (forall y: Truck. u != y)", False),
+    ("R(c1) & (exists w. w != b1 & w != c1 & (forall y: Box. w != y))", True),
+    # the extra object is the one that falsifies the ∀
+    ("(forall x. x = b1 | x = c1) & R(c1) & (exists y: Box. P(y))", False),
+    ("(forall x. x = b1 | x = c1 | (exists y: Box. x = y)) & R(c1) & (exists y: Truck. K(y))", False),
+    # an untyped partner: u and v range over every object
+    ("u = v & v != b1 & (forall x: Box. u != x) & (forall x: City. v != x) & P(b1) & (exists k: Truck. K(k))", True),
+]
+
+
+def eq_only_probes() -> list:
+    return [parse_formula(text, objects=["b1", "c1", "k1", "o1"]) for text, _ in EQ_ONLY_PROBES]
+
+
+def equality_only_formula(rng: random.Random, depth: int, scope: tuple = ()) -> Formula:
+    """u, free and untyped, only in equalities; its partners are named objects,
+    the typed free variables b, c, k and z, variables bound inside, and now and
+    then the untyped v.  A bound untyped variable is mostly compared too."""
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            left = rng.choice([Var("u")] * 2 + [Var(n) for n, t in scope if t is None])
+            partners = list(EQ_PARTNERS) + [Var(n) for n, _ in scope] + [Var("v")] * (rng.random() < 0.15)
+            eq = Eq(left, rng.choice(partners)) if rng.random() < 0.5 else Eq(rng.choice(partners), left)
+            return Not(eq) if rng.random() < 0.5 else eq
+        pred = rng.choice(sorted(TYPED_SIG))
+        typed = tuple(v for v in scope if v[1] is not None or rng.random() < 0.2)
+        return Atom(pred, tuple(typed_term(rng, t, typed) for t in TYPED_SIG[pred]))
+    kind = rng.choice(["not", "and", "or", "or", "exists", "forall"])
+    if kind == "not":
+        return Not(equality_only_formula(rng, depth - 1, scope))
+    if kind in ("and", "or"):
+        parts = tuple(equality_only_formula(rng, depth - 1, scope) for _ in range(rng.randint(2, 3)))
+        return And(parts) if kind == "and" else Or(parts)
+    var, vtype = f"x{len(scope)}", rng.choice(TYPES + (None, None))
+    cls = Exists if kind == "exists" else Forall
+    return cls(var, vtype, equality_only_formula(rng, depth - 1, scope + ((var, vtype),)))
+
+
+def equality_only_corpus(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        f = equality_only_formula(rng, 4)
+        if rng.random() < 0.6:  # unsatisfiable unless some value of u tells f from f at a partner
+            f = And((f, negation(substitute(f, {"u": rng.choice(EQ_PARTNERS)}))))
+        f = And((f, EQ_TYPING))
+        out.append(And((f, needs_two(rng))) if rng.random() < 0.5 else f)
+    return out + eq_only_probes()
+
+
+@pytest.mark.parametrize("make, ref", [(ConsistencyChecker, ReferenceChecker), (GroundingOnlyChecker, GroundingOnlyReference)])
+def test_equality_only_variables_match_the_reference(make, ref, monkeypatch):
+    formulas = equality_only_corpus(61, 300)
+    pinned = dict(zip(formulas[300:], (v for _, v in EQ_ONLY_PROBES)))
+    chk, want = make(signature=TYPED_SIG), []
+    with chk.session():
+        for f in formulas:
+            want.append(ref(signature=TYPED_SIG).check(f))
+            assert chk.check(f) == want[-1], format_formula(f)
+            if f in pinned:
+                assert want[-1] is pinned[f], format_formula(f)
+    assert want.count(True) >= 100 and want.count(False) >= 100 and chk.stats.exhausted == 0
+    # the same checks with every quantifier over its whole pool: same verdicts, more work
+    monkeypatch.setattr(logic, "_equality_partners", lambda var, f, scope: None)
+    full = make(signature=TYPED_SIG)
+    with full.session():
+        assert [full.check(f) for f in formulas] == want
+    assert replace(full.stats, work=0, reused=0, conditioned=0) == replace(chk.stats, work=0, reused=0, conditioned=0)
+    assert chk.stats.work < full.stats.work and chk.stats.conditioned == full.stats.conditioned
+
+
 @pytest.mark.parametrize(
     "text, groundings, skipped",
     [
@@ -1114,7 +1194,7 @@ def test_ground_plan_builds_the_reference_dag():
     # one plan per formula, run at every size combination through a fresh store:
     # the same root and the same DAG, node for node, as the tree walk, for no
     # more budget units
-    formulas = typed_corpus(37, 160) + non_monotone_probes() + corpus()
+    formulas = typed_corpus(37, 160) + non_monotone_probes() + corpus() + equality_only_corpus(37, 20)
     walked = planned = 0
     for f in formulas + [normalize(f) for f in formulas]:
         _, closed, groundings = every_grounding(f, TYPED_SIG, 3)
