@@ -297,6 +297,8 @@ def parse_instance(text: str) -> FOMDPInstance:
         if m:
             t, body = m.groups()
             objs = tuple(_parse_braced(body, no))
+            if not objs:  # checks and solved cases read every pool as non-empty
+                raise DomainSyntaxError(f"empty object pool for type {t}", no)
             for o in objs:
                 if not re.fullmatch(_IDENT, o):
                     raise DomainSyntaxError(f"bad object name {o!r}", no)

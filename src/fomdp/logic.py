@@ -12,8 +12,8 @@ impossible partitions.  Generic walks: `nodes` visits every subformula,
 `map_leaves` rebuilds a formula through a function of its atoms and
 equalities, and `term_names` reads a term's variables or objects; `survey`
 collects in one walk what a check needs of a formula before grounding.
-Formulas share subformula objects, so `normalize`, `survey`,
-`push_quantifiers` and the BDD passes visit each distinct subformula once
+Formulas share subformula objects, so `normalize`, `survey` and the BDD
+passes (quantifier pushing among them) visit each distinct subformula once
 per context in a call, through memos keyed by object id that end with it.
 Ground states are defined here and evaluated by the plans of `query.py`;
 `eval_in_state` and `satisfying_bindings` compile one per call, for one-off
@@ -1115,7 +1115,7 @@ class ConsistencyChecker:
                 # one or two remaining groundings cost less than a lifted pass
                 if full > 3:
                     self.stats.lifted_attempts += 1
-                    verdict = self._lifted(f, types)
+                    verdict = self._lifted(f, {n: types.get(n) for n in free_vars(f) | objects})
                     if verdict is not None:
                         self.stats.lifted += 1
                         return verdict
@@ -1145,11 +1145,12 @@ class ConsistencyChecker:
         """Verdict from the BDD over f's opaque atoms, or None when it is not constant.
 
         f stays open: its free variables are atoms' arguments, and a BDD
-        constant is the verdict for every value they take.  The one-point
-        rule uses the same `types` that close and pool f for grounding.
+        constant is the verdict for every value they take.  `types` holds every
+        free variable and named object of f with the type grounding pools it in
+        (None: the untyped pool), so the one-point rule trusts no name.
         """
-        g = normalize(push_quantifiers(f, types))
-        return _BddSimplifier(self).decide(g)
+        s = _BddSimplifier(self)
+        return s.decide(s.prepare(f, types))
 
 
 _G_TRUE = 0
@@ -1511,23 +1512,16 @@ def _ground_sat(dag: _GroundDag, nid: int, left: list, memo: dict) -> bool:
 # quantifier placement and one-point simplification
 
 
-def push_quantifiers(f: Formula, types: Optional[Mapping[str, Optional[str]]] = None) -> Formula:
+def _push(f: Formula, types: Mapping[str, Optional[str]], memo: dict) -> Formula:
     """Move quantifiers inward and apply the one-point rule; expects NNF.
 
-    Without `types` the one-point rule ignores quantifier types, which is
-    sound over untyped domains only.  With `types` (the free variables' and
-    objects' types, as `survey` gives them) binder types are tracked on
-    the way down, and `∃x:T. x = t ∧ φ` (or its ∀ dual) is rewritten only
-    when T is None or t has type T: a term of type None lives in the
-    untyped pool only.  Subformulas where nothing moves come back as the
-    same objects, so renormalising an unchanged canonical input is free.
-    Each distinct subformula is pushed once per binder types for the call.
+    `types` maps names to types, and each binder adds its own.  `∃x:T. x = t ∧ φ`
+    (or its ∀ dual) becomes φ[t/x] when T is None, or when t is a variable or
+    object that `types` gives T (None is the untyped pool only) or leaves out,
+    and so is trusted to have T in φ[t/x] too.  Subformulas where nothing moves
+    come back as the same objects.  `memo` maps (id of a node, id of its types)
+    to (node, types, result): each subformula is pushed once per binder types.
     """
-    return _push(f, types, {})
-
-
-def _push(f: Formula, types: Optional[Mapping], memo: dict) -> Formula:
-    """`push_quantifiers`; memo maps (id of a node, id of its types) to (node, types, result)."""
     if isinstance(f, (Bool, Atom, Eq)):
         return f
     got = memo.get((id(f), id(types)))
@@ -1543,8 +1537,7 @@ def _push(f: Formula, types: Optional[Mapping], memo: dict) -> Formula:
         else:
             g = conj(parts) if isinstance(f, And) else disj(parts)
     elif isinstance(f, (Exists, Forall)):
-        inner = None if types is None else {**types, f.var: f.vtype}
-        body = _push(f.body, inner, memo)
+        body = _push(f.body, {**types, f.var: f.vtype}, memo)
         push = _push_exists if isinstance(f, Exists) else _push_forall
         g = push(f.var, f.vtype, body, types, memo)
         if body is f.body and g == f:
@@ -1555,7 +1548,7 @@ def _push(f: Formula, types: Optional[Mapping], memo: dict) -> Formula:
     return g
 
 
-def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Optional[Mapping]) -> Optional[Term]:
+def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Mapping) -> Optional[Term]:
     if not isinstance(part, Eq):
         return None
     l, r = part.left, part.right
@@ -1565,12 +1558,17 @@ def _one_point_target(part: Formula, var: str, vtype: Optional[str], types: Opti
         t = l
     else:
         return None
-    if types is None or vtype is None:
+    if vtype is None:
         return t
-    return t if isinstance(t, (Var, Obj)) and types.get(t.name) == vtype else None
+    return t if isinstance(t, (Var, Obj)) and types.get(t.name, vtype) == vtype else None
 
 
-def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping], memo: dict) -> Formula:
+def _trusted(types: Mapping, t: Term, vtype: Optional[str]) -> Mapping:
+    """`types`, and t with `vtype` if it has no type there: the type the rule trusted it to have."""
+    return types if not isinstance(t, (Var, Obj)) or t.name in types else {**types, t.name: vtype}
+
+
+def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Mapping, memo: dict) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, Or):
@@ -1585,13 +1583,13 @@ def _push_exists(var: str, vtype: Optional[str], body: Formula, types: Optional[
             t = _one_point_target(p, var, vtype, types)
             if t is not None:
                 rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                return _push(conj(indep + rest), types, memo)
+                return _push(conj(indep + rest), _trusted(types, t, vtype), memo)
         if indep:
             return conj(indep + [Exists(var, vtype, conj(dep))])
     return Exists(var, vtype, body)
 
 
-def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[Mapping], memo: dict) -> Formula:
+def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Mapping, memo: dict) -> Formula:
     if var not in free_vars(body):
         return body
     if isinstance(body, And):
@@ -1605,7 +1603,7 @@ def _push_forall(var: str, vtype: Optional[str], body: Formula, types: Optional[
                 t = _one_point_target(p.sub, var, vtype, types)
                 if t is not None:
                     rest = [substitute(q, {var: t}) for j, q in enumerate(dep) if j != i]
-                    return _push(disj(indep + rest), types, memo)
+                    return _push(disj(indep + rest), _trusted(types, t, vtype), memo)
         if indep:
             return disj(indep + [Forall(var, vtype, disj(dep))])
     return Forall(var, vtype, body)
@@ -1708,7 +1706,7 @@ class _BddSimplifier:
     def __init__(self, checker: ConsistencyChecker):
         self.keys, self.duals, self.stats = checker._atom_keys, checker._duals, checker.stats
         self.mapped: dict = {}  # id of a formula -> (formula, `map_quantified` of it)
-        self.pushed: dict = {}  # the untyped `push_quantifiers` memo of `prepare`
+        self.pushed: dict = {}  # the `_push` memo of `prepare`
 
     def atom_key(self, f: Formula) -> tuple[Formula, bool]:
         """Canonical polarity for an opaque subformula.
@@ -1733,9 +1731,9 @@ class _BddSimplifier:
             got = self.duals[atom] = normalize(Not(atom))
         return got
 
-    def prepare(self, f: Formula) -> Formula:
-        """f canonical, with quantifiers pushed inward and every quantifier body reduced."""
-        return self.map_quantified(normalize(_push(normalize(f), None, self.pushed)))
+    def prepare(self, f: Formula, types: Mapping[str, Optional[str]]) -> Formula:
+        """f canonical, with quantifiers pushed inward under `types` (see `_push`) and every quantifier body reduced."""
+        return self.map_quantified(normalize(_push(normalize(f), types, self.pushed)))
 
     def reduce(self, f: Formula) -> Optional[Formula]:
         """f, whose quantifier bodies are reduced, read back from its BDD; None past the limits."""
@@ -1746,9 +1744,9 @@ class _BddSimplifier:
             return None
 
     def decide(self, f: Formula) -> Optional[bool]:
-        """Read only the root of f's BDD: True/False if it is a constant, else None."""
+        """Read only the root of the prepared f's BDD: True/False if it is a constant, else None."""
         try:
-            root = self.build(self.map_quantified(f), _Bdd())
+            root = self.build(f, _Bdd())
         except _AtomLimit:
             return None
         return None if root > _Bdd.TRUE else root == _Bdd.TRUE
@@ -1837,18 +1835,17 @@ def simplify_bdd(f: Formula, checker: ConsistencyChecker) -> Formula:
     Quantifiers are first pushed inward (with one-point elimination of
     equalities), then the connective superstructure over the remaining
     maximal quantified/atomic subformulas is reduced through a BDD and read
-    back.  The result is equivalent to the input over every untyped domain.
-    This path calls `push_quantifiers` without types, so over typed domains
-    the result can be weaker (∃x:Box. ∃y:City. x = y becomes true); the
-    consistency checker's lifted pass is the typed path.  When the atom
-    count exceeds `BDD_MAX_ATOMS`, or the read-back unfolds into more than
-    `_BddSimplifier.tree_limit` nodes, the input is returned unchanged.
-    Atoms are canonicalised through `checker`'s tables, so a call repeats
-    none of the work of earlier calls through that checker; the result does
-    not depend on what those tables already hold.
+    back.  The one-point rule (`_push`) types the binders only and trusts a
+    free variable or named object compared with x:T to have type T, so the
+    result is equivalent to the input over typed domains where that holds.
+    When the atom count exceeds `BDD_MAX_ATOMS`, or the read-back unfolds
+    into more than `_BddSimplifier.tree_limit` nodes, the input is returned
+    unchanged.  Atoms are canonicalised through `checker`'s tables, so a call
+    repeats none of the work of earlier calls through that checker; the
+    result does not depend on what those tables already hold.
     """
     s = _BddSimplifier(checker)
-    g = s.reduce(s.prepare(f))
+    g = s.reduce(s.prepare(f, {}))
     return f if g is None else normalize(g)
 
 
@@ -1860,14 +1857,14 @@ def disjoint_regions(formulas: Sequence[Formula], checker: ConsistencyChecker) -
     the conjunction itself, which is what `simplify_bdd` returns for it.  As
     there, atoms are canonicalised through `checker`'s tables.
     """
-    s, bdd = _BddSimplifier(checker), _Bdd()
+    s, bdd, types = _BddSimplifier(checker), _Bdd(), {}  # one map, as `prepare`'s memo is keyed by its id
     covered, out = _Bdd.FALSE, []  # covered is None once the atoms run out
     for i, f in enumerate(formulas):
         try:
             if covered is None:
                 raise _AtomLimit()
             cover, covered = covered, None
-            node = s.build(s.prepare(f), bdd)
+            node = s.build(s.prepare(f, types), bdd)
             covered = bdd.apply("or", cover, node)
             out.append(s.read_back(bdd.apply("and", node, bdd.neg(cover)), bdd)[0])
         except _AtomLimit:

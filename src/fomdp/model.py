@@ -229,7 +229,6 @@ class BackedUpLinear:
     so solvers reuse the per-basis parts across weight changes.
     """
 
-    action: ActionTemplate
     reward: CaseStatement
     fodtrs: tuple  # FODTR(bCase_i, A(x⃗)), γ already applied
 
@@ -284,4 +283,4 @@ def backup_linear(
     constraint search actually needs specific regions.
     """
     fs = tuple(fodtr(model, b, action) for b in lvf.bases)
-    return BackedUpLinear(action, model.reward_for(action.name), fs)
+    return BackedUpLinear(model.reward_for(action.name), fs)

@@ -4,7 +4,8 @@ It canonicalises every opaque atom anew wherever it occurs: once to
 collect the frontier in first-use order, again while building the BDD, and
 again at every nested quantifier level.  Negated atoms are read back as
 `Not(atom)` and left to the final `normalize`, and `push_quantifiers` rebuilds
-every node.  `simplify_bdd` must return exactly what this returns.
+every node, typing each binder on the way down.  `simplify_bdd` must return
+exactly what this returns.
 """
 
 from typing import Mapping, Optional
@@ -32,17 +33,17 @@ from fomdp.logic import (
 )
 
 
-def push_quantifiers(f: Formula) -> Formula:
+def push_quantifiers(f: Formula, types: Mapping) -> Formula:
     if isinstance(f, (Bool, Atom, Eq)):
         return f
     if isinstance(f, Not):
-        return Not(push_quantifiers(f.sub))
+        return Not(push_quantifiers(f.sub, types))
     if isinstance(f, And):
-        return conj(push_quantifiers(p) for p in f.parts)
+        return conj(push_quantifiers(p, types) for p in f.parts)
     if isinstance(f, Or):
-        return disj(push_quantifiers(p) for p in f.parts)
+        return disj(push_quantifiers(p, types) for p in f.parts)
     push = _push_exists if isinstance(f, Exists) else _push_forall
-    return push(f.var, f.vtype, push_quantifiers(f.body), None, {})
+    return push(f.var, f.vtype, push_quantifiers(f.body, {**types, f.var: f.vtype}), types, {})
 
 
 def atom_key(f: Formula) -> tuple:
@@ -141,5 +142,5 @@ def map_quantified(f: Formula, max_atoms: int) -> Formula:
 
 
 def reference_simplify_bdd(f: Formula, max_atoms: int = 40) -> Formula:
-    g = simplify_inner(normalize(push_quantifiers(normalize(f))), max_atoms)
+    g = simplify_inner(normalize(push_quantifiers(normalize(f), {})), max_atoms)
     return f if g is None else normalize(g)

@@ -8,6 +8,8 @@ must return exactly the verdicts this returns.  It grounds through
 grounding plans replaced: it expands every occurrence of a subformula under
 every binding it meets and spends one budget unit on each expansion.  The
 plans must build exactly the `_GroundDag` this builds.
+`GroundingOnlyReference` switches the lifted pass off, so every verdict it
+gives is grounded and shares no code with the checker's BDD passes.
 
 `reference_infer_types`, `reference_objects_in` and `reference_scan_types`
 are the three walks that `fomdp.logic.survey` folded into one; `survey`
@@ -36,6 +38,7 @@ from fomdp.logic import (
     _GroundDag,
     _ground_sat,
     _spend,
+    free_vars,
     implicit_close,
 )
 
@@ -236,7 +239,7 @@ class ReferenceChecker(ConsistencyChecker):
             # one or two remaining groundings cost less than a lifted pass
             if step == 1 and len(groundings) > 3:
                 self.stats.lifted_attempts += 1
-                verdict = self._lifted(f, types)
+                verdict = self._lifted(f, {n: types.get(n) for n in free_vars(f) | reference_objects_in(f)})
                 if verdict is not None:
                     self.stats.lifted += 1
                     return verdict
@@ -250,3 +253,10 @@ class ReferenceChecker(ConsistencyChecker):
             if _ground_sat(dag, root, left, {}):
                 return True
         return False
+
+
+class GroundingOnlyReference(ReferenceChecker):
+    """The reference with its lifted pass switched off: every verdict is grounded."""
+
+    def _lifted(self, f, types):
+        return None

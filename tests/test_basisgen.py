@@ -45,6 +45,7 @@ from fomdp.logic import (
 from fomdp.model import LinearValueFunction
 from fomdp.solvers import PolicyCase, _policy_key, foalp_solve
 from fomdp.unidecomp import build_generic_q, make_generic_goal
+from checker_reference import GroundingOnlyReference
 from max_case_reference import assert_same_regions, reference_max_case
 
 TOL = 1e-6
@@ -306,6 +307,34 @@ def test_cold_solve_weights_are_bit_exact(fixture, solver, weights, objective):
     lvf, report = generate_basis(model, BasisGenConfig(iters=2, solver=solver))
     assert tuple(float(w).hex() for w in lvf.weights) == weights
     assert float(report.rows[-1].solver_objective).hex() == objective
+
+
+@pytest.mark.parametrize(
+    "fixture, solver, serve",
+    [("boxworld_mini", "foalp", False), ("blocksworld_mini", "foapi", False), ("boxworld_mini", "foapi", True)],
+)
+def test_cold_solve_verdicts_match_grounding_every_combination(monkeypatch, fixture, solver, serve):
+    # every check of the benchmark's cold solves (and of the serve set-up's Q
+    # cases) that reaches grounding, against the reference that grounds every
+    # size combination by the tree walk and has no lifted pass
+    model = make_generic_goal(load_fixture(fixture)[0])
+    model = replace(model, checker=ConsistencyChecker(model.bound, model.signature()))
+    grounded, real_sat = [], ConsistencyChecker._sat
+
+    def sat(self, f, left):
+        verdict = real_sat(self, f, left)
+        grounded.append((f, verdict))
+        return verdict
+
+    monkeypatch.setattr(ConsistencyChecker, "_sat", sat)
+    lvf, _ = generate_basis(model, BasisGenConfig(iters=2, solver=solver))
+    if serve:
+        build_generic_q(model, lvf)
+    monkeypatch.undo()
+    assert model.checker.stats.exhausted == 0 and len(grounded) >= 90
+    reference = GroundingOnlyReference(model.checker.bound, model.checker.signature)
+    for f, verdict in grounded:
+        assert reference.check(f) is verdict, format_formula(f)
 
 
 def test_no_checker_parameter_has_a_default():

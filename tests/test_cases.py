@@ -48,15 +48,17 @@ from fomdp.logic import (
     TRUE,
     Universe,
     Var,
+    format_formula,
     make_state,
     normalize,
     parse_formula,
+    simplify_bdd,
     survey,
 )
 from fomdp.sitcalc import SuccessorStateAxiom, regress
 from case_reference import eval_max
 from max_case_reference import assert_same_regions, reference_max_case
-from test_logic import TYPED_SIG, typed_corpus
+from test_logic import TYPED_SIG, GroundingOnlyChecker, bound_one_point_probe, typed_corpus
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
 
@@ -290,20 +292,23 @@ def test_max_case_tie_break_deterministic():
 
 
 def one_point_sound(f, scope: tuple = (), free: Optional[dict] = None) -> bool:
-    """Is every term that an equality compares with a typed bound variable of that type?
+    """Does every free variable or object that an equality compares with a typed bound variable have its type?
 
     Free variables and objects take the types the checker infers for them.
-    Only then is the untyped one-point rule of `simplify_bdd` sound over
-    typed domains; elsewhere the per-region path and the shared BDD may
+    The one-point rule of `simplify_bdd` types bound variables only and
+    trusts every free name to have the type of the bound variable it meets;
+    where that trust fails, the per-region path and the shared BDD may
     misread a region in different ways.
     """
     free = survey(f, TYPED_SIG)[0] if free is None else free
     if isinstance(f, Eq):
         env = dict(scope)
-        def vtype(t):
-            return env[t.name] if isinstance(t, Var) and t.name in env else free.get(t.name)
         sides = ((f.left, f.right), (f.right, f.left))
-        return all(vtype(b) == env[a.name] for a, b in sides if isinstance(a, Var) and env.get(a.name))
+        return all(
+            free.get(b.name) == env[a.name]
+            for a, b in sides
+            if isinstance(a, Var) and env.get(a.name) and not (isinstance(b, Var) and b.name in env)
+        )
     if isinstance(f, (Exists, Forall)):
         return one_point_sound(f.body, scope + ((f.var, f.vtype),), free)
     if isinstance(f, Not):
@@ -333,6 +338,25 @@ def test_max_case_matches_per_region_reference():
         parts.append(replace(parts[1], tag="c"))
         c = CaseStatement(tuple(parts), False)
         assert_same_regions(max_case(c, typed), reference_max_case(c, typed), typed)
+
+
+def test_simplify_keeps_typed_one_point_equivalences():
+    # one-point candidates whose target is bound, under every pair of binder
+    # types: where the rule's trust in free names holds, each simplifies to a
+    # formula that typed grounding cannot tell from it
+    rng = random.Random(43)
+    chk, grounded = ConsistencyChecker(signature=TYPED_SIG), GroundingOnlyChecker(signature=TYPED_SIG)
+    probes = [f for f in (bound_one_point_probe(rng) for _ in range(300)) if one_point_sound(f)]
+    compared = changed = 0
+    for f in probes:
+        g = simplify_bdd(f, chk)
+        # a check types each free name by the first atom position it meets, so
+        # f and g are compared only where every type g gives a name is f's
+        if survey(g, TYPED_SIG)[0].items() <= survey(f, TYPED_SIG)[0].items():
+            compared += 1
+            changed += g != normalize(f)
+            assert grounded.equivalent(f, g), format_formula(f)
+    assert compared >= 200 and changed >= 100
 
 
 def test_max_case_past_the_bdd_limits_matches_reference_exactly():
@@ -409,16 +433,26 @@ def test_build_prunes_inconsistent():
     assert c.formulas() == (P,)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item F: the BDD pass applies the untyped one-point rule, so x = y over "
-    "disjoint types simplifies to true instead of false",
-)
 def test_build_prunes_an_equality_of_disjoint_types():
     sig = {"P": ("Box",), "Q": ("City",)}
     f = parse_formula("exists x: Box. exists y: City. x = y")
     assert ConsistencyChecker(signature=sig).check(f) is False
     assert build_case([Partition(f, 1.0)], ConsistencyChecker(signature=sig), True).partitions == ()
+
+
+@pytest.mark.parametrize("ytype, kept", [("City", False), ("Box", True), (None, True)])
+def test_max_case_keeps_an_equality_region_as_the_checker_says(ytype, kept):
+    # a region whose only content is a one-point candidate between two binders;
+    # the shared BDD drops it without the checker exactly when the checker would
+    sig = {"P": ("Box",), "Q": ("City",)}
+    f = Exists("x", "Box", Exists("y", ytype, And((Eq(Var("x"), Var("y")), Atom("P", (Var("x"),))))))
+    q = Atom("Q", (Obj("c1"),))
+    c = CaseStatement((Partition(f, 5.0), Partition(q, 3.0), Partition(Not(q), 1.0)), False)
+    chk = ConsistencyChecker(signature=sig)
+    assert chk.check(f) is kept
+    m = max_case(c, chk)
+    assert m.values() == ((5.0,) if kept else ()) + (3.0, 1.0)
+    assert_same_regions(m, reference_max_case(c, chk), chk)
 
 
 def test_merge_equal_values():

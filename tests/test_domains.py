@@ -361,6 +361,12 @@ def test_instance_errors():
         parse_instance("instance x\ninit: { P(a }")
 
 
+@pytest.mark.parametrize("pool", ["{}", "{ }", "{ , }"])
+def test_instance_rejects_an_empty_object_pool(pool):
+    with pytest.raises(DomainSyntaxError, match=r"^empty object pool for type Box \(line 3\)$"):
+        parse_instance(f"instance x\nobjects: City = {{ paris }}\nobjects: Box = {pool}")
+
+
 def test_validate_instance_errors():
     model, inst = load_fixture("boxworld_mini", "boxworld_mini")
 

@@ -27,6 +27,7 @@ from bdd_reference import reference_simplify_bdd
 from lexer_reference import ReferenceLexer
 from normalize_reference import _nnf, reference_normalize
 from checker_reference import (
+    GroundingOnlyReference,
     ReferenceChecker,
     every_grounding,
     reference_ground_expand,
@@ -61,6 +62,7 @@ from fomdp.logic import (
     _GroundDag,
     _GroundStore,
     _ground_plan,
+    _push,
     all_var_names,
     conj,
     disjoint_regions,
@@ -75,7 +77,6 @@ from fomdp.logic import (
     normalize,
     objects_in,
     parse_formula,
-    push_quantifiers,
     replace_objects,
     satisfying_bindings,
     simplify_bdd,
@@ -780,6 +781,25 @@ def one_point_probe(rng: random.Random) -> Formula:
     return And((probe, Not(beside) if rng.random() < 0.6 else beside))
 
 
+def bound_one_point_probe(rng: random.Random) -> Formula:
+    """∃p:T. p = x ∧ φ or ∀p:T. p != x ∨ φ under a binder x:S; S and T may differ.
+
+    Half the time a typed x is itself a one-point candidate, ∃x:S. x = t ∧ …, with
+    t a free name of type S, so that eliminating x compares p with t.
+    """
+    xtype, vtype = rng.choice(TYPES + (None,)), rng.choice(TYPES + (None,))
+    phi = typed_formula(rng, 2, (("x", xtype), ("p", vtype)))
+    if rng.random() < 0.5:
+        probe = Exists("p", vtype, And((Eq(Var("p"), Var("x")), phi)))
+    else:
+        probe = Forall("p", vtype, Or((Not(Eq(Var("p"), Var("x"))), phi)))
+    if xtype is not None and rng.random() < 0.5:
+        t = rng.choice(TYPED_FREE[xtype])
+        typing = Atom({"Box": "P", "City": "R", "Truck": "K"}[xtype], (t,))
+        return Exists("x", xtype, And((Eq(Var("x"), t), typing, probe)))
+    return (Exists if rng.random() < 0.5 else Forall)("x", xtype, probe)
+
+
 def needs_two(rng: random.Random) -> Formula:
     """A conjunct with no model of one object per type, so the lifted pass gets a turn."""
     vtype = rng.choice(TYPES)
@@ -1038,11 +1058,6 @@ NON_MONOTONE_PROBES = [
 
 def non_monotone_probes() -> list:
     return [parse_formula(text, objects=["b1", "b2", "b3", "b4", "c1"]) for text, _ in NON_MONOTONE_PROBES]
-
-
-class GroundingOnlyReference(ReferenceChecker):
-    def _lifted(self, f, types):
-        return None
 
 
 def test_monotone_grounding_matches_every_combination():
@@ -1757,19 +1772,20 @@ def test_simplify_one_point_rule():
 
 def test_simplify_pushes_quantifiers_inward():
     f = parse_formula("exists x. P(x) | R")
-    g = push_quantifiers(normalize(f))
     # R does not depend on x, so the quantifier splits over the disjunction
-    assert normalize(g) == normalize(Or((Exists("x", None, Atom("P", (Var("x"),))), Atom("R"))))
+    assert simplify_bdd(f, ConsistencyChecker()) == normalize(Or((Exists("x", None, Atom("P", (Var("x"),))), Atom("R"))))
 
 
 def test_push_quantifiers_on_a_shared_subformula():
-    # one object under binders of two types: the typed one-point rule applies under one only
+    # one subformula under binders of two types: the one-point rule applies under one only
     x, p = Var("x"), Var("p")
     shared = Exists("p", "Box", And((Eq(p, x), Atom("P", (p,)))))
     f = And((Exists("x", "Box", shared), Exists("x", "City", shared)))
-    got = push_quantifiers(f, {})
-    assert got == push_quantifiers(fresh_copy(f), {})
+    got = _push(f, {}, {})
+    assert got == _push(fresh_copy(f), {}, {})
     assert got.parts[0] == Exists("x", "Box", Atom("P", (x,))) and got.parts[1] == f.parts[1]
+    # simplify_bdd pushes through the same rule
+    assert simplify_bdd(f, ConsistencyChecker()) == normalize(got)
 
 
 def test_simplify_preserves_truth_on_corpus():
@@ -1871,9 +1887,14 @@ def bdd_corpus(seed: int) -> list:
 
 @pytest.mark.parametrize("max_atoms", [40, 3])
 def test_simplify_matches_two_pass_reference(monkeypatch, max_atoms):
+    def inputs() -> list:
+        # the probes are one-point candidates under every pair of binder types
+        rng = random.Random(11)
+        return bdd_corpus(11) + [bound_one_point_probe(rng) for _ in range(60)]
+
     # each side gets its own copy, so nothing one run caches reaches the other
-    formulas, twins = bdd_corpus(11), bdd_corpus(11)
-    assert len(formulas) >= 200
+    formulas, twins = inputs(), inputs()
+    assert len(formulas) >= 260
     overflowed = 0
     monkeypatch.setattr(logic, "BDD_MAX_ATOMS", max_atoms)
     for f, twin in zip(formulas, twins):
